@@ -1,12 +1,12 @@
 """Benchmark: regenerate Figure 10 (Tier-2 overhead accounting)."""
 
 from repro.analysis.metrics import arithmetic_mean
-from repro.experiments import fig10
+from repro.experiments.runner import run_experiment
 
 
 def test_fig10(benchmark, scale, save_result):
     results = benchmark.pedantic(
-        lambda: fig10.run(scale=scale), rounds=1, iterations=1
+        lambda: run_experiment("fig10", scale), rounds=1, iterations=1
     )
     save_result(results)
     fig10a, fig10b = results

@@ -1,15 +1,15 @@
 """Benchmark: regenerate Figure 11 (over-subscription factor 4)."""
 
-from repro.experiments import fig8, fig11
+from repro.experiments.runner import run_experiment
 
 
 def test_fig11(benchmark, scale, save_result):
     results = benchmark.pedantic(
-        lambda: fig11.run(scale=scale), rounds=1, iterations=1
+        lambda: run_experiment("fig11", scale), rounds=1, iterations=1
     )
     save_result(results)
     means4 = results[0].extras["means"]
-    means2 = fig8.run(scale=scale)[0].extras["means"]  # cached
+    means2 = run_experiment("fig8", scale)[0].extras["means"]  # cached
 
     # Higher over-subscription shrinks everyone's speedups...
     assert means4["reuse"] < means2["reuse"]

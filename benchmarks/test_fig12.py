@@ -1,12 +1,12 @@
 """Benchmark: regenerate Figure 12 (Tier-2:Tier-1 capacity ratio sweep)."""
 
 from repro.analysis.metrics import arithmetic_mean
-from repro.experiments import fig12
+from repro.experiments.runner import run_experiment
 
 
 def test_fig12(benchmark, scale, save_result):
     results = benchmark.pedantic(
-        lambda: fig12.run(scale=scale), rounds=1, iterations=1
+        lambda: run_experiment("fig12", scale), rounds=1, iterations=1
     )
     save_result(results)
     series = results[0].extras["series"]

@@ -1,11 +1,11 @@
 """Benchmark: regenerate Figure 13 (Tier-1 = "32 GB", non-graph apps)."""
 
-from repro.experiments import fig13
+from repro.experiments.runner import run_experiment
 
 
 def test_fig13(benchmark, scale, save_result):
     results = benchmark.pedantic(
-        lambda: fig13.run(scale=scale), rounds=1, iterations=1
+        lambda: run_experiment("fig13", scale), rounds=1, iterations=1
     )
     save_result(results)
     means = results[0].extras["means"]

@@ -1,11 +1,11 @@
 """Benchmark: regenerate Figure 14 (HMM vs BaM vs GMT-Reuse, section 3.6)."""
 
-from repro.experiments import fig14
+from repro.experiments.runner import run_experiment
 
 
 def test_fig14(benchmark, scale, save_result):
     results = benchmark.pedantic(
-        lambda: fig14.run(scale=scale), rounds=1, iterations=1
+        lambda: run_experiment("fig14", scale), rounds=1, iterations=1
     )
     save_result(results)
     means = results[0].extras["means"]

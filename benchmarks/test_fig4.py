@@ -1,10 +1,12 @@
 """Benchmark: regenerate Figure 4 (VTD/RD correlation, per-page RRD patterns)."""
 
-from repro.experiments import fig4
+from repro.experiments.runner import run_experiment
 
 
 def test_fig4(benchmark, scale, save_result):
-    results = benchmark.pedantic(lambda: fig4.run(scale=scale), rounds=1, iterations=1)
+    results = benchmark.pedantic(
+        lambda: run_experiment("fig4", scale), rounds=1, iterations=1
+    )
     save_result(results)
     fig4a, fig4bc = results
     # Figure 4(a): near-linear VTD <-> RD relation for both apps.

@@ -1,10 +1,12 @@
 """Benchmark: regenerate Figure 6 (transfer-scheme comparison)."""
 
-from repro.experiments import fig6
+from repro.experiments.runner import run_experiment
 
 
 def test_fig6(benchmark, scale, save_result):
-    results = benchmark.pedantic(lambda: fig6.run(scale=scale), rounds=1, iterations=1)
+    results = benchmark.pedantic(
+        lambda: run_experiment("fig6", scale), rounds=1, iterations=1
+    )
     save_result(results)
     fig6a, fig6b = results
     # Figure 6(a): DMA/zero-copy crossover near 8 non-contiguous pages.

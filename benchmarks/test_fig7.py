@@ -1,11 +1,13 @@
 """Benchmark: regenerate Figure 7 (RRD distributions / tier bias)."""
 
-from repro.experiments import fig7
+from repro.experiments.runner import run_experiment
 from repro.reuse.classifier import ReuseClass
 
 
 def test_fig7(benchmark, scale, save_result):
-    results = benchmark.pedantic(lambda: fig7.run(scale=scale), rounds=1, iterations=1)
+    results = benchmark.pedantic(
+        lambda: run_experiment("fig7", scale), rounds=1, iterations=1
+    )
     save_result(results)
     fractions = results[0].extras["access_fractions"]
     # The categories section 3.3 builds its analysis on:

@@ -5,11 +5,13 @@ GMT-Reuse clearly ahead (paper: 1.50 vs 1.24/1.07) via SSD I/O reductions.
 """
 
 from repro.analysis.metrics import arithmetic_mean
-from repro.experiments import fig8
+from repro.experiments.runner import run_experiment
 
 
 def test_fig8(benchmark, scale, save_result):
-    results = benchmark.pedantic(lambda: fig8.run(scale=scale), rounds=1, iterations=1)
+    results = benchmark.pedantic(
+        lambda: run_experiment("fig8", scale), rounds=1, iterations=1
+    )
     save_result(results)
     fig8a, fig8b = results
     means = fig8a.extras["means"]

@@ -1,10 +1,12 @@
 """Benchmark: regenerate Figure 9 (GMT-Reuse prediction accuracy)."""
 
-from repro.experiments import fig9
+from repro.experiments.runner import run_experiment
 
 
 def test_fig9(benchmark, scale, save_result):
-    results = benchmark.pedantic(lambda: fig9.run(scale=scale), rounds=1, iterations=1)
+    results = benchmark.pedantic(
+        lambda: run_experiment("fig9", scale), rounds=1, iterations=1
+    )
     save_result(results)
     accs = results[0].extras["accuracies"]
 

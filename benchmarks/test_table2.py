@@ -1,11 +1,11 @@
 """Benchmark: regenerate Table 2 (application characteristics)."""
 
-from repro.experiments import table2
+from repro.experiments.runner import run_experiment
 
 
 def test_table2(benchmark, scale, save_result):
     results = benchmark.pedantic(
-        lambda: table2.run(scale=scale), rounds=1, iterations=1
+        lambda: run_experiment("table2", scale), rounds=1, iterations=1
     )
     save_result(results)
     measured = results[0].extras["measured"]

@@ -4,8 +4,8 @@
 GMT-Reuse starts ignorant: the first evictions use a default strategy
 while the sampler fits the VTD->RD line and the Markov chain accumulates
 resolved history (paper section 2.1.3).  End-of-run averages hide this;
-the :class:`~repro.core.timeline.StatsTimeline` makes it visible window
-by window.  This example trains Backprop and prints, per window of
+telemetry's delta windows (``telemetry.windows()``) make it visible
+window by window.  This example trains Backprop and prints, per window of
 accesses: prediction coverage (history-driven decisions), Tier-2 hit
 rate, and SSD reads — the learning curve of the policy.
 
@@ -14,8 +14,12 @@ Run:  python examples/warmup_timeline.py
 
 from repro import GMTConfig, GMTRuntime
 from repro.analysis.report import render_histogram, render_table
-from repro.core.timeline import StatsTimeline
+from repro.obs import Telemetry
 from repro.workloads import make_workload
+
+
+def ratio(num: float, den: float) -> float:
+    return num / den if den else 0.0
 
 
 def main() -> None:
@@ -23,18 +27,24 @@ def main() -> None:
     workload = make_workload("backprop", config, epochs=10)
 
     runtime = GMTRuntime(config.with_policy("reuse"))
-    timeline = StatsTimeline(runtime, window=20_000)
-    timeline.run(workload)
+    telemetry = runtime.attach_telemetry(Telemetry(window=20_000))
+    runtime.run(workload)
+    windows = telemetry.windows()
 
     rows = []
-    for w in timeline.windows():
+    t2_hit_rates = []
+    for w in windows:
+        predictions = w["gmt_predictions_made"]
+        coverage = ratio(predictions, predictions + w["gmt_fallback_placements"])
+        t2_hit_rate = ratio(w["gmt_t2_hits"], w["gmt_t2_lookups"])
+        t2_hit_rates.append(t2_hit_rate)
         rows.append(
             [
-                w.index,
-                w.accesses,
-                f"{w.prediction_coverage:.0%}",
-                f"{w.t2_hit_rate:.0%}",
-                w.ssd_reads,
+                w["window"],
+                w["span"],
+                f"{coverage:.0%}",
+                f"{t2_hit_rate:.0%}",
+                w["gmt_ssd_page_reads"],
             ]
         )
     print(
@@ -48,8 +58,8 @@ def main() -> None:
     print()
     print(
         render_histogram(
-            [f"w{w.index}" for w in timeline.windows()],
-            timeline.series("t2_hit_rate"),
+            [f"w{w['window']}" for w in windows],
+            t2_hit_rates,
             title="Tier-2 hit rate per window (the learning curve)",
             width=30,
         )

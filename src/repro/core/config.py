@@ -34,7 +34,7 @@ POLICY_NAMES = _POLICY_NAMES
 #: "scalar" is the reference per-access loop, "vector" the SoA batch
 #: engine (:mod:`repro.core.vector`), and "auto" resolves per run site:
 #: vector unless something genuinely per-access is requested (a full
-#: flight recorder / event log / profiler, periodic checks, or a
+#: flight recorder / profiler, periodic checks, or a
 #: policy-zoo Tier-1 structure).  Batch-capable telemetry — windowed
 #: snapshots, latency digests, counter tracks, anomaly scans, sampled
 #: lifecycle streams (:mod:`repro.obs.batch`) — stays on the vector

@@ -10,7 +10,7 @@ so ``GMTConfig.engine`` / ``--engine`` behave identically everywhere:
   (:mod:`repro.core.vector`), byte-identical results, 10-50x faster on
   hit-dominated streams;
 - ``"auto"`` — vector unless something genuinely needs per-access
-  observation: a full flight recorder / event log / profiler
+  observation: a full flight recorder / profiler
   (``recorder=True``), periodic conformance checks (``checks=True``),
   or a policy-zoo Tier-1 structure with no vector twin.  Batch-capable
   telemetry (windowed snapshots, latency digests, counter tracks,
@@ -55,8 +55,8 @@ def resolve_engine_reason(
         engine: explicit request, or None to use ``config.engine``.
         config: the run's configuration.
         recorder: the caller will attach genuinely per-access
-            instrumentation (full flight recorder / event log /
-            profiler) — demotes "auto" to scalar.
+            instrumentation (full flight recorder / profiler) —
+            demotes "auto" to scalar.
         checks: the caller will enable periodic conformance checks —
             demotes "auto" to scalar.
         telemetry: the caller will attach *batch-capable* telemetry

@@ -26,7 +26,6 @@ from dataclasses import dataclass, replace
 from typing import Iterable
 
 from repro.core.config import GMTConfig
-from repro.core.events import EventKind, RuntimeEventLog
 from repro.core.placement import PlacementDecision
 from repro.core.policies import PlacementPolicy, make_policy
 from repro.core.stats import RuntimeStats
@@ -153,8 +152,6 @@ class GMTRuntime:
         #: GPU-orchestrated runtimes; the HMM baseline sets it to the host
         #: software stack's per-fault overhead.
         self._extra_fault_ns = 0.0
-        #: Optional event recorder (see :mod:`repro.core.events`).
-        self._events: RuntimeEventLog | None = None
         #: Optional telemetry (see :mod:`repro.obs`).  None is the
         #: null-sink fast path: each emission point costs one attribute
         #: check and nothing else.
@@ -225,21 +222,6 @@ class GMTRuntime:
                 ssd_write_bandwidth=self.ssd.write_bandwidth,
             )
         return self._queueing
-
-    # ------------------------------------------------------------------
-    # event tracing (optional)
-    # ------------------------------------------------------------------
-    def attach_event_log(self, capacity: int | None = None) -> RuntimeEventLog:
-        """Start recording pipeline events; returns the (new) log."""
-        self._events = RuntimeEventLog(capacity=capacity)
-        return self._events
-
-    def detach_event_log(self) -> None:
-        self._events = None
-
-    def _emit(self, kind: EventKind, page: int) -> None:
-        if self._events is not None:
-            self._events.emit(kind, page, self.vts.now)
 
     # ------------------------------------------------------------------
     # telemetry (optional, see repro.obs)
@@ -379,7 +361,6 @@ class GMTRuntime:
         if state.location is PageLocation.TIER1:
             if queueing is not None:
                 queueing.on_hit()
-            self._emit(EventKind.T1_HIT, page)
             self.stats.t1_hits += 1
             self.t1_clock.touch(page)
             if write:
@@ -394,12 +375,10 @@ class GMTRuntime:
             return
 
         # ---- demand miss --------------------------------------------------
-        self._emit(EventKind.MISS, page)
         self.stats.t1_misses += 1
         fault_ns = self._extra_fault_ns
         from_tier2 = False
         if self.tier2.capacity > 0:
-            self._emit(EventKind.T2_LOOKUP, page)
             self.stats.t2_lookups += 1
             fault_ns += platform.tier2_lookup_ns
             if state.location is PageLocation.TIER2:
@@ -411,7 +390,6 @@ class GMTRuntime:
                          page=page, hit=from_tier2)
 
         if from_tier2:
-            self._emit(EventKind.T2_HIT, page)
             self.stats.t2_hits += 1
             self.stats.t2_fetches += 1
             self.tier2.remove(page)
@@ -437,7 +415,6 @@ class GMTRuntime:
                 )
         else:
             # Up-path bypasses Tier-2: SSD -> GPU memory directly.
-            self._emit(EventKind.SSD_READ, page)
             self.ssd.record_read(self.config.page_size)
             self.stats.ssd_page_reads += 1
             state.dirty = False  # fresh copy of the SSD contents
@@ -477,7 +454,6 @@ class GMTRuntime:
                 tier2_evict=sync_evict,
             )
 
-        self._emit(EventKind.T1_FILL, page)
         self.tier1.insert(page)
         self.t1_clock.insert(page, referenced=True)
         state.location = PageLocation.TIER1
@@ -515,7 +491,6 @@ class GMTRuntime:
             if state.location is not PageLocation.TIER3:
                 continue
             self.stats.prefetches_issued += 1
-            self._emit(EventKind.PREFETCH, candidate)
             if self._obs is not None:
                 self._obs.instant("prefetch", "ssd", page=candidate)
             if self._flight is not None:
@@ -597,7 +572,6 @@ class GMTRuntime:
                 plan = _force_tier2(plan)
                 break
             self.stats.clock_retentions += 1
-            self._emit(EventKind.RETAIN, victim)
             if self._flight is not None:
                 self._flight.emit(
                     LifecycleKind.RETAIN, victim, self.stats.coalesced_accesses,
@@ -607,7 +581,6 @@ class GMTRuntime:
             self.t1_clock.insert(victim, referenced=True)
             retries += 1
 
-        self._emit(EventKind.EVICT_T1, victim)
         self.tier1.remove(victim)
         vstate.location = PageLocation.TIER3  # provisional; updated below
         self.stats.t1_evictions += 1
@@ -674,7 +647,6 @@ class GMTRuntime:
                 return self._bypass_to_tier3(state)
             ns += self._evict_from_tier2()
 
-        self._emit(EventKind.PLACE_T2, state.page)
         self._fx_t2_place = True
         self.tier2.insert(state.page)
         # Demoted pages arrive cold regardless of the policy's default.
@@ -724,7 +696,6 @@ class GMTRuntime:
     def _evict_from_tier2(self) -> float:
         """Make room in Tier-2 (FIFO, or clock under GMT-TierOrder)."""
         victim = self._select_tier2_victim()
-        self._emit(EventKind.T2_EVICT, victim)
         self._fx_t2_evict = True
         self.tier2.remove(victim)
         vstate = self.page_table.lookup(victim)
@@ -749,7 +720,6 @@ class GMTRuntime:
 
     def _bypass_to_tier3(self, state: PageState) -> float:
         """Evict without a Tier-2 copy: discard clean, write back dirty."""
-        self._emit(EventKind.BYPASS_T3, state.page)
         state.location = PageLocation.TIER3
         if self._flight is not None:
             self._flight.emit(
@@ -760,14 +730,12 @@ class GMTRuntime:
             )
         ns = self._writeback_if_dirty(state)
         if ns == 0.0:
-            self._emit(EventKind.DISCARD, state.page)
             self.stats.clean_discards += 1
         return ns
 
     def _writeback_if_dirty(self, state: PageState) -> float:
         if not state.dirty:
             return 0.0
-        self._emit(EventKind.WRITEBACK, state.page)
         self._fx_writeback = True
         self.ssd.record_write(self.config.page_size)
         self.stats.ssd_page_writes += 1

@@ -30,8 +30,8 @@ Byte-identity with the scalar engine is a hard requirement (the
   first demand touch, policies whose ``on_access`` is observable
   (:attr:`~repro.core.policies.PlacementPolicy.hits_batchable`), window
   boundary accesses under attached telemetry — drops to the inherited
-  scalar code path for that access; per-access instruments (event log,
-  profiler, full flight recorder, periodic checks) demote the whole run
+  scalar code path for that access; per-access instruments (profiler,
+  full flight recorder, periodic checks) demote the whole run
   (the ``batch_capable`` negotiation, see :mod:`repro.obs.batch`).
 
 :func:`vector_variant` composes the mixin onto any runtime class whose
@@ -550,12 +550,9 @@ class VectorEngineMixin:
         This is the capability negotiation: instruments that observe
         per-window or per-event structure declare ``batch_capable`` and
         ride the bulk path (:mod:`repro.obs.batch`); genuinely per-access
-        consumers — the event log, the profiler, the full flight-recorder
-        ring, periodic audits — demote the whole run to the inherited
-        scalar loop.
+        consumers — the profiler, the full flight-recorder ring, periodic
+        audits — demote the whole run to the inherited scalar loop.
         """
-        if self._events is not None:
-            return "event log records every access"
         if self._prof is not None:
             return "phase profiler wraps the per-access hot path"
         if self._check_every is not None:

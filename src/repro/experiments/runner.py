@@ -225,7 +225,20 @@ def main(argv: list[str] | None = None) -> int:
         "(benchmarks/results/ledger.jsonl or $GMT_LEDGER_PATH)",
     )
     args = parser.parse_args(argv)
+    from repro.experiments import harness
 
+    try:
+        return _run(parser, args)
+    finally:
+        # The flags configure process-wide harness state; don't leak it
+        # into later in-process use.
+        harness.set_telemetry_dir(None)
+        harness.set_check_every(None)
+        harness.set_engine(None)
+        harness.set_anomaly_scan(None)
+
+
+def _run(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int:
     if args.telemetry_lifecycle and args.telemetry_dir is None:
         parser.error("--telemetry-lifecycle needs --telemetry-dir")
     if args.telemetry_dir is not None:
@@ -351,10 +364,6 @@ def main(argv: list[str] | None = None) -> int:
             },
             engine=resolved,
         )
-    if anomaly is not None:
-        from repro.experiments.harness import set_anomaly_scan
-
-        set_anomaly_scan(None)  # don't leak the spool into later in-process use
     if failures:
         summary = ", ".join(
             f"{name} ({type(exc).__name__})" for name, exc in failures.items()

@@ -7,15 +7,13 @@ This subpackage models the mechanical pieces the paper builds on:
 - :mod:`repro.mem.tier` — a fixed-capacity pool of page frames;
 - :mod:`repro.mem.clock_replacement` — the clock (second chance) algorithm
   used for Tier-1 (and Tier-2 under GMT-TierOrder), per paper section 2;
-- :mod:`repro.mem.fifo` — the simple FIFO eviction queue used for Tier-2,
-  per paper section 2.2;
-- :mod:`repro.mem.tier2_order` — the two Tier-2 eviction orders
-  (:class:`Tier2Fifo`, :class:`Tier2Clock`) the runtime drives and the
-  serving layer's quota-aware victim selection wraps.
+- :mod:`repro.mem.tier2_order` — the two Tier-2 eviction orders the
+  runtime drives and the serving layer's quota-aware victim selection
+  wraps: :class:`Tier2Fifo` (the simple FIFO of paper section 2.2) and
+  :class:`Tier2Clock`.
 """
 
 from repro.mem.clock_replacement import ClockReplacement
-from repro.mem.fifo import FifoQueue
 from repro.mem.page import PageLocation, PageState
 from repro.mem.page_table import PageTable
 from repro.mem.tier import Tier
@@ -23,7 +21,6 @@ from repro.mem.tier2_order import Tier2Clock, Tier2Fifo
 
 __all__ = [
     "ClockReplacement",
-    "FifoQueue",
     "PageLocation",
     "PageState",
     "PageTable",

@@ -35,7 +35,7 @@ stream, so their parity follows from window parity.  The ``gmt-check``
 telemetry-parity column asserts all four.
 
 The genuinely per-access consumers — the full flight recorder ring
-(`gmt-why`'s default), the event log, the profiler, ``--check-every`` —
+(`gmt-why`'s default), the profiler, ``--check-every`` —
 keep forcing the scalar loop; :class:`SampledLifecycleRecorder` is the
 batch-capable middle ground for ``gmt-why`` on sampled page journeys.
 """

@@ -1,14 +1,12 @@
-"""Windowed registry snapshots — the always-on sibling of StatsTimeline.
+"""Windowed registry snapshots — watch a run's counters window by window.
 
-:class:`~repro.core.timeline.StatsTimeline` snapshots a fixed, hand-picked
-subset of :class:`~repro.core.stats.RuntimeStats` counters.  Once those
-counters are registered in a :class:`~repro.obs.metrics.MetricsRegistry`
-(see ``RuntimeStats.bind_registry``), the same delta-window mechanism can
-cover *every* registered metric without a hand-maintained list — that is
-what :class:`WindowedSnapshotter` does.  Both produce deltas over windows
-of the same position axis (coalesced accesses), so their windows line up
-and a timeline-driven run can feed registry windows for free (see
-``StatsTimeline(..., telemetry=...)``).
+End-of-run counters average a run's phases away (GMT-Reuse's cold
+sampling window, Markov-history build-up, steady state).  Once the
+:class:`~repro.core.stats.RuntimeStats` counters are registered in a
+:class:`~repro.obs.metrics.MetricsRegistry` (see
+``RuntimeStats.bind_registry``), :class:`WindowedSnapshotter` cuts delta
+windows over *every* registered metric every N coalesced accesses, so
+those phases become visible without a hand-maintained counter list.
 
 Counters report the delta accrued inside the window; gauges report their
 instantaneous value at the window boundary; histograms report count/sum

@@ -11,8 +11,7 @@ Bundles the three pillars of :mod:`repro.obs` for a runtime:
   path, eviction pipeline, Tier-2 maintenance, writeback, and the reuse
   pipeline's sampler/regression stages;
 - a :class:`~repro.obs.snapshots.WindowedSnapshotter` emitting periodic
-  delta windows over the registry (unified with
-  :class:`~repro.core.timeline.StatsTimeline`).
+  delta windows over the registry (``telemetry.windows()``).
 
 Wiring is one call::
 

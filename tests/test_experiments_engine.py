@@ -270,6 +270,22 @@ class TestRunnerFailures:
         assert runner.main(["all", "--no-cache", "--scale", str(SCALE)]) == 0
         assert "[engine]" in capsys.readouterr().out
 
+    def test_flags_do_not_leak_into_the_process(self, monkeypatch, tmp_path):
+        from repro.experiments import harness, runner
+
+        specs = self._specs()
+        monkeypatch.setattr(runner, "EXPERIMENTS", ("good",))
+        monkeypatch.setattr(runner, "get_spec", lambda name: specs[name])
+        rc = runner.main(
+            ["good", "--no-cache", "--no-ledger", "--scale", str(SCALE),
+             "--engine", "scalar", "--check-every", "5000",
+             "--telemetry-dir", str(tmp_path)]
+        )
+        assert rc == 0
+        assert harness.get_engine() is None
+        assert harness._check_every is None
+        assert harness._telemetry_dir is None
+
     def test_cache_dir_flag_populates_cache(self, tmp_path, capsys):
         from repro.experiments import runner
         from repro.experiments.engine import clear_memo

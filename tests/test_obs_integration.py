@@ -10,7 +10,6 @@ from repro.baselines.dragon import DragonRuntime
 from repro.baselines.hmm import HmmRuntime
 from repro.core.config import GMTConfig
 from repro.core.runtime import GMTRuntime
-from repro.core.timeline import StatsTimeline
 from repro.errors import ConfigError
 from repro.obs import Telemetry
 
@@ -191,19 +190,30 @@ class TestWindows:
         assert wins[-1]["position"] == 750
         assert sum(w["span"] for w in wins) == 750
 
-    def test_windows_align_with_stats_timeline(self):
-        rt = GMTRuntime(make_config())
-        tel = rt.attach_telemetry(Telemetry(window=10_000_000))
-        tl = StatsTimeline(rt, window=400, telemetry=tel)
-        for p in random_pages():
-            rt.access(p)
-            tl.maybe_snapshot()
-        registry_windows = tel.windows()
-        timeline_windows = tl.windows()
-        assert len(registry_windows) == len(timeline_windows)
-        for rw, tw in zip(registry_windows, timeline_windows):
-            assert rw["gmt_t1_hits"] == tw.t1_hits
-            assert rw["gmt_t1_misses"] == tw.t1_misses
+    def test_warmup_visible_on_iterative_workload(self):
+        """Prediction coverage (history-driven share of placement
+        decisions) must grow from the cold window to the last window on
+        an iterative app."""
+        from repro.workloads import make_workload
+
+        rt = GMTRuntime(
+            GMTConfig(
+                tier1_frames=16,
+                tier2_frames=64,
+                policy="reuse",
+                sample_target=300,
+                sample_batch=50,
+            )
+        )
+        tel = rt.attach_telemetry(Telemetry(window=500))
+        rt.run(make_workload("backprop", 160, jitter_warps=0, epochs=10))
+        coverage = []
+        for w in tel.windows():
+            decisions = w["gmt_predictions_made"] + w["gmt_fallback_placements"]
+            coverage.append(w["gmt_predictions_made"] / decisions if decisions else 0.0)
+        assert len(coverage) >= 3
+        assert coverage[0] < coverage[-1]
+        assert coverage[-1] > 0.3
 
 
 class TestCliAndHarness:

@@ -121,14 +121,38 @@ class TestZeroCostWhenDisabled:
 
 class TestRuntimeEmissionSites:
     def test_every_faulted_page_starts_with_an_admit(self):
-        runtime, telemetry = recorded_run()
-        query = LifecycleQuery(telemetry.lifecycle.events())
-        for page in query.pages:
-            journey = [
-                e for e in query.journey(page) if e.kind is not LifecycleKind.RESOLVE
-            ]
-            assert journey[0].kind is LifecycleKind.ADMIT
-            assert journey[0].cause in ("demand-miss", "prefetch")
+        for config in (make_config(), make_config(prefetch_degree=2)):
+            runtime, telemetry = recorded_run(config=config)
+            query = LifecycleQuery(telemetry.lifecycle.events())
+            for page in query.pages:
+                journey = [
+                    e for e in query.journey(page)
+                    if e.kind is not LifecycleKind.RESOLVE
+                ]
+                assert journey[0].kind is LifecycleKind.ADMIT
+                assert journey[0].cause in ("demand-miss", "prefetch")
+        # The prefetching run really admitted pages ahead of demand.
+        admits = telemetry.lifecycle.events(kind=LifecycleKind.ADMIT)
+        assert any(e.cause == "prefetch" for e in admits)
+
+    def test_figure2_demote_then_promote_storyline(self):
+        """Paper Figure 2 end to end: cold fill from the SSD, eviction into
+        Tier-2, then a Tier-2 hit brings the page back to Tier-1."""
+        runtime = GMTRuntime(
+            GMTConfig(tier1_frames=2, tier2_frames=4, policy="tier-order")
+        )
+        rec = runtime.attach_flight_recorder(capacity=None)
+        for page in (1, 2, 3, 1):
+            runtime.access(page)
+        journey = [
+            (e.kind, e.tier_from, e.tier_to, e.cause)
+            for e in LifecycleQuery(rec.events()).journey(1)
+        ]
+        assert journey == [
+            (LifecycleKind.ADMIT, "T3", "T1", "demand-miss"),
+            (LifecycleKind.DEMOTE, "T1", "T2", "policy-static"),
+            (LifecycleKind.PROMOTE, "T2", "T1", "demand-miss"),
+        ]
 
     def test_event_counts_reconcile_with_stats(self):
         runtime, telemetry = recorded_run()

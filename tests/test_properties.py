@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from repro.core.config import GMTConfig
 from repro.core.runtime import GMTRuntime
 from repro.mem.clock_replacement import ClockReplacement
-from repro.mem.fifo import FifoQueue
+from repro.mem.tier2_order import Tier2Fifo
 from repro.reuse.classifier import ReuseClass, RRDClassifier
 from repro.reuse.distance import ReuseDistanceTracker
 from repro.reuse.markov import MarkovTierPredictor
@@ -71,18 +71,18 @@ class TestClockProperties:
 class TestFifoProperties:
     @given(st.lists(st.integers(min_value=0, max_value=20), min_size=1, max_size=100))
     def test_matches_reference_model(self, ops):
-        fifo = FifoQueue()
+        fifo = Tier2Fifo()
         model: list[int] = []
         for op in ops:
             if op in model:
                 fifo.remove(op)
                 model.remove(op)
             else:
-                fifo.push(op)
+                fifo.insert(op)
                 model.append(op)
         assert fifo.pages() == model
         while model:
-            assert fifo.pop_oldest() == model.pop(0)
+            assert fifo.select_victim() == model.pop(0)
 
 
 class TestOlsProperties:
