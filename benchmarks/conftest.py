@@ -7,7 +7,7 @@ them to ``benchmarks/results/<name>.txt``.
 
 Scale is controlled with ``GMT_BENCH_SCALE`` (byte-scale divisor vs the
 paper's platform; default 256 — see DESIGN.md section 5).  Runs within a
-session share the experiment harness's process-level cache, so the four
+session share the experiment engine's process-wide memo, so the four
 figures built on the default geometry pay for its 36 runs once.
 """
 

@@ -28,7 +28,9 @@ be reshaped without notice; prefer these re-exports over deep imports.
 - Experiments: :class:`ExperimentSpec`, :func:`run_spec`,
   :func:`run_experiment`, :data:`EXPERIMENTS`, :class:`ExperimentResult`.
 - Engine: :class:`Cell`, :class:`Engine`, :class:`ResultCache`,
-  :func:`run_cells` — the parallel, cache-aware executor behind the CLI.
+  :func:`run_cells` — the parallel, cache-aware executor behind the CLI —
+  and :class:`RunOptions`, how the cells it executes replay
+  (``Engine(options=RunOptions(...))``).
 - Serving: :func:`serve` — one call from workload names to a
   :class:`~repro.serve.server.ServeResult` — and the open-loop surface:
   :func:`serve_open_loop`, :class:`OpenLoopServer`,
@@ -76,7 +78,7 @@ from repro.core import (
 )
 from repro.core.config import DEFAULT_SCALE
 from repro.experiments.engine import Cell, Engine, EngineStats, ResultCache, run_cells
-from repro.experiments.harness import ExperimentResult, default_config
+from repro.experiments.harness import ExperimentResult, RunOptions, default_config
 from repro.experiments.runner import EXPERIMENTS, get_spec, run_experiment
 from repro.experiments.spec import CellResults, ExperimentSpec, run_spec
 from repro.errors import ConformanceError
@@ -234,6 +236,7 @@ __all__ = [
     "PhaseProfiler",
     "PlatformModel",
     "ResultCache",
+    "RunOptions",
     "RunResult",
     "RuntimeConfig",
     "RuntimeStats",

@@ -370,6 +370,8 @@ def compare(
 
 def main(argv: list[str] | None = None) -> int:
     """Entry point for ``gmt-bench``."""
+    from repro import flags
+
     parser = argparse.ArgumentParser(
         prog="gmt-bench",
         description="Record or check the perf-regression baseline",
@@ -404,10 +406,7 @@ def main(argv: list[str] | None = None) -> int:
         help="allowed wall-clock growth factor minus one (default 5.0 "
         "= fail beyond 6x the baseline)",
     )
-    parser.add_argument(
-        "--scale", type=int, default=4096, help="byte-scale divisor (default 4096)"
-    )
-    parser.add_argument("--seed", type=int, default=0, help="trace RNG seed")
+    flags.add(parser, "--scale", "--seed")
     parser.add_argument(
         "--trend",
         action="store_true",
@@ -428,22 +427,10 @@ def main(argv: list[str] | None = None) -> int:
         help="relative deviation that counts as drift for --trend "
         "(default 0.25)",
     )
-    parser.add_argument(
-        "--no-ledger",
-        action="store_true",
-        help="do not append this run to the run ledger "
-        "(benchmarks/results/ledger.jsonl or $GMT_LEDGER_PATH)",
-    )
-    from repro.core.config import ENGINE_NAMES
-
-    parser.add_argument(
-        "--engine",
-        default=None,
-        choices=list(ENGINE_NAMES),
-        help="replay engine for the gated cells (default: scalar, the "
-        "reference loop; the per-engine @scalar/@vector cells always "
-        "run both)",
-    )
+    # --engine steers the gated cells; the per-engine @scalar/@vector
+    # cells always run both.
+    flags.add(parser, "--no-ledger", "--engine")
+    parser.set_defaults(scale=4096, engine="scalar")
     parser.add_argument(
         "--assert-vector-speedup",
         type=float,
@@ -589,7 +576,7 @@ def main(argv: list[str] | None = None) -> int:
         record_run(
             "gmt-bench",
             wall_s=wall_s,
-            engine=args.engine or "scalar",
+            engine=args.engine,
             params={"cells": sorted(cells), "scale": args.scale, "seed": args.seed},
             accesses_per_sec=accesses / wall_s if wall_s > 0 else 0.0,
             metrics={

@@ -19,14 +19,13 @@ from __future__ import annotations
 import argparse
 import sys
 
-from repro.core.config import DEFAULT_SCALE
+from repro import flags
 from repro.errors import GMTError
 
 
 def _build_parser() -> argparse.ArgumentParser:
     from repro.check.differential import DEFAULT_RUNTIMES, INJECTIONS
     from repro.experiments.harness import RUNTIME_KINDS
-    from repro.policyzoo.registry import EVICTION_POLICY_NAMES
     from repro.workloads.registry import WORKLOAD_NAMES
 
     parser = argparse.ArgumentParser(
@@ -45,19 +44,7 @@ def _build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="print the identity catalogue and exit",
     )
-    parser.add_argument(
-        "--scale",
-        type=int,
-        default=DEFAULT_SCALE,
-        help=f"byte-scale divisor vs the paper's platform (default {DEFAULT_SCALE})",
-    )
-    parser.add_argument(
-        "--oversubscription",
-        type=float,
-        default=2.0,
-        help="working set / (Tier-1 + Tier-2) capacity (default 2)",
-    )
-    parser.add_argument("--seed", type=int, default=0, help="trace RNG seed")
+    flags.add(parser, "--scale", "--oversubscription", "--seed")
     parser.add_argument(
         "--runtimes",
         nargs="+",
@@ -65,14 +52,8 @@ def _build_parser() -> argparse.ArgumentParser:
         choices=list(RUNTIME_KINDS),
         help=f"runtimes to replay (default: {' '.join(DEFAULT_RUNTIMES)})",
     )
-    parser.add_argument(
-        "--check-every",
-        type=int,
-        metavar="N",
-        default=None,
-        help="also audit every N coalesced accesses during each replay "
-        "(default: post-run audit only)",
-    )
+    # Every replay is audited after the run either way.
+    flags.add(parser, "--check-every")
     parser.add_argument(
         "--prefetch-degree",
         type=int,
@@ -87,16 +68,10 @@ def _build_parser() -> argparse.ArgumentParser:
         help="execution-time model; 'queueing' adds the link-conservation "
         "identities (default: bottleneck)",
     )
-    from repro.core.config import ENGINE_NAMES
-
-    parser.add_argument(
-        "--engine",
-        choices=list(ENGINE_NAMES),
-        default=None,
-        help="replay engine for the audited replays (default: scalar, "
-        "the reference loop; 'vector' audits the batch engine's "
-        "structures — required by --inject vector-desync)",
-    )
+    # 'vector' audits the batch engine's structures (--inject
+    # vector-desync needs it).
+    flags.add(parser, "--engine")
+    parser.set_defaults(engine="scalar")
     parser.add_argument(
         "--no-engines",
         action="store_true",
@@ -135,20 +110,7 @@ def _build_parser() -> argparse.ArgumentParser:
         help="corrupt the first 3-tier runtime after its replay — the "
         "audit must then FAIL (detection self-test)",
     )
-    parser.add_argument(
-        "--tier1-policy",
-        choices=list(EVICTION_POLICY_NAMES),
-        default=None,
-        help="substitute this eviction policy at Tier-1 for every "
-        "runtime in the matrix (default: clock)",
-    )
-    parser.add_argument(
-        "--tier2-policy",
-        choices=list(EVICTION_POLICY_NAMES),
-        default=None,
-        help="substitute this eviction policy at Tier-2 (default: the "
-        "placement policy's historical order — clock or fifo)",
-    )
+    flags.add(parser, "--tier1-policy", "--tier2-policy")
     return parser
 
 
@@ -166,8 +128,6 @@ def main(argv: list[str] | None = None) -> int:
         return 0
     if args.workload is None:
         parser.error("a workload is required (or --list)")
-    if args.check_every is not None and args.check_every < 1:
-        parser.error("--check-every must be >= 1")
 
     from repro.check.differential import run_conformance
 

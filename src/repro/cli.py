@@ -25,12 +25,12 @@ from __future__ import annotations
 import argparse
 import sys
 
+from repro import flags
 from repro.analysis.characterize import characterize_workload, collect_access_rds
 from repro.analysis.compare import comparison_table
 from repro.analysis.mrc import miss_ratio_curve
 from repro.analysis.report import render_histogram, render_table
 from repro.sim.platforms import PLATFORM_PRESETS, get_platform
-from repro.core.config import DEFAULT_SCALE
 from repro.experiments.harness import (
     RUNTIME_KINDS,
     RUNTIME_LABELS,
@@ -48,103 +48,13 @@ def _common_parser(prog: str, description: str) -> argparse.ArgumentParser:
     parser.add_argument(
         "workload", choices=sorted(WORKLOAD_NAMES), help="Table 2 application"
     )
-    parser.add_argument(
-        "--scale",
-        type=int,
-        default=DEFAULT_SCALE,
-        help=f"byte-scale divisor vs the paper's platform (default {DEFAULT_SCALE})",
-    )
-    parser.add_argument(
-        "--oversubscription",
-        type=float,
-        default=2.0,
-        help="working set / (Tier-1 + Tier-2) capacity (default 2)",
-    )
-    parser.add_argument("--seed", type=int, default=0, help="trace RNG seed")
+    flags.add(parser, "--scale", "--oversubscription", "--seed")
     return parser
-
-
-def _add_engine(parser: argparse.ArgumentParser) -> None:
-    from repro.core.config import ENGINE_NAMES
-
-    parser.add_argument(
-        "--engine",
-        default=None,
-        choices=list(ENGINE_NAMES),
-        help="replay engine: 'scalar' (reference loop), 'vector' "
-        "(byte-identical struct-of-arrays batch engine), or 'auto' "
-        "(vector unless something genuinely per-access is attached — "
-        "batch-capable telemetry such as windows, digests and anomaly "
-        "scans stays on the vector engine). "
-        "Default: the config's engine ('auto')",
-    )
-
-
-def _add_check_every(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument(
-        "--check-every",
-        type=int,
-        metavar="N",
-        default=None,
-        help="run the conformance audit (structural invariants + stats "
-        "identities, see gmt-check) every N coalesced accesses; a "
-        "violation aborts the run",
-    )
-
-
-def _add_anomaly_flags(parser: argparse.ArgumentParser) -> None:
-    """Anomaly-detector knobs shared by gmt-sim and gmt-serve."""
-    parser.add_argument(
-        "--anomaly-scan",
-        action="store_true",
-        help="scan windowed telemetry for thrash / bypass storms / "
-        "latency spikes after the run (attaches telemetry if no "
-        "other output asked for it)",
-    )
-    parser.add_argument(
-        "--anomaly-window",
-        type=int,
-        metavar="N",
-        default=2_000,
-        help="snapshot window (coalesced accesses) for the anomaly scan "
-        "(default 2000)",
-    )
-    parser.add_argument(
-        "--anomaly-thrash",
-        type=float,
-        metavar="X",
-        default=0.5,
-        help="flag a window when Tier-1 evictions per access reach X "
-        "(default 0.5)",
-    )
-    parser.add_argument(
-        "--anomaly-bypass",
-        type=float,
-        metavar="X",
-        default=0.75,
-        help="flag a window when the Tier-2 bypass fraction of evictions "
-        "reaches X (default 0.75)",
-    )
-    parser.add_argument(
-        "--anomaly-spike",
-        type=float,
-        metavar="X",
-        default=3.0,
-        help="flag a window whose mean fault latency exceeds X times the "
-        "trailing mean (default 3.0)",
-    )
 
 
 def _scan_anomalies(args, telemetry, label: str) -> list:
     """Run the anomaly detector with the CLI's thresholds; print findings."""
-    from repro.obs import AnomalyDetector
-
-    detector = AnomalyDetector(
-        thrash_evictions_per_access=args.anomaly_thrash,
-        bypass_fraction=args.anomaly_bypass,
-        latency_spike_factor=args.anomaly_spike,
-    )
-    anomalies = detector.scan_and_annotate(telemetry)
+    anomalies = flags.anomaly_detector(args).scan_and_annotate(telemetry)
     windows = len(telemetry.windows())
     if not anomalies:
         print(f"{label}: no anomalies over {windows} windows of "
@@ -205,10 +115,8 @@ def main_sim(argv: list[str] | None = None) -> int:
         "and the sampled stream is batch-capable so --engine auto "
         "stays on the vector engine",
     )
-    _add_engine(parser)
-    _add_check_every(parser)
-    _add_anomaly_flags(parser)
-    args = parser.parse_args(argv)
+    flags.add(parser, "--engine", "--check-every", *flags.ANOMALY)
+    args = flags.parse(parser, argv)
 
     config = default_config(args.scale, platform=get_platform(args.platform))
     workload = get_workload(
@@ -470,7 +378,7 @@ def _serve_open_loop(args, config) -> int:
 def main_serve(argv: list[str] | None = None) -> int:
     """Entry point for ``gmt-serve``."""
     from repro.core.config import POLICY_NAMES
-    from repro.policyzoo import EVICTION_POLICY_NAMES, GovernorConfig, policy_summary
+    from repro.policyzoo import GovernorConfig, policy_summary
     from repro.serve import (
         ARRIVAL_PROCESS_NAMES,
         QUOTA_MODES,
@@ -562,20 +470,8 @@ def main_serve(argv: list[str] | None = None) -> int:
         choices=list(POLICY_NAMES),
         help="placement policy of the shared hierarchy (default: reuse)",
     )
-    parser.add_argument(
-        "--tier1-policy",
-        default=None,
-        choices=list(EVICTION_POLICY_NAMES),
-        help="eviction policy for every tenant at Tier-1 (default: clock); "
-        "any non-default choice gives each tenant its own instance",
-    )
-    parser.add_argument(
-        "--tier2-policy",
-        default=None,
-        choices=list(EVICTION_POLICY_NAMES),
-        help="eviction policy for every tenant at Tier-2 (default: the "
-        "placement policy's historical order — clock or fifo)",
-    )
+    # A non-default eviction policy gives each tenant its own instance.
+    flags.add(parser, "--tier1-policy", "--tier2-policy")
     parser.add_argument(
         "--governor",
         action="store_true",
@@ -617,25 +513,13 @@ def main_serve(argv: list[str] | None = None) -> int:
         help="per-tenant tier frame quotas: none, static caps, or "
         "dynamic with idle reclaim (default: none)",
     )
-    parser.add_argument(
-        "--scale",
-        type=int,
-        default=DEFAULT_SCALE,
-        help=f"byte-scale divisor vs the paper's platform (default {DEFAULT_SCALE})",
-    )
-    parser.add_argument(
-        "--oversubscription",
-        type=float,
-        default=2.0,
-        help="aggregate working set / (Tier-1 + Tier-2) capacity (default 2)",
-    )
+    flags.add(parser, "--scale", "--oversubscription", "--seed")
     parser.add_argument(
         "--platform",
         default="paper",
         choices=sorted(PLATFORM_PRESETS),
         help="hardware preset (default: the paper's Table 1 testbed)",
     )
-    parser.add_argument("--seed", type=int, default=0, help="trace RNG seed")
     parser.add_argument(
         "--no-solo",
         action="store_true",
@@ -668,16 +552,8 @@ def main_serve(argv: list[str] | None = None) -> int:
         default=None,
         help="per-tenant p99 miss-latency SLO target in ns",
     )
-    parser.add_argument(
-        "--no-ledger",
-        action="store_true",
-        help="do not append this run to the run ledger "
-        "(benchmarks/results/ledger.jsonl or $GMT_LEDGER_PATH)",
-    )
-    _add_engine(parser)
-    _add_check_every(parser)
-    _add_anomaly_flags(parser)
-    args = parser.parse_args(argv)
+    flags.add(parser, "--no-ledger", "--engine", "--check-every", *flags.ANOMALY)
+    args = flags.parse(parser, argv)
 
     if args.open_loop is None and args.tenants is None:
         parser.error("--tenants is required (or use --open-loop TENANTS)")

@@ -14,18 +14,14 @@ the tables::
 Cells are deduplicated and cached: once per process (figures sharing
 the same runs — 8, 9, 10, 14 — pay for them once) and, through the
 CLI's content-addressed on-disk cache, across processes too, which
-makes interrupted ``all`` runs resumable.  The legacy per-module
-``run(scale=...)`` entry points still work but raise
-``DeprecationWarning``; use :func:`~repro.experiments.spec.run_spec`.
+makes interrupted ``all`` runs resumable.  Run one experiment with
+:func:`~repro.experiments.spec.run_spec`; an ``Engine(options=...)``
+:class:`~repro.experiments.harness.RunOptions` value sets how its
+replays run (engine, in-run audits, telemetry, anomaly scan).
 """
 
 from repro.experiments.engine import Cell, Engine, EngineStats, ResultCache, run_cells
-from repro.experiments.harness import (
-    ExperimentResult,
-    default_config,
-    run_app,
-    run_matrix,
-)
+from repro.experiments.harness import ExperimentResult, default_config
 from repro.experiments.spec import CellResults, ExperimentSpec, run_spec
 
 __all__ = [
@@ -37,8 +33,6 @@ __all__ = [
     "ExperimentSpec",
     "ResultCache",
     "default_config",
-    "run_app",
     "run_cells",
-    "run_matrix",
     "run_spec",
 ]

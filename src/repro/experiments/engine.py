@@ -40,9 +40,12 @@ import tempfile
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable, Iterable, Sequence
+from typing import TYPE_CHECKING, Callable, Iterable, Sequence
 
 from repro.errors import ConfigError
+
+if TYPE_CHECKING:  # pragma: no cover - import cycle guard
+    from repro.experiments.harness import RunOptions
 
 #: Bumped whenever the cell/result encoding changes incompatibly.
 SCHEMA_VERSION = "gmt-cells-v1"
@@ -146,37 +149,6 @@ def execute_cell(cell: Cell):
     module_name, _, func_name = cell.fn.partition(":")
     fn = getattr(importlib.import_module(module_name), func_name)
     return fn(**cell.kwargs())
-
-
-def _worker_init(
-    telemetry_dir: str | None,
-    telemetry_lifecycle: bool = False,
-    check_every: int | None = None,
-    engine: str | None = None,
-    anomaly: dict | None = None,
-) -> None:
-    if telemetry_dir:
-        from repro.experiments.harness import set_telemetry_dir
-
-        set_telemetry_dir(telemetry_dir, lifecycle=telemetry_lifecycle)
-    if check_every is not None:
-        from repro.experiments.harness import set_check_every
-
-        set_check_every(check_every)
-    if engine is not None:
-        from repro.experiments.harness import set_engine
-
-        set_engine(engine)
-    if anomaly is not None:
-        from repro.experiments.harness import set_anomaly_scan
-
-        set_anomaly_scan(
-            anomaly["spool_dir"],
-            window=anomaly["window"],
-            thrash=anomaly["thrash"],
-            bypass=anomaly["bypass"],
-            spike=anomaly["spike"],
-        )
 
 
 # ----------------------------------------------------------------------
@@ -306,8 +278,7 @@ class EngineStats:
 # Engine
 # ----------------------------------------------------------------------
 #: Process-wide memo shared by every Engine (unless one is given its
-#: own): figures sharing cells within one process pay for them once,
-#: matching the old harness-level run cache.
+#: own): figures sharing cells within one process pay for them once.
 _GLOBAL_MEMO: dict[str, object] = {}
 
 
@@ -325,22 +296,11 @@ class Engine:
         force: re-execute cells even when cached (results still stored).
         memo: in-process memo dict; None shares the process-wide memo.
         progress: optional callable receiving one line per cell event.
-        telemetry_dir: forwarded to pool workers so uncached replays
-            export telemetry exactly like the serial path.
-        telemetry_lifecycle: also record/export the page-lifecycle
-            flight recorder per replay (needs ``telemetry_dir``).
-        check_every: forwarded to pool workers so uncached replays run
-            periodic conformance audits (see
-            ``repro.experiments.harness.set_check_every``) exactly like
-            the serial path.
-        engine: forwarded to pool workers so uncached replays honour the
-            process-wide replay-engine request (see
-            ``repro.experiments.harness.set_engine``) exactly like the
-            serial path.
-        anomaly: forwarded to pool workers so uncached replays run the
-            windowed anomaly scan and spool findings (see
-            ``repro.experiments.harness.set_anomaly_scan``) exactly like
-            the serial path.
+        options: the :class:`~repro.experiments.harness.RunOptions` the
+            cells run under (engine, in-run audits, telemetry export,
+            anomaly scan); None means the defaults.  They are installed
+            only while this engine executes cells, in-process or in its
+            pool workers, and the previous options are restored after.
     """
 
     def __init__(
@@ -350,11 +310,7 @@ class Engine:
         force: bool = False,
         memo: dict | None = None,
         progress: Callable[[str], None] | None = None,
-        telemetry_dir: str | None = None,
-        telemetry_lifecycle: bool = False,
-        check_every: int | None = None,
-        engine: str | None = None,
-        anomaly: dict | None = None,
+        options: RunOptions | None = None,
     ) -> None:
         if jobs < 1:
             raise ConfigError(f"jobs must be >= 1, got {jobs}")
@@ -363,11 +319,11 @@ class Engine:
         self.force = force
         self.memo = _GLOBAL_MEMO if memo is None else memo
         self.progress = progress
-        self.telemetry_dir = telemetry_dir
-        self.telemetry_lifecycle = telemetry_lifecycle
-        self.check_every = check_every
-        self.engine = engine
-        self.anomaly = anomaly
+        if options is None:
+            from repro.experiments.harness import RunOptions
+
+            options = RunOptions()
+        self.options = options
         self.stats = EngineStats()
 
     # ------------------------------------------------------------------
@@ -411,38 +367,42 @@ class Engine:
             pending.append(cell)
 
         if pending:
+            from repro.experiments.harness import install_options
+
             tag = f"{group} " if group else ""
             self._emit(
                 f"[{tag}engine] {len(pending)}/{len(unique)} cells to run "
                 f"({len(unique) - len(pending)} cached), jobs={self.jobs}"
             )
-            for index, (cell, value) in enumerate(self._execute(pending), 1):
-                key = unique[cell]
-                self.memo[key] = value
-                if self.cache is not None:
-                    self.cache.put(key, value)
-                results[cell] = value
-                self.stats.executed += 1
-                registry.get("engine_cells_executed_total").inc()
-                self._emit(f"[{tag}{index}/{len(pending)}] ran {cell.label or cell.fn}")
+            previous = install_options(self.options)
+            try:
+                for index, (cell, value) in enumerate(self._execute(pending), 1):
+                    key = unique[cell]
+                    self.memo[key] = value
+                    if self.cache is not None:
+                        self.cache.put(key, value)
+                    results[cell] = value
+                    self.stats.executed += 1
+                    registry.get("engine_cells_executed_total").inc()
+                    self._emit(
+                        f"[{tag}{index}/{len(pending)}] ran {cell.label or cell.fn}"
+                    )
+            finally:
+                install_options(previous)
 
         # Preserve first-seen order for deterministic reduction.
         return {cell: results[cell] for cell in unique}
 
     def _execute(self, pending: list[Cell]) -> Iterable[tuple[Cell, object]]:
         if self.jobs > 1 and len(pending) > 1:
+            from repro.experiments.harness import install_options
+
             workers = min(self.jobs, len(pending))
             try:
                 with ProcessPoolExecutor(
                     max_workers=workers,
-                    initializer=_worker_init,
-                    initargs=(
-                        self.telemetry_dir,
-                        self.telemetry_lifecycle,
-                        self.check_every,
-                        self.engine,
-                        self.anomaly,
-                    ),
+                    initializer=install_options,
+                    initargs=(self.options,),
                 ) as pool:
                     yield from self._consume(pending, pool.map(execute_cell, pending))
                     return

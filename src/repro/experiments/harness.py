@@ -1,9 +1,11 @@
-"""Shared experiment machinery: configs, cached runs, result containers.
+"""Shared experiment machinery: configs, runtimes, cells, result containers.
 
 The paper's evaluation replays each application through four runtimes
 (BaM, GMT-TierOrder, GMT-Random, GMT-Reuse) and, for Figure 14, HMM.
-:func:`run_matrix` performs those replays with process-level caching so
-every figure built on the same geometry reuses the same runs.
+The cell bodies below perform those replays under the installed
+:class:`RunOptions`; the :class:`~repro.experiments.engine.Engine`
+memoises and caches their results, so every figure built on the same
+geometry reuses the same runs.
 """
 
 from __future__ import annotations
@@ -17,10 +19,10 @@ from repro.core.config import DEFAULT_SCALE, ENGINE_NAMES, GMTConfig, PAPER_OVER
 from repro.core.factory import make_runtime
 from repro.core.runtime import GMTRuntime, RunResult
 from repro.errors import ConfigError
-from repro.workloads.registry import WORKLOAD_NAMES, make_workload, normalize_name
+from repro.workloads.registry import make_workload, normalize_name
 from repro.workloads.trace import Workload
 
-#: Runtime kinds accepted by :func:`run_app`.
+#: Runtime kinds accepted by :func:`build_runtime`.
 RUNTIME_KINDS = ("bam", "tier-order", "random", "reuse", "hmm", "dragon")
 
 #: Display names matching the paper's figures.
@@ -34,64 +36,109 @@ RUNTIME_LABELS = {
 }
 
 _workload_cache: dict[tuple, Workload] = {}
-_run_cache: dict[tuple, RunResult] = {}
-
-#: When set (see :func:`set_telemetry_dir`), every *uncached* replay runs
-#: with telemetry attached and exports its trace/metrics files here.
-_telemetry_dir: str | None = None
-#: When additionally True, replays record the page-lifecycle flight
-#: recorder and export ``<app>-<kind>.lifecycle.jsonl`` too.
-_telemetry_lifecycle: bool = False
 
 
-#: When set (see :func:`set_anomaly_scan`), every *uncached* replay runs
-#: with windowed telemetry attached and its window stream is scanned for
-#: thrash / bypass-storm / latency-spike anomalies; findings are spooled
-#: as JSONL into ``_anomaly["spool_dir"]`` (one file per worker process,
-#: so pool workers and the serial path converge on the same directory).
-_anomaly: dict | None = None
+@dataclass(frozen=True)
+class RunOptions:
+    """How replays run: engine, in-run audits, telemetry export, anomaly scan.
 
-#: When set (see :func:`set_check_every`), every *uncached* replay runs
-#: with periodic conformance checking enabled at this cadence.
-_check_every: int | None = None
+    An :class:`~repro.experiments.engine.Engine` installs its options for
+    the cells it executes and restores the previous ones afterwards;
+    :func:`build_runtime` and the cell bodies read the installed value.
+    None of these settings changes a result: they steer the engine and
+    what each replay records.  Cached cells are reused as-is, so only
+    replays that actually execute export telemetry or findings.
 
-#: When set (see :func:`set_engine`), overrides every config's ``engine``
-#: for runtimes built through :func:`build_runtime` (the ``--engine``
-#: flag's process-wide plumbing, like :func:`set_check_every`).
-_engine_override: str | None = None
-
-
-def set_engine(engine: str | None) -> None:
-    """Force the replay engine for every subsequent :func:`build_runtime`
-    call (None restores per-config selection).  Both engines produce
-    byte-identical results — this steers performance only."""
-    global _engine_override
-    if engine is not None and engine not in ENGINE_NAMES:
-        raise ConfigError(f"engine must be one of {ENGINE_NAMES}, got {engine!r}")
-    _engine_override = engine
-
-
-def get_engine() -> str | None:
-    """The process-wide engine override (see :func:`set_engine`)."""
-    return _engine_override
-
-
-def set_check_every(every: int | None) -> None:
-    """Audit every uncached replay mid-run, each ``every`` coalesced
-    accesses (None disables).  The audit is
-    :func:`repro.check.identities.assert_conformant` — structural
-    invariants plus the stats-identity catalogue — and a violation aborts
-    the replay with :class:`~repro.errors.ConformanceError`.  Like
-    telemetry, this only affects replays that actually execute; cached
-    results are reused as-is.
+    Attributes:
+        engine: replay engine of every runtime :func:`build_runtime`
+            makes (None: each config's own ``engine``).
+        check_every: audit each replay every N coalesced accesses with
+            :func:`repro.check.identities.assert_conformant`; a violation
+            aborts the replay with
+            :class:`~repro.errors.ConformanceError` (None: off).
+        telemetry_dir: each replay writes ``<app>-<kind>.trace.json``
+            (Perfetto), ``<app>-<kind>.prom`` (Prometheus text) and, when
+            windows were cut, ``<app>-<kind>.windows.jsonl`` here.
+        telemetry_lifecycle: also run the page-lifecycle flight recorder
+            and write ``<app>-<kind>.lifecycle.jsonl`` (feed it to
+            ``gmt-why --from``); needs ``telemetry_dir``.
+        anomaly_spool: scan each replay's window stream (interval
+            ``anomaly_window``) for thrash / bypass-storm / latency-spike
+            anomalies with the three thresholds, and append one JSON line
+            per finding to ``<anomaly_spool>/<pid>.anomalies.jsonl``.  The
+            files are per process, so pool workers and the serial path
+            share one directory (None: off).
     """
-    global _check_every
-    _check_every = every
+
+    engine: str | None = None
+    check_every: int | None = None
+    telemetry_dir: str | None = None
+    telemetry_lifecycle: bool = False
+    anomaly_spool: str | None = None
+    anomaly_window: int = 10_000
+    anomaly_thrash: float = 0.5
+    anomaly_bypass: float = 0.75
+    anomaly_spike: float = 3.0
+
+    def __post_init__(self) -> None:
+        if self.engine is not None and self.engine not in ENGINE_NAMES:
+            raise ConfigError(
+                f"engine must be one of {ENGINE_NAMES}, got {self.engine!r}"
+            )
+        if self.check_every is not None and self.check_every < 1:
+            raise ConfigError(f"check_every must be >= 1, got {self.check_every}")
+        if self.telemetry_lifecycle and self.telemetry_dir is None:
+            raise ConfigError("telemetry_lifecycle needs a telemetry_dir")
+        if self.anomaly_spool is not None:
+            if self.anomaly_window < 1:
+                raise ConfigError(
+                    f"anomaly window must be >= 1, got {self.anomaly_window}"
+                )
+            self.detector()
+
+    def detector(self):
+        """The scan's :class:`~repro.obs.anomaly.AnomalyDetector` (its
+        constructor validates the thresholds)."""
+        from repro.obs.anomaly import AnomalyDetector
+
+        return AnomalyDetector(
+            thrash_evictions_per_access=self.anomaly_thrash,
+            bypass_fraction=self.anomaly_bypass,
+            latency_spike_factor=self.anomaly_spike,
+        )
+
+    def instruments(self) -> dict[str, bool]:
+        """What every replay attaches, as the ``recorder`` / ``checks`` /
+        ``telemetry`` hints of
+        :func:`~repro.core.factory.resolve_engine_reason`."""
+        return {
+            "recorder": self.telemetry_lifecycle,
+            "checks": self.check_every is not None,
+            "telemetry": self.telemetry_dir is not None
+            or self.anomaly_spool is not None,
+        }
+
+
+_options = RunOptions()
+
+
+def install_options(options: RunOptions) -> RunOptions:
+    """Install ``options`` for the cells this process executes next and
+    return the previous ones.  :class:`~repro.experiments.engine.Engine`
+    calls it around its cells and as its pool workers' initializer."""
+    global _options
+    previous, _options = _options, options
+    return previous
+
+
+def run_options() -> RunOptions:
+    """The installed :class:`RunOptions`."""
+    return _options
 
 
 def _apply_runtime_checks(runtime: GMTRuntime) -> GMTRuntime:
-    if _check_every is not None:
-        runtime.enable_periodic_checks(_check_every)
+    if _options.check_every is not None:
+        runtime.enable_periodic_checks(_options.check_every)
     return runtime
 
 
@@ -102,71 +149,16 @@ def _with_footprint_bound(config: GMTConfig, workload: Workload) -> GMTConfig:
     return config
 
 
-def set_telemetry_dir(path: str | None, lifecycle: bool = False) -> None:
-    """Enable per-replay telemetry export under ``path`` (None disables).
-
-    Each uncached replay writes ``<app>-<kind>.trace.json`` (Perfetto),
-    ``<app>-<kind>.prom`` (Prometheus text) and, when windows were cut,
-    ``<app>-<kind>.windows.jsonl`` into the directory.  With
-    ``lifecycle=True`` the page-lifecycle flight recorder also runs and
-    ``<app>-<kind>.lifecycle.jsonl`` is written (feed it to
-    ``gmt-why --from``).  Cached replays are reused as-is and produce no
-    new files, so enable this *before* the first figure touches the
-    geometry of interest (or call :func:`clear_caches` first).
-    """
-    global _telemetry_dir, _telemetry_lifecycle
-    _telemetry_dir = path
-    _telemetry_lifecycle = bool(lifecycle) and path is not None
-
-
-def set_anomaly_scan(
-    spool_dir: str | None,
-    window: int = 10_000,
-    thrash: float = 0.5,
-    bypass: float = 0.75,
-    spike: float = 3.0,
-) -> None:
-    """Scan every *uncached* replay's window stream for anomalies
-    (None disables).
-
-    Enables windowed telemetry (interval ``window``) on each replay even
-    without :func:`set_telemetry_dir`, runs
-    :class:`~repro.obs.anomaly.AnomalyDetector` over the stream after the
-    run, and appends one JSON line per finding to
-    ``<spool_dir>/<pid>.anomalies.jsonl`` — per-process files, so the
-    same spool directory works from :class:`~repro.experiments.engine.
-    Engine` pool workers and the serial path alike.  Like telemetry,
-    cached replays are reused as-is and contribute no findings.
-    """
-    global _anomaly
-    if spool_dir is None:
-        _anomaly = None
-        return
-    if window < 1:
-        raise ConfigError(f"anomaly window must be >= 1, got {window}")
-    _anomaly = {
-        "spool_dir": spool_dir,
-        "window": int(window),
-        "thrash": float(thrash),
-        "bypass": float(bypass),
-        "spike": float(spike),
-    }
-
-
-def get_anomaly_scan() -> dict | None:
-    """The process-wide anomaly-scan settings (see :func:`set_anomaly_scan`)."""
-    return _anomaly
-
-
 def _attach_run_telemetry(runtime: GMTRuntime, app: str, kind: str):
-    if _telemetry_dir is None and _anomaly is None:
+    options = _options
+    if options.telemetry_dir is None and options.anomaly_spool is None:
         return None
     from repro.obs import Telemetry
 
     telemetry = Telemetry(
         labels={"app": normalize_name(app), "kind": kind},
-        lifecycle=_telemetry_lifecycle,
-        window=_anomaly["window"] if _anomaly is not None else 10_000,
+        lifecycle=options.telemetry_lifecycle,
+        window=options.anomaly_window if options.anomaly_spool is not None else 10_000,
     )
     runtime.attach_telemetry(telemetry)
     return telemetry
@@ -176,18 +168,11 @@ def _spool_anomalies(telemetry, app: str, kind: str) -> None:
     import json
     import os
 
-    from repro.obs.anomaly import AnomalyDetector
-
-    detector = AnomalyDetector(
-        thrash_evictions_per_access=_anomaly["thrash"],
-        bypass_fraction=_anomaly["bypass"],
-        latency_spike_factor=_anomaly["spike"],
-    )
-    findings = detector.scan_and_annotate(telemetry)
+    findings = _options.detector().scan_and_annotate(telemetry)
     if not findings:
         return
-    os.makedirs(_anomaly["spool_dir"], exist_ok=True)
-    path = os.path.join(_anomaly["spool_dir"], f"{os.getpid()}.anomalies.jsonl")
+    os.makedirs(_options.anomaly_spool, exist_ok=True)
+    path = os.path.join(_options.anomaly_spool, f"{os.getpid()}.anomalies.jsonl")
     with open(path, "a", encoding="utf-8") as fh:
         for finding in findings:
             fh.write(
@@ -213,8 +198,8 @@ def _export_run_telemetry(telemetry, app: str, kind: str) -> None:
 
     from repro.obs.export import write_chrome_trace, write_jsonl, write_prometheus
 
-    os.makedirs(_telemetry_dir, exist_ok=True)
-    stem = os.path.join(_telemetry_dir, f"{normalize_name(app)}-{kind}")
+    os.makedirs(_options.telemetry_dir, exist_ok=True)
+    stem = os.path.join(_options.telemetry_dir, f"{normalize_name(app)}-{kind}")
     write_chrome_trace(f"{stem}.trace.json", {telemetry.name: telemetry.tracer})
     write_prometheus(f"{stem}.prom", telemetry.registry)
     windows = telemetry.windows()
@@ -293,20 +278,16 @@ def build_runtime(
 ) -> GMTRuntime:
     """Instantiate one of the comparison runtimes over ``config``.
 
-    The replay engine resolves ``engine`` (explicit argument) over
-    :func:`set_engine` (process-wide ``--engine`` plumbing) over
-    ``config.engine``.  Windowed telemetry export and the anomaly scan
-    are batch-capable, so ``"auto"`` stays on the vector engine for
-    them; only the page-lifecycle flight recorder
-    (:func:`set_telemetry_dir` with ``lifecycle=True``) and periodic
-    conformance checking (:func:`set_check_every`) — genuinely
-    per-access consumers — demote it to scalar.
+    The replay engine resolves ``engine`` (explicit argument) over the
+    installed :class:`RunOptions` over ``config.engine``.  Windowed
+    telemetry export and the anomaly scan are batch-capable, so
+    ``"auto"`` stays on the vector engine for them; only the
+    page-lifecycle flight recorder (``telemetry_lifecycle``) and periodic
+    conformance checking (``check_every``) — genuinely per-access
+    consumers — demote it to scalar.
     """
     if engine is None:
-        engine = _engine_override
-    recorder = _telemetry_lifecycle
-    checks = _check_every is not None
-    telemetry = _telemetry_dir is not None or _anomaly is not None
+        engine = _options.engine
     if kind == "bam":
         runtime_cls: type[GMTRuntime] = BamRuntime
     elif kind == "hmm":
@@ -323,12 +304,7 @@ def build_runtime(
             f"unknown runtime kind {kind!r}; expected one of {RUNTIME_KINDS}"
         )
     return make_runtime(
-        config,
-        runtime_cls=runtime_cls,
-        engine=engine,
-        recorder=recorder,
-        checks=checks,
-        telemetry=telemetry,
+        config, runtime_cls=runtime_cls, engine=engine, **_options.instruments()
     )
 
 
@@ -353,85 +329,11 @@ def get_workload(
     return workload
 
 
-def run_app(
-    app: str,
-    kind: str,
-    config: GMTConfig,
-    oversubscription: float = PAPER_OVERSUBSCRIPTION,
-    seed: int = 0,
-) -> RunResult:
-    """Replay ``app`` through runtime ``kind`` (cached per process).
-
-    Note that the *workload footprint* is sized from ``config`` (Tier-1 +
-    Tier-2 frames x oversubscription) even for BaM, which then runs it
-    with Tier-2 disabled — exactly the paper's setup.
-    """
-    key = (normalize_name(app), kind, config, oversubscription, seed)
-    result = _run_cache.get(key)
-    if result is None:
-        workload = get_workload(app, config, oversubscription, seed=seed)
-        runtime = build_runtime(kind, _with_footprint_bound(config, workload))
-        _apply_runtime_checks(runtime)
-        telemetry = _attach_run_telemetry(runtime, app, kind)
-        result = runtime.run(workload)
-        if telemetry is not None:
-            if _anomaly is not None:
-                _spool_anomalies(telemetry, app, kind)
-            if _telemetry_dir is not None:
-                _export_run_telemetry(telemetry, app, kind)
-        _run_cache[key] = result
-    return result
-
-
-def run_app_with_footprint(
-    app: str,
-    kind: str,
-    config: GMTConfig,
-    footprint_pages: int,
-    seed: int = 0,
-) -> RunResult:
-    """Replay ``app`` at an explicit footprint through runtime ``kind``.
-
-    Used by sweeps that vary the *memory geometry* while holding the
-    dataset fixed (Figure 12's Tier-2:Tier-1 ratio sweep).
-    """
-    key = (normalize_name(app), kind, config, "footprint", footprint_pages, seed)
-    result = _run_cache.get(key)
-    if result is None:
-        wkey = (normalize_name(app), footprint_pages, seed, ())
-        workload = _workload_cache.get(wkey)
-        if workload is None:
-            workload = make_workload(app, footprint_pages, seed=seed)
-            _workload_cache[wkey] = workload
-        runtime = build_runtime(kind, _with_footprint_bound(config, workload))
-        _apply_runtime_checks(runtime)
-        result = runtime.run(workload)
-        _run_cache[key] = result
-    return result
-
-
-def run_matrix(
-    config: GMTConfig,
-    apps: tuple[str, ...] = WORKLOAD_NAMES,
-    kinds: tuple[str, ...] = ("bam", "tier-order", "random", "reuse"),
-    oversubscription: float = PAPER_OVERSUBSCRIPTION,
-    seed: int = 0,
-) -> dict[str, dict[str, RunResult]]:
-    """All ``apps`` x ``kinds`` runs: ``{app: {kind: RunResult}}``."""
-    return {
-        app: {
-            kind: run_app(app, kind, config, oversubscription, seed) for kind in kinds
-        }
-        for app in apps
-    }
-
-
 def clear_caches() -> None:
-    """Drop cached workloads, runs and engine memo (test isolation)."""
+    """Drop cached workloads and the engine memo (test isolation)."""
     from repro.experiments.engine import clear_memo
 
     _workload_cache.clear()
-    _run_cache.clear()
     clear_memo()
 
 
@@ -449,15 +351,38 @@ def replay_cell(
     oversubscription: float = PAPER_OVERSUBSCRIPTION,
     seed: int = 0,
 ) -> RunResult:
-    """Cell body: one app x runtime replay (see :func:`run_app`)."""
-    return run_app(app, kind, config, oversubscription, seed)
+    """Cell body: replay ``app`` through runtime ``kind`` under the
+    installed :class:`RunOptions`.
+
+    Note that the *workload footprint* is sized from ``config`` (Tier-1 +
+    Tier-2 frames x oversubscription) even for BaM, which then runs it
+    with Tier-2 disabled — exactly the paper's setup.
+    """
+    workload = get_workload(app, config, oversubscription, seed=seed)
+    runtime = build_runtime(kind, _with_footprint_bound(config, workload))
+    _apply_runtime_checks(runtime)
+    telemetry = _attach_run_telemetry(runtime, app, kind)
+    result = runtime.run(workload)
+    if telemetry is not None:
+        if _options.anomaly_spool is not None:
+            _spool_anomalies(telemetry, app, kind)
+        if _options.telemetry_dir is not None:
+            _export_run_telemetry(telemetry, app, kind)
+    return result
 
 
 def replay_footprint_cell(
     app: str, kind: str, config: GMTConfig, footprint_pages: int, seed: int = 0
 ) -> RunResult:
-    """Cell body: replay at an explicit footprint (Figure 12 sweeps)."""
-    return run_app_with_footprint(app, kind, config, footprint_pages, seed)
+    """Cell body: replay ``app`` at an explicit footprint through runtime
+    ``kind`` — sweeps that vary the *memory geometry* while holding the
+    dataset fixed (Figure 12's Tier-2:Tier-1 ratio sweep)."""
+    key = (normalize_name(app), footprint_pages, seed, ())
+    workload = _workload_cache.get(key)
+    if workload is None:
+        workload = _workload_cache[key] = make_workload(app, footprint_pages, seed=seed)
+    runtime = build_runtime(kind, _with_footprint_bound(config, workload))
+    return _apply_runtime_checks(runtime).run(workload)
 
 
 def replay_on_trace_cell(

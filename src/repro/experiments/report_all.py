@@ -82,10 +82,12 @@ def main(argv: list[str] | None = None) -> int:
     """Entry point for ``gmt-report``."""
     import argparse
 
+    from repro import flags
+
     parser = argparse.ArgumentParser(
         prog="gmt-report", description="Generate the full reproduction report"
     )
-    parser.add_argument("--scale", type=int, default=DEFAULT_SCALE)
+    flags.add(parser, "--scale")
     parser.add_argument("-o", "--output", default=None, help="write markdown here")
     parser.add_argument(
         "--experiments",
@@ -93,15 +95,7 @@ def main(argv: list[str] | None = None) -> int:
         default=None,
         help=f"subset to run (default all: {', '.join(EXPERIMENTS)})",
     )
-    parser.add_argument(
-        "--jobs", "-j", type=int, default=1, help="worker processes for cells"
-    )
-    parser.add_argument(
-        "--no-cache", action="store_true", help="disable the on-disk result cache"
-    )
-    parser.add_argument(
-        "--cache-dir", default=None, help="on-disk result cache location"
-    )
+    flags.add(parser, "--jobs", "--no-cache", "--cache-dir")
     args = parser.parse_args(argv)
     engine = Engine(
         jobs=args.jobs,

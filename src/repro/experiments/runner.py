@@ -20,10 +20,12 @@ from __future__ import annotations
 import argparse
 import importlib
 import sys
+import tempfile
 import time
 
-from repro.core.config import DEFAULT_SCALE
+from repro import flags
 from repro.experiments.engine import Engine, ResultCache
+from repro.experiments.harness import RunOptions, default_config
 from repro.experiments.spec import ExperimentSpec, run_spec
 
 #: Registry of experiment names — each maps to a module exporting SPEC.
@@ -68,10 +70,11 @@ def _progress_printer(line: str) -> None:
     print(line, file=sys.stderr)
 
 
-def _drain_anomalies(spool_dir: str, seen: set[str]) -> list[dict]:
+def _drain_anomalies(spool_dir: str, drained: dict[str, int]) -> list[dict]:
     """New findings spooled since the last drain (see
-    ``repro.experiments.harness.set_anomaly_scan``); ``seen`` carries the
-    raw lines already reported so each experiment prints only its own."""
+    ``RunOptions.anomaly_spool``); ``drained`` counts the lines of each
+    spool file already reported, so each experiment prints only the
+    findings of the cells it executed (``--force`` re-executions too)."""
     import json
     from pathlib import Path
 
@@ -81,10 +84,9 @@ def _drain_anomalies(spool_dir: str, seen: set[str]) -> list[dict]:
             lines = path.read_text(encoding="utf-8").splitlines()
         except OSError:
             continue
-        for line in lines:
-            if line and line not in seen:
-                seen.add(line)
-                findings.append(json.loads(line))
+        start = drained.get(path.name, 0)
+        drained[path.name] = len(lines)
+        findings.extend(json.loads(line) for line in lines[start:] if line)
     return findings
 
 
@@ -113,31 +115,7 @@ def main(argv: list[str] | None = None) -> int:
         nargs="+",
         help=f"experiment names ({', '.join(EXPERIMENTS)}) or 'all'",
     )
-    parser.add_argument(
-        "--scale",
-        type=int,
-        default=DEFAULT_SCALE,
-        help=f"byte-scale divisor vs the paper's platform (default {DEFAULT_SCALE})",
-    )
-    parser.add_argument(
-        "--jobs",
-        "-j",
-        type=int,
-        default=1,
-        help="worker processes for cell execution (default 1 = serial)",
-    )
-    parser.add_argument(
-        "--cache-dir",
-        metavar="DIR",
-        default=None,
-        help="on-disk result cache location (default ~/.cache/gmt-results, "
-        "or $GMT_CACHE_DIR)",
-    )
-    parser.add_argument(
-        "--no-cache",
-        action="store_true",
-        help="disable the on-disk result cache for this run",
-    )
+    flags.add(parser, "--scale", "--jobs", "--cache-dir", "--no-cache")
     parser.add_argument(
         "--force",
         action="store_true",
@@ -157,136 +135,24 @@ def main(argv: list[str] | None = None) -> int:
         "flight recorder per replay and export <app>-<kind>.lifecycle.jsonl "
         "(query with gmt-why --from)",
     )
-    parser.add_argument(
-        "--check-every",
-        type=int,
-        metavar="N",
-        default=None,
-        help="run the conformance audit (structural invariants + stats "
-        "identities, see gmt-check) every N coalesced accesses on every "
-        "uncached replay; a violation fails the experiment",
-    )
-    parser.add_argument(
-        "--anomaly-scan",
-        action="store_true",
-        help="attach windowed telemetry to every uncached replay and scan "
-        "its window stream for thrash / bypass-storm / latency-spike "
-        "anomalies; findings are summarised per experiment (cached cells "
-        "are reused as-is and contribute no findings — use --force to "
-        "rescan everything)",
-    )
-    parser.add_argument(
-        "--anomaly-window",
-        type=int,
-        metavar="N",
-        default=10_000,
-        help="snapshot interval (coalesced accesses) for --anomaly-scan "
-        "windows (default 10000)",
-    )
-    parser.add_argument(
-        "--anomaly-thrash",
-        type=float,
-        metavar="F",
-        default=0.5,
-        help="flag a window when Tier-1 evictions per access exceed F "
-        "(default 0.5)",
-    )
-    parser.add_argument(
-        "--anomaly-bypass",
-        type=float,
-        metavar="F",
-        default=0.75,
-        help="flag a window when the fraction of Tier-1 evictions that "
-        "bypassed Tier-2 exceeds F (default 0.75)",
-    )
-    parser.add_argument(
-        "--anomaly-spike",
-        type=float,
-        metavar="F",
-        default=3.0,
-        help="flag a window whose mean fault latency exceeds F x the "
-        "trailing mean (default 3.0)",
-    )
-    from repro.core.config import ENGINE_NAMES
-
-    parser.add_argument(
-        "--engine",
-        default=None,
-        choices=list(ENGINE_NAMES),
-        help="replay engine for every uncached cell: 'scalar' (reference "
-        "loop), 'vector' (byte-identical batch engine), or 'auto' "
-        "(vector whenever telemetry/periodic checks are off). "
-        "Default: the config's engine ('auto')",
-    )
-    parser.add_argument(
-        "--no-ledger",
-        action="store_true",
-        help="do not append this run to the run ledger "
-        "(benchmarks/results/ledger.jsonl or $GMT_LEDGER_PATH)",
-    )
-    args = parser.parse_args(argv)
-    from repro.experiments import harness
-
-    try:
-        return _run(parser, args)
-    finally:
-        # The flags configure process-wide harness state; don't leak it
-        # into later in-process use.
-        harness.set_telemetry_dir(None)
-        harness.set_check_every(None)
-        harness.set_engine(None)
-        harness.set_anomaly_scan(None)
-
-
-def _run(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int:
+    flags.add(parser, "--check-every", *flags.ANOMALY, "--engine", "--no-ledger")
+    parser.set_defaults(anomaly_window=10_000)
+    args = flags.parse(parser, argv)
     if args.telemetry_lifecycle and args.telemetry_dir is None:
         parser.error("--telemetry-lifecycle needs --telemetry-dir")
-    if args.telemetry_dir is not None:
-        from repro.experiments.harness import set_telemetry_dir
-
-        set_telemetry_dir(args.telemetry_dir, lifecycle=args.telemetry_lifecycle)
-    if args.check_every is not None:
-        if args.check_every < 1:
-            parser.error("--check-every must be >= 1")
-        from repro.experiments.harness import set_check_every
-
-        set_check_every(args.check_every)
-    if args.engine is not None:
-        from repro.experiments.harness import set_engine
-
-        set_engine(args.engine)
-    anomaly = None
-    if args.anomaly_scan:
-        import tempfile
-
-        from repro.errors import GMTError
-        from repro.experiments.harness import set_anomaly_scan
-        from repro.obs.anomaly import AnomalyDetector
-
-        try:  # validate thresholds up front, not inside a pool worker
-            AnomalyDetector(
-                thrash_evictions_per_access=args.anomaly_thrash,
-                bypass_fraction=args.anomaly_bypass,
-                latency_spike_factor=args.anomaly_spike,
-            )
-        except GMTError as exc:
-            parser.error(str(exc))
-        if args.anomaly_window < 1:
-            parser.error("--anomaly-window must be >= 1")
-        anomaly = {
-            "spool_dir": tempfile.mkdtemp(prefix="gmt-anomalies-"),
-            "window": args.anomaly_window,
-            "thrash": args.anomaly_thrash,
-            "bypass": args.anomaly_bypass,
-            "spike": args.anomaly_spike,
-        }
-        set_anomaly_scan(
-            anomaly["spool_dir"],
-            window=anomaly["window"],
-            thrash=anomaly["thrash"],
-            bypass=anomaly["bypass"],
-            spike=anomaly["spike"],
-        )
+    options = RunOptions(
+        engine=args.engine,
+        check_every=args.check_every,
+        telemetry_dir=args.telemetry_dir,
+        telemetry_lifecycle=args.telemetry_lifecycle,
+        anomaly_spool=(
+            tempfile.mkdtemp(prefix="gmt-anomalies-") if args.anomaly_scan else None
+        ),
+        anomaly_window=args.anomaly_window,
+        anomaly_thrash=args.anomaly_thrash,
+        anomaly_bypass=args.anomaly_bypass,
+        anomaly_spike=args.anomaly_spike,
+    )
 
     names = list(EXPERIMENTS) if "all" in args.experiments else args.experiments
     # Validate every name up-front so a typo fails before hours of work.
@@ -298,15 +164,11 @@ def _run(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int:
         cache=cache,
         force=args.force,
         progress=_progress_printer,
-        telemetry_dir=args.telemetry_dir,
-        telemetry_lifecycle=args.telemetry_lifecycle,
-        check_every=args.check_every,
-        engine=args.engine,
-        anomaly=anomaly,
+        options=options,
     )
 
     failures: dict[str, Exception] = {}
-    anomaly_seen: set[str] = set()
+    anomaly_drained: dict[str, int] = {}
     anomaly_total = 0
     run_start = time.time()
     for name in names:
@@ -327,8 +189,8 @@ def _run(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int:
         for result in results:
             print(result.to_text())
             print()
-        if anomaly is not None:
-            findings = _drain_anomalies(anomaly["spool_dir"], anomaly_seen)
+        if options.anomaly_spool is not None:
+            findings = _drain_anomalies(options.anomaly_spool, anomaly_drained)
             anomaly_total += len(findings)
             print(_anomaly_summary(name, findings))
         print(f"[{name} completed in {time.time() - start:.1f}s]\n")
@@ -336,17 +198,12 @@ def _run(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int:
     print(f"[engine] {engine.stats.summary()}")
     if not args.no_ledger:
         from repro.core.factory import resolve_engine_reason
-        from repro.experiments.harness import default_config
         from repro.obs.ledger import record_run
 
-        # The resolution every GMT replay cell sees under the current
-        # instrumentation flags (baseline runtimes follow the same rule).
+        # The resolution every GMT replay cell sees under these options
+        # (baseline runtimes follow the same rule).
         resolved, reason = resolve_engine_reason(
-            args.engine,
-            default_config(args.scale),
-            recorder=args.telemetry_lifecycle,
-            checks=args.check_every is not None,
-            telemetry=args.telemetry_dir is not None or anomaly is not None,
+            options.engine, default_config(args.scale), **options.instruments()
         )
         record_run(
             "gmt-experiments",
@@ -360,7 +217,7 @@ def _run(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int:
                 "experiments": len(names),
                 "failures": len(failures),
                 "cells_executed": engine.stats.executed,
-                **({"anomaly_findings": anomaly_total} if anomaly is not None else {}),
+                **({"anomaly_findings": anomaly_total} if args.anomaly_scan else {}),
             },
             engine=resolved,
         )

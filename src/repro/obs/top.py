@@ -272,7 +272,7 @@ def main(argv: list[str] | None = None) -> int:
         gmt-top hotspot --scale 1024
         gmt-top --tenants bfs,hotspot:2 --slo-p99 5e6 --plain
     """
-    from repro.core.config import DEFAULT_SCALE
+    from repro import flags
     from repro.experiments.harness import (
         RUNTIME_KINDS,
         RUNTIME_LABELS,
@@ -306,19 +306,7 @@ def main(argv: list[str] | None = None) -> int:
         choices=list(RUNTIME_KINDS),
         help="runtime kind for single-workload mode (default: reuse)",
     )
-    parser.add_argument(
-        "--scale",
-        type=int,
-        default=DEFAULT_SCALE,
-        help=f"byte-scale divisor vs the paper's platform (default {DEFAULT_SCALE})",
-    )
-    parser.add_argument(
-        "--oversubscription",
-        type=float,
-        default=2.0,
-        help="working set / (Tier-1 + Tier-2) capacity (default 2)",
-    )
-    parser.add_argument("--seed", type=int, default=0, help="trace RNG seed")
+    flags.add(parser, "--scale", "--oversubscription", "--seed")
     parser.add_argument(
         "--window",
         type=int,

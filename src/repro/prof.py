@@ -699,6 +699,8 @@ def load_profile(path: str) -> dict:
 # ----------------------------------------------------------------------
 def main(argv: list[str] | None = None) -> int:
     """Entry point for ``gmt-prof``."""
+    from repro import flags
+
     parser = argparse.ArgumentParser(
         prog="gmt-prof",
         description="Phase-attributed wall-clock profile of one replay",
@@ -711,10 +713,8 @@ def main(argv: list[str] | None = None) -> int:
         default="reuse",
         help="runtime kind to profile (default: reuse)",
     )
-    parser.add_argument("--scale", type=int, default=4096,
-                        help="byte-scale divisor (default 4096)")
-    parser.add_argument("--oversubscription", type=float, default=2.0)
-    parser.add_argument("--seed", type=int, default=0)
+    flags.add(parser, "--scale", "--oversubscription", "--seed")
+    parser.set_defaults(scale=4096)
     parser.add_argument(
         "--exact", action="store_true",
         help="use the deterministic enter/exit engine instead of frame "

@@ -183,6 +183,25 @@ class TestEngine:
         with pytest.raises(ConfigError):
             Engine(jobs=0)
 
+    def test_private_memos_replay_every_cell(self, monkeypatch):
+        """Two engines with their own memos each replay all of fig9: no
+        cache hides beneath the engine's memo and disk layers."""
+        from repro.experiments import harness
+
+        built = []
+        build = harness.build_runtime
+
+        def count(*args, **kwargs):
+            built.append(args[0])
+            return build(*args, **kwargs)
+
+        monkeypatch.setattr(harness, "build_runtime", count)
+        for _ in range(2):
+            engine = Engine(memo={})
+            run_spec(fig9.SPEC, scale=16384, engine=engine)
+            assert engine.stats.executed == 9
+        assert len(built) == 18
+
 
 # ----------------------------------------------------------------------
 # ExperimentSpec protocol + deprecation shim
@@ -278,13 +297,44 @@ class TestRunnerFailures:
         monkeypatch.setattr(runner, "get_spec", lambda name: specs[name])
         rc = runner.main(
             ["good", "--no-cache", "--no-ledger", "--scale", str(SCALE),
-             "--engine", "scalar", "--check-every", "5000",
+             "--engine", "scalar", "--check-every", "5000", "--anomaly-scan",
              "--telemetry-dir", str(tmp_path)]
         )
         assert rc == 0
-        assert harness.get_engine() is None
-        assert harness._check_every is None
-        assert harness._telemetry_dir is None
+        assert harness.run_options() == harness.RunOptions()
+
+    def test_options_reach_pool_workers(self, tmp_path, capsys):
+        """--anomaly-scan and --telemetry-dir must take effect in pool
+        workers exactly as on the serial path."""
+        from repro.experiments import runner
+        from repro.workloads.registry import WORKLOAD_NAMES
+
+        telemetry = tmp_path / "telemetry"
+        rc = runner.main(
+            ["fig9", "--scale", "16384", "--jobs", "2", "--no-cache",
+             "--no-ledger", "--engine", "vector", "--anomaly-scan",
+             "--telemetry-dir", str(telemetry)]
+        )
+        out = capsys.readouterr().out
+        assert rc == 0
+        scan = [line for line in out.splitlines() if line.startswith("[fig9] anomaly scan:")]
+        assert len(scan) == 1 and "finding(s)" in scan[0], out
+        for app in WORKLOAD_NAMES:
+            for suffix in (".trace.json", ".prom", ".windows.jsonl"):
+                assert (telemetry / f"{app}-reuse{suffix}").is_file(), (app, suffix)
+
+    def test_force_rescans_reexecuted_cells(self, capsys):
+        from repro.experiments import runner
+
+        rc = runner.main(
+            ["fig9", "fig9", "--scale", "16384", "--force", "--no-cache",
+             "--no-ledger", "--anomaly-scan"]
+        )
+        out = capsys.readouterr().out
+        assert rc == 0
+        scans = [line for line in out.splitlines() if line.startswith("[fig9] anomaly scan:")]
+        assert len(scans) == 2 and scans[0] == scans[1] and "finding(s)" in scans[0]
+        assert "executed=18" in out
 
     def test_cache_dir_flag_populates_cache(self, tmp_path, capsys):
         from repro.experiments import runner

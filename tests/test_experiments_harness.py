@@ -6,17 +6,20 @@ from repro.baselines.bam import BamRuntime
 from repro.baselines.hmm import HmmRuntime
 from repro.core.runtime import GMTRuntime
 from repro.errors import ConfigError
+from repro.experiments import harness
+from repro.experiments.engine import Cell, Engine
 from repro.experiments.harness import (
     ExperimentResult,
     RUNTIME_KINDS,
     RUNTIME_LABELS,
+    RunOptions,
     app_label,
     build_runtime,
     default_config,
     get_workload,
-    run_app,
-    run_app_with_footprint,
-    run_matrix,
+    replay,
+    replay_cell,
+    replay_footprint_cell,
 )
 
 
@@ -66,40 +69,88 @@ class TestCaching:
         b = get_workload("hotspot", tiny_config, jitter_warps=0)
         assert a is not b
 
-    def test_run_cached(self, tiny_config):
-        a = run_app("lavamd", "bam", tiny_config)
-        b = run_app("lavamd", "bam", tiny_config)
-        assert a is b
-
-    def test_run_cache_distinguishes_kind(self, tiny_config):
-        a = run_app("lavamd", "bam", tiny_config)
-        b = run_app("lavamd", "reuse", tiny_config)
-        assert a is not b
-
 
 class TestRunMatrix:
+    """The app x runtime replay matrix, as engine cells."""
+
     def test_shape(self, tiny_config):
-        matrix = run_matrix(tiny_config, apps=("lavamd", "pathfinder"), kinds=("bam", "reuse"))
-        assert set(matrix) == {"lavamd", "pathfinder"}
-        assert set(matrix["lavamd"]) == {"bam", "reuse"}
-        assert matrix["lavamd"]["bam"].elapsed_ns > 0
+        cells = {
+            (app, kind): replay(app, kind, tiny_config)
+            for app in ("lavamd", "pathfinder")
+            for kind in ("bam", "reuse")
+        }
+        values = Engine(memo={}).run_cells(list(cells.values()))
+        assert len(values) == 4
+        assert values[cells["lavamd", "bam"]].elapsed_ns > 0
 
     def test_same_trace_for_all_kinds(self, tiny_config):
-        matrix = run_matrix(tiny_config, apps=("pathfinder",), kinds=("bam", "reuse"))
-        runs = matrix["pathfinder"]
-        assert (
-            runs["bam"].stats.coalesced_accesses
-            == runs["reuse"].stats.coalesced_accesses
-        )
+        bam = replay_cell("pathfinder", "bam", tiny_config)
+        reuse = replay_cell("pathfinder", "reuse", tiny_config)
+        assert bam.stats.coalesced_accesses == reuse.stats.coalesced_accesses
 
 
 class TestRunAppWithFootprint:
     def test_explicit_footprint(self, tiny_config):
-        small = run_app_with_footprint("hotspot", "bam", tiny_config, 200)
-        large = run_app_with_footprint("hotspot", "bam", tiny_config, 400)
+        small = replay_footprint_cell("hotspot", "bam", tiny_config, 200)
+        large = replay_footprint_cell("hotspot", "bam", tiny_config, 400)
         assert (
             large.stats.coalesced_accesses > small.stats.coalesced_accesses
         )
+
+
+class TestRunOptions:
+    @pytest.mark.parametrize(
+        "kwargs",
+        [
+            {"engine": "turbo"},
+            {"check_every": 0},
+            {"telemetry_lifecycle": True},
+            {"anomaly_spool": "spool", "anomaly_window": 0},
+            {"anomaly_spool": "spool", "anomaly_thrash": -1.0},
+            {"anomaly_spool": "spool", "anomaly_bypass": 1.5},
+            {"anomaly_spool": "spool", "anomaly_spike": 1.0},
+        ],
+    )
+    def test_invalid_options_rejected(self, kwargs):
+        with pytest.raises(ConfigError):
+            RunOptions(**kwargs)
+
+    def test_instruments(self):
+        assert RunOptions().instruments() == {
+            "recorder": False, "checks": False, "telemetry": False,
+        }
+        options = RunOptions(check_every=100, anomaly_spool="spool")
+        assert options.instruments() == {
+            "recorder": False, "checks": True, "telemetry": True,
+        }
+
+    def test_engine_installs_options_only_for_its_cells(self):
+        options = RunOptions(engine="scalar", check_every=500)
+        cell = Cell.make("repro.experiments.harness:run_options")
+        assert Engine(memo={}, options=options).run_cells([cell])[cell] == options
+        assert harness.run_options() == RunOptions()
+
+    def test_options_restored_when_a_cell_fails(self, tiny_config):
+        cell = Cell.make(
+            "repro.experiments.harness:build_runtime", kind="belady", config=tiny_config
+        )
+        with pytest.raises(ConfigError):
+            Engine(memo={}, options=RunOptions(engine="vector")).run_cells([cell])
+        assert harness.run_options() == RunOptions()
+
+    def test_installed_engine_reaches_build_runtime(self, tiny_config, monkeypatch):
+        built = []
+        build = harness.build_runtime
+
+        def spy(*args, **kwargs):
+            built.append(build(*args, **kwargs))
+            return built[-1]
+
+        monkeypatch.setattr(harness, "build_runtime", spy)
+        for engine in ("scalar", "vector"):
+            cell = replay("hotspot", "reuse", tiny_config)
+            Engine(memo={}, options=RunOptions(engine=engine)).run_cells([cell])
+            assert built[-1].engine_name == engine
 
 
 class TestExperimentResult:

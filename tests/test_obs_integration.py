@@ -252,25 +252,22 @@ class TestCliAndHarness:
 
     def test_harness_telemetry_dir(self, tmp_path):
         from repro.experiments import harness
+        from repro.experiments.engine import Engine
 
-        harness.clear_caches()
-        harness.set_telemetry_dir(str(tmp_path))
-        try:
-            config = harness.default_config(8192)
-            harness.run_app("hotspot", "reuse", config)
-            # cached second run must not fail or duplicate work
-            harness.run_app("hotspot", "reuse", config)
-        finally:
-            harness.set_telemetry_dir(None)
-            harness.clear_caches()
+        engine = Engine(memo={}, options=harness.RunOptions(telemetry_dir=str(tmp_path)))
+        cell = harness.replay("hotspot", "reuse", harness.default_config(8192))
+        engine.run_cells([cell])
+        # memoised second run must not fail or duplicate work
+        engine.run_cells([cell])
+        assert engine.stats.executed == 1
         assert (tmp_path / "hotspot-reuse.trace.json").exists()
         assert (tmp_path / "hotspot-reuse.prom").exists()
 
-    def test_harness_disabled_writes_nothing(self, tmp_path):
+    def test_harness_disabled_writes_nothing(self, tmp_path, monkeypatch):
         from repro.experiments import harness
+        from repro.experiments.engine import Engine
 
-        harness.clear_caches()
-        config = harness.default_config(8192)
-        harness.run_app("hotspot", "bam", config)
-        harness.clear_caches()
+        monkeypatch.chdir(tmp_path)
+        cell = harness.replay("hotspot", "bam", harness.default_config(8192))
+        Engine(memo={}).run_cells([cell])
         assert list(tmp_path.iterdir()) == []
