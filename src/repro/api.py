@@ -17,12 +17,11 @@ be reshaped without notice; prefer these re-exports over deep imports.
   :class:`DragonRuntime`, :class:`RuntimeConfig` (alias of
   :class:`GMTConfig`), :class:`RunResult`, :class:`RuntimeStats`.
 - Engine selection: :func:`make_runtime` (the one constructor every tool
-  routes through), :func:`resolve_engine` /
-  :func:`resolve_engine_reason`, :data:`ENGINE_NAMES` —
+  routes through), :func:`resolve_engine_reason`, :data:`ENGINE_NAMES` —
   ``"scalar"`` is the reference per-access loop, ``"vector"`` the
   byte-identical struct-of-arrays batch engine, ``"auto"`` picks vector
-  unless something genuinely needs per-access observation
-  (batch-capable telemetry does not demote; pass ``telemetry=True``).
+  unless the Tier-1 structure is a policy-zoo member with no vector twin
+  (telemetry, lifecycle recorders and periodic audits never demote).
   ``runtime.engine_resolution()`` reports the live ``(engine, reason)``
   pair after a run (see ``docs/performance.md``).
 - Experiments: :class:`ExperimentSpec`, :func:`run_spec`,
@@ -73,7 +72,6 @@ from repro.core import (
     RunResult,
     RuntimeStats,
     make_runtime,
-    resolve_engine,
     resolve_engine_reason,
 )
 from repro.core.config import DEFAULT_SCALE
@@ -254,7 +252,6 @@ __all__ = [
     "profile_replay",
     "read_ledger",
     "record_run",
-    "resolve_engine",
     "resolve_engine_reason",
     "run_cells",
     "run_conformance",

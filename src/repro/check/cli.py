@@ -82,7 +82,8 @@ def _build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="skip the telemetry-parity differential (instrumented "
         "scalar-vs-vector: window streams, digest buckets, counter "
-        "tracks and anomaly findings must be byte-equal)",
+        "tracks, anomaly findings and lifecycle events must be "
+        "byte-equal)",
     )
     parser.add_argument(
         "--telemetry-window",

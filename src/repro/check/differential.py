@@ -12,9 +12,10 @@ the cross-runtime and metamorphic checks:
   :mod:`repro.core.vector`) must be counter-identical byte for byte,
   including the modelled ``elapsed_ns``;
 - **telemetry-parity** — every runtime kind replayed through both
-  engines *with windowed telemetry attached* must produce byte-equal
-  windowed-snapshot streams, latency-digest buckets, Perfetto counter
-  tracks and anomaly findings (the batch observer pipeline of
+  engines *with windowed telemetry and the full lifecycle recorder
+  attached* must produce byte-equal windowed-snapshot streams,
+  latency-digest buckets, Perfetto counter tracks, anomaly findings and
+  lifecycle event streams (the batch observer pipeline of
   :mod:`repro.obs.batch` under audit);
 - **metamorphic-degenerate-bam** — GMT with ``tier2_frames=0`` and the
   tier-order policy must be counter-identical to the BaM baseline;
@@ -303,8 +304,9 @@ def run_conformance(
             ``elapsed_ns``.
         telemetry: run the ``telemetry-parity`` differential — every
             runtime kind replayed through both engines with windowed
-            telemetry attached must produce byte-equal window streams,
-            latency-digest buckets, counter tracks and anomaly findings.
+            telemetry and the full lifecycle recorder attached must
+            produce byte-equal window streams, latency-digest buckets,
+            counter tracks, anomaly findings and lifecycle events.
             The ``window-desync`` injection perturbs the vector side of
             this check and must be caught.
         telemetry_window: snapshot interval for the telemetry-parity
@@ -511,11 +513,12 @@ def check_telemetry_parity(
 
     Replays ``kind`` through the scalar and vector engines with a
     :class:`~repro.obs.Telemetry` attached (snapshot interval
-    ``window``) and demands byte-equality of the windowed-snapshot
-    stream, the latency-digest buckets, the Perfetto counter tracks
-    derived from the windows, the anomaly-scan findings, and — as in
-    the plain engine differential — every stats counter plus the
-    modelled ``elapsed_ns``.
+    ``window``, unbounded full lifecycle recorder) and demands
+    byte-equality of the windowed-snapshot stream, the latency-digest
+    buckets, the Perfetto counter tracks derived from the windows, the
+    anomaly-scan findings, the lifecycle event stream, and — as in the
+    plain engine differential — every stats counter plus the modelled
+    ``elapsed_ns``.
 
     ``corrupt`` (the ``window-desync`` injection) is applied to the
     *vector* side's telemetry between attach and replay; returns the
@@ -531,6 +534,7 @@ def check_telemetry_parity(
     for eng in ("scalar", "vector"):
         runtime = build_runtime(kind, config, engine=eng)
         telemetry = Telemetry(window=window)
+        telemetry.enable_lifecycle(capacity=None)
         runtime.attach_telemetry(telemetry)
         if eng == "vector" and corrupt is not None:
             note = corrupt(telemetry)
@@ -554,6 +558,8 @@ def check_telemetry_parity(
          counter_track_events(0, wv)),
         ("anomaly findings", [str(a) for a in detector.scan(ws)],
          [str(a) for a in detector.scan(wv)]),
+        ("lifecycle events", [e.to_dict() for e in ts.lifecycle.events()],
+         [e.to_dict() for e in tv.lifecycle.events()]),
     ):
         if left != right:
             violations.append(

@@ -124,9 +124,10 @@ CATALOG: tuple[tuple[str, str], ...] = (
      "the vectorized replay engine produces byte-identical counters and "
      "elapsed time to the scalar runtime on every trace"),
     ("telemetry-parity",
-     "with windowed telemetry attached, both replay engines produce "
-     "byte-equal window streams, latency-digest buckets, counter tracks "
-     "and anomaly findings"),
+     "with windowed telemetry and the full lifecycle recorder attached, "
+     "both replay engines produce byte-equal window streams, "
+     "latency-digest buckets, counter tracks, anomaly findings and "
+     "lifecycle events"),
 )
 
 CATALOG_NAMES = tuple(name for name, _ in CATALOG)

@@ -112,8 +112,7 @@ def main_sim(argv: list[str] | None = None) -> int:
         help="record the lifecycle stream for a deterministic hash-"
         "sampled fraction P of pages (0 < P <= 1) instead of the full "
         "flight recorder; sampled pages keep their complete journeys, "
-        "and the sampled stream is batch-capable so --engine auto "
-        "stays on the vector engine",
+        "so the stream stays small without truncating any of them",
     )
     flags.add(parser, "--engine", "--check-every", *flags.ANOMALY)
     args = flags.parse(parser, argv)
@@ -132,21 +131,10 @@ def main_sim(argv: list[str] | None = None) -> int:
         or args.anomaly_scan
     )
     full_lifecycle = lifecycle_on and args.lifecycle_sample_rate is None
-    from repro.core.factory import resolve_engine_reason
-
-    engine, engine_reason = resolve_engine_reason(
-        args.engine,
-        config,
-        recorder=full_lifecycle,
-        checks=args.check_every is not None,
-        telemetry=telemetry_on,
-    )
     telemetries = []
     results = {}
-    resolution = (engine, engine_reason)
     for kind in args.runtimes:
-        runtime = build_runtime(kind, config, engine=engine)
-        runtime.engine_reason = engine_reason
+        runtime = build_runtime(kind, config, engine=args.engine)
         if args.check_every is not None:
             runtime.enable_periodic_checks(args.check_every)
         if telemetry_on:
@@ -162,9 +150,6 @@ def main_sim(argv: list[str] | None = None) -> int:
                 )
             )
         results[RUNTIME_LABELS[kind]] = runtime.run(workload)
-        # Live resolution: a vector runtime that had to fall back to its
-        # scalar replay (per-access instrument attached after the fact)
-        # reports that here, not the up-front choice.
         resolution = runtime.engine_resolution()
     print("engine={} (reason={})".format(*resolution))
     if args.anomaly_scan:
@@ -748,8 +733,8 @@ def main_why(argv: list[str] | None = None) -> int:
         default=None,
         help="record a deterministic hash-sampled fraction P of pages "
         "(0 < P <= 1) instead of every page; sampled pages keep their "
-        "complete journeys, and the replay stays on the vector engine "
-        "(queries about unsampled pages come back empty)",
+        "complete journeys, so the stream stays small without truncating "
+        "any of them (queries about unsampled pages come back empty)",
     )
     parser.add_argument(
         "--window",

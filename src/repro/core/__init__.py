@@ -11,7 +11,7 @@
 """
 
 from repro.core.config import ENGINE_NAMES, GMTConfig
-from repro.core.factory import make_runtime, resolve_engine, resolve_engine_reason
+from repro.core.factory import make_runtime, resolve_engine_reason
 from repro.core.placement import PlacementDecision, Tier3BiasHeuristic
 from repro.core.policies import (
     PlacementPolicy,
@@ -28,7 +28,6 @@ __all__ = [
     "GMTConfig",
     "GMTRuntime",
     "make_runtime",
-    "resolve_engine",
     "resolve_engine_reason",
     "PlacementDecision",
     "PlacementPolicy",

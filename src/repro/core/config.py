@@ -119,7 +119,7 @@ class GMTConfig:
     #: Replay engine: "scalar" | "vector" | "auto" (see
     #: :data:`ENGINE_NAMES` and :func:`repro.core.factory.make_runtime`).
     #: Both engines produce byte-identical results; "auto" picks vector
-    #: whenever per-access instrumentation is off.
+    #: whenever the Tier-1 eviction structure has a vector twin.
     engine: str = "auto"
 
     def __post_init__(self) -> None:

@@ -33,7 +33,7 @@ from repro.errors import SimulationError
 from repro.mem.page import PageLocation, PageState
 from repro.mem.page_table import PageTable
 from repro.mem.tier import Tier
-from repro.mem.tier2_order import Tier2Clock, Tier2Fifo  # noqa: F401 (re-export)
+from repro.mem.tier2_order import Tier2Fifo
 from repro.obs.lifecycle import LifecycleKind
 from repro.policyzoo.registry import make_eviction_policy
 from repro.reuse.vtd import VirtualTimestampClock
@@ -110,7 +110,7 @@ class GMTRuntime:
         self.tier1 = Tier("Tier-1", config.tier1_frames)
         self.tier2 = Tier("Tier-2", config.tier2_frames)
         self.t1_clock = make_eviction_policy(
-            config.tier1_eviction, config.tier1_frames, tier=1
+            config.tier1_eviction, config.tier1_frames
         )
 
         if policy_factory is None:
@@ -124,9 +124,7 @@ class GMTRuntime:
                 # Historical derivation: GMT-TierOrder runs a clock over
                 # Tier-2, every other placement policy a plain FIFO.
                 t2_eviction = "clock" if self.policy.tier2_uses_clock else "fifo"
-            self._t2_order = make_eviction_policy(
-                t2_eviction, config.tier2_frames, tier=2
-            )
+            self._t2_order = make_eviction_policy(t2_eviction, config.tier2_frames)
         else:
             self._t2_order = Tier2Fifo()
 
@@ -189,9 +187,9 @@ class GMTRuntime:
         """The replay engine the next ``run`` will use, with the reason.
 
         The scalar runtime always runs scalar; the vector mixin
-        overrides this with the live capability negotiation (attached
-        instruments can demote a vector runtime back to the scalar
-        loop).  This is the surface the CLIs print (``engine=...
+        overrides this with its live fallback check (an attached
+        profiler demotes a vector runtime back to the scalar loop).
+        This is the surface the CLIs print (``engine=...
         (reason=...)``) and the exporters embed in headers.
         """
         return self.engine_name, self.engine_reason

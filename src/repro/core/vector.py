@@ -29,10 +29,11 @@ Byte-identity with the scalar engine is a hard requirement (the
 - anything the batch cannot express exactly — misses, prefetched pages'
   first demand touch, policies whose ``on_access`` is observable
   (:attr:`~repro.core.policies.PlacementPolicy.hits_batchable`), window
-  boundary accesses under attached telemetry — drops to the inherited
-  scalar code path for that access; per-access instruments (profiler,
-  full flight recorder, periodic checks) demote the whole run
-  (the ``batch_capable`` negotiation, see :mod:`repro.obs.batch`).
+  boundary accesses under attached telemetry, accesses a periodic audit
+  runs before — drops to the inherited scalar code path for that access
+  (the per-batch observer chain, see :mod:`repro.obs.batch`); only the
+  phase profiler and a Tier-1 structure with no vector twin demote the
+  whole run.
 
 :func:`vector_variant` composes the mixin onto any runtime class whose
 access path is inherited from :class:`GMTRuntime` (all the baselines),
@@ -43,8 +44,9 @@ engine.
 from __future__ import annotations
 
 import weakref
+from array import array
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Iterable, Iterator
 
 import numpy as np
 
@@ -53,6 +55,7 @@ from repro.errors import CapacityError, PageStateError, SimulationError
 from repro.mem.clock_replacement import ClockReplacement
 from repro.mem.page import PageLocation, PageState
 from repro.mem.page_table import PageTable
+from repro.obs.batch import AuditBatchObserver, BatchObserverChain
 from repro.sim.gpu import WarpAccess, coalesce
 from repro.workloads.trace import Workload
 
@@ -329,10 +332,6 @@ class VectorClock:
         """
         self._refbits[self._store.t1_frame[pages]] = True
 
-    def give_second_chance(self, page: int) -> None:
-        """Re-arm ``page``'s reference bit without it being accessed."""
-        self.touch(page)
-
     def remove(self, page: int) -> None:
         """Drop ``page`` from the clock (promotion or external eviction)."""
         frame = self._frame_of(page)
@@ -394,30 +393,6 @@ class VectorClock:
         self._hand = hand
         raise PageStateError("filtered clock sweep failed to converge")  # pragma: no cover
 
-    def peek_victim(self) -> int:
-        """Like :meth:`select_victim` but leaves the victim installed.
-
-        The hand still sweeps (clearing reference bits), matching a real
-        clock whose scan is destructive of recency state."""
-        if not self._count:
-            raise PageStateError("clock is empty; nothing to evict")
-        pages = self._pages
-        refbits = self._refbits
-        capacity = self.capacity
-        hand = self._hand
-        while True:
-            page = pages[hand]
-            if page == -1:
-                hand = (hand + 1) % capacity
-                continue
-            if refbits[hand]:
-                refbits[hand] = False
-                hand = (hand + 1) % capacity
-                continue
-            hand = (hand + 1) % capacity
-            self._hand = hand
-            return int(page)
-
     def pages(self) -> list[int]:
         """Snapshot of tracked pages in frame order (test helper)."""
         return [int(p) for p in self._pages if p != -1]
@@ -435,15 +410,14 @@ class TraceArrays:
     number of warp instructions the stream came from.  ``warps[k]`` is
     the 1-based warp-instruction count up to and including access ``k``'s
     warp — instrumented replays restore ``stats.warp_instructions`` from
-    it so window cuts observe the same mid-run value the scalar
-    ``access_warp`` loop would have accumulated (None on legacy
-    constructions; the engine then falls back to front-loading).
+    it so window cuts and audits observe the same mid-run value the
+    scalar ``access_warp`` loop would have accumulated.
     """
 
     pages: np.ndarray
     writes: np.ndarray
     n_warps: int
-    warps: np.ndarray | None = None
+    warps: np.ndarray
 
 
 #: Materialized traces, cached per workload object.  Keyed weakly so the
@@ -464,13 +438,8 @@ def materialize_trace(workload: Workload) -> TraceArrays:
     cached = _TRACE_CACHE.get(workload)
     if cached is not None:
         return cached
-    n_warps, pages, writes, warps = _flatten_warps(workload)
-    arrays = TraceArrays(
-        pages=np.asarray(pages, dtype=np.int64),
-        writes=np.asarray(writes, dtype=bool),
-        n_warps=n_warps,
-        warps=np.asarray(warps, dtype=np.int64),
-    )
+    n_warps, pages, writes, warps = next(_iter_trace_chunks(workload))
+    arrays = TraceArrays(pages=pages, writes=writes, n_warps=n_warps, warps=warps)
     _TRACE_CACHE[workload] = arrays
     return arrays
 
@@ -480,12 +449,18 @@ def clear_trace_cache() -> None:
     _TRACE_CACHE.clear()
 
 
-def _flatten_warps(
-    trace: Iterable[WarpAccess],
-) -> tuple[int, list[int], list[bool], list[int]]:
-    pages: list[int] = []
-    writes: list[bool] = []
-    warps: list[int] = []
+def _iter_trace_chunks(
+    trace: Iterable[WarpAccess], chunk_warps: int | None = None
+) -> Iterator[tuple[int, np.ndarray, np.ndarray, np.ndarray]]:
+    """Flatten a warp iterable into ``(n_warps, pages, writes, warps)``
+    chunks of at most ``chunk_warps`` warps each (None: the whole trace
+    as exactly one chunk, possibly empty).
+
+    ``warps[k]`` counts the chunk's warps up to and including access
+    ``k``'s.  The arrays view compact ``array``/``bytearray`` buffers,
+    so flattening a long trace allocates no per-access Python object.
+    """
+    pages, writes, warps = array("q"), bytearray(), array("q")
     n_warps = 0
     for warp in trace:
         n_warps += 1
@@ -494,27 +469,20 @@ def _flatten_warps(
             pages.append(page)
             writes.append(write)
             warps.append(n_warps)
-    return n_warps, pages, writes, warps
+        if n_warps == chunk_warps:
+            yield n_warps, *_chunk_arrays(pages, writes, warps)
+            pages, writes, warps = array("q"), bytearray(), array("q")
+            n_warps = 0
+    if n_warps or chunk_warps is None:
+        yield n_warps, *_chunk_arrays(pages, writes, warps)
 
 
-def _iter_trace_chunks(trace: Iterable[WarpAccess], chunk_warps: int):
-    """Group a one-shot warp iterable into bounded flat chunks."""
-    pages: list[int] = []
-    writes: list[bool] = []
-    warps: list[int] = []
-    n_warps = 0
-    for warp in trace:
-        n_warps += 1
-        write = warp.write
-        for page in coalesce(warp):
-            pages.append(page)
-            writes.append(write)
-            warps.append(n_warps)
-        if n_warps >= chunk_warps:
-            yield n_warps, pages, writes, warps
-            pages, writes, warps, n_warps = [], [], [], 0
-    if n_warps:
-        yield n_warps, pages, writes, warps
+def _chunk_arrays(pages: array, writes: bytearray, warps: array):
+    return (
+        np.frombuffer(pages, dtype=np.int64),
+        np.frombuffer(writes, dtype=bool),
+        np.frombuffer(warps, dtype=np.int64),
+    )
 
 
 # ----------------------------------------------------------------------
@@ -543,39 +511,25 @@ class VectorEngineMixin:
             self.t1_clock = VectorClock(self.t1_clock.capacity, store)
         self._window = _WINDOW_INIT
 
-    # -- capability gate ------------------------------------------------
+    # -- fallback gate --------------------------------------------------
     def _fallback_reason(self) -> str | None:
         """Why the batch path cannot run (None = it can).
 
-        This is the capability negotiation: instruments that observe
-        per-window or per-event structure declare ``batch_capable`` and
-        ride the bulk path (:mod:`repro.obs.batch`); genuinely per-access
-        consumers — the profiler, the full flight-recorder ring, periodic
-        audits — demote the whole run to the inherited scalar loop.
+        Exactly two things force the inherited scalar loop: the phase
+        profiler, which wraps the per-access hot path, and a policy-zoo
+        Tier-1 structure with no vector twin.  Everything else that can
+        be attached observes only scalar-side events (misses, evictions,
+        window cuts, audits) and rides the batch path through
+        :meth:`_batch_observers`.
         """
         if self._prof is not None:
             return "phase profiler wraps the per-access hot path"
-        if self._check_every is not None:
-            return "periodic conformance audit runs between accesses"
         if not isinstance(self.t1_clock, VectorClock):
             return (
                 f"tier1_eviction={self.config.tier1_eviction!r} has no "
                 "vector twin"
             )
-        from repro.obs.batch import is_batch_capable
-
-        if self._flight is not None and not is_batch_capable(self._flight):
-            return (
-                "full flight recorder is per-access "
-                "(use --lifecycle-sample-rate for a batch-capable stream)"
-            )
-        if self._obs is not None and not is_batch_capable(self._obs):
-            return "attached telemetry hosts a per-access instrument"
         return None
-
-    def _vector_ready(self) -> bool:
-        """Whether the batch path can run without observable differences."""
-        return self._fallback_reason() is None
 
     def engine_resolution(self) -> tuple[str, str]:
         """The engine the next ``run`` will actually use, with the reason
@@ -583,83 +537,72 @@ class VectorEngineMixin:
         reason = self._fallback_reason()
         if reason is not None:
             return "scalar", reason
-        if self._obs is not None:
-            return "vector", "batch-capable telemetry rides the bulk hit path"
         return "vector", "no per-access consumers attached"
+
+    def _batch_observers(self) -> BatchObserverChain | None:
+        """The per-batch observers of what is attached (None: nothing
+        observes mid-run state, so hit runs retire uncapped)."""
+        observers = []
+        if self._obs is not None:
+            observers.append(self._obs.batch_observer())
+        if self._check_every is not None:
+            observers.append(AuditBatchObserver(self._check_every))
+        return BatchObserverChain(observers) if observers else None
 
     # -- replay ---------------------------------------------------------
     def run(self, trace):
-        if not self._vector_ready():
+        if self._fallback_reason() is not None:
             return super().run(trace)
-        obs = self._obs
-        chain = obs.batch_observer() if obs is not None else None
+        chain = self._batch_observers()
         if isinstance(trace, Workload):
             trace = materialize_trace(trace)
         if isinstance(trace, TraceArrays):
-            if chain is not None and trace.warps is not None:
-                # Instrumented: warp counts accrue incrementally inside
-                # the replay, so window cuts see the scalar mid-run value.
-                self._replay_flat(
-                    trace.pages, trace.writes, chain,
-                    warps=trace.warps, n_warps=trace.n_warps,
-                )
-            else:
-                self.stats.warp_instructions += trace.n_warps
-                self._replay_flat(trace.pages, trace.writes, chain)
+            chunks = [(trace.n_warps, trace.pages, trace.writes, trace.warps)]
         else:
             # One-shot iterable (e.g. a tenant stream): bounded chunks.
-            for n_warps, pages, writes, warps in _iter_trace_chunks(
-                trace, _STREAM_CHUNK_WARPS
-            ):
-                pages = np.asarray(pages, dtype=np.int64)
-                writes = np.asarray(writes, dtype=bool)
-                if chain is not None:
-                    self._replay_flat(
-                        pages, writes, chain,
-                        warps=np.asarray(warps, dtype=np.int64),
-                        n_warps=n_warps,
-                    )
-                else:
-                    self.stats.warp_instructions += n_warps
-                    self._replay_flat(pages, writes, chain)
-        if obs is not None:
+            chunks = _iter_trace_chunks(trace, _STREAM_CHUNK_WARPS)
+        for n_warps, pages, writes, warps in chunks:
+            self._replay_flat(pages, writes, warps, n_warps, chain)
+        if self._obs is not None:
             # Mirror the scalar run(): flush the final partial window so
             # the replay tail reaches telemetry.windows() (and gmt-top's
             # on_window feed) under the batch path too.
-            obs.finish()
+            self._obs.finish()
         return self.result()
 
     def _replay_flat(
         self,
         pages: np.ndarray,
         writes: np.ndarray,
-        chain=None,
-        warps: np.ndarray | None = None,
-        n_warps: int = 0,
+        warps: np.ndarray,
+        n_warps: int,
+        chain: BatchObserverChain | None,
     ) -> None:
-        """Replay one flat coalesced-access chunk.
+        """Replay one flat coalesced-access chunk of ``n_warps`` warps.
 
         Hits retire in batches; every miss (and every access while the
         policy's ``on_access`` is observable) goes through the inherited
         scalar ``access``, so the miss pipeline is *the* scalar pipeline.
 
-        ``chain`` is the telemetry's per-batch observer chain
-        (:class:`repro.obs.batch.BatchObserverChain`, None when
-        uninstrumented): it caps each batch to end just before the next
-        windowed-snapshot boundary — the boundary access replays scalar,
-        so window cuts inherit the scalar tick ordering byte-for-byte —
-        and is notified after each retired run.
-
-        ``warps`` (instrumented runs only) carries the cumulative warp
-        count per access; ``stats.warp_instructions`` is restored from it
-        around every scalar-replayed access and every retired batch, so
-        any window cut observes exactly the value the scalar
+        ``chain`` (None when nothing is attached) caps each batch to end
+        just before the next access an observer must see on the scalar
+        path — a windowed-snapshot boundary or a periodic audit — and is
+        notified after each retired run.  Under a chain,
+        ``stats.warp_instructions`` is restored from ``warps`` (the
+        chunk's cumulative warp count per access) around every
+        scalar-replayed access and every retired batch, so a window cut
+        or an audit observes exactly the value the scalar
         ``access_warp`` loop would have accumulated by that access.
         """
+        stats = self.stats
+        warp_base = stats.warp_instructions
+        if chain is None:
+            # Nothing observes the mid-run warp count: add it up front.
+            warps = None
+            stats.warp_instructions += n_warps
         n = pages.shape[0]
         if n == 0:
-            if warps is not None:
-                self.stats.warp_instructions += n_warps
+            stats.warp_instructions = warp_base + n_warps
             return
         store = self._vstore
         # Headroom covers sequential prefetch candidates past the chunk
@@ -668,8 +611,6 @@ class VectorEngineMixin:
         store.ensure(int(pages.max()) + 1 + self.config.prefetch_degree)
         check_prefetched = bool(self.config.prefetch_degree)
         access = self.access
-        stats = self.stats
-        warp_base = stats.warp_instructions
         window = self._window
         miss_streak = 0
         i = 0
@@ -691,11 +632,10 @@ class VectorEngineMixin:
             if chain is not None:
                 room = chain.limit(stats.coalesced_accesses)
                 if room <= 0:
-                    # The next access lands on a window boundary; replay
-                    # it through the scalar path so the cut captures the
-                    # exact half-applied state a scalar tick would.
-                    if warps is not None:
-                        stats.warp_instructions = warp_base + int(warps[i])
+                    # The next access is one an observer must see on the
+                    # scalar path (a window cut captures it half-applied;
+                    # an audit runs just before it), so replay it there.
+                    stats.warp_instructions = warp_base + int(warps[i])
                     access(int(pages[i]), write=bool(writes[i]))
                     i += 1
                     continue
@@ -712,9 +652,8 @@ class VectorEngineMixin:
             if run_len:
                 self._batch_hits(chunk[:run_len], writes[i : i + run_len])
                 i += run_len
-                if warps is not None:
-                    stats.warp_instructions = warp_base + int(warps[i - 1])
                 if chain is not None:
+                    stats.warp_instructions = warp_base + int(warps[i - 1])
                     chain.on_hits(run_len, stats.coalesced_accesses)
                 miss_streak = 0
                 if run_len == w:
@@ -730,9 +669,8 @@ class VectorEngineMixin:
             access(int(pages[i]), write=bool(writes[i]))
             i += 1
         self._window = window
-        if warps is not None:
-            # Trailing warps with no coalesced accesses still count.
-            stats.warp_instructions = warp_base + n_warps
+        # Trailing warps with no coalesced accesses still count.
+        stats.warp_instructions = warp_base + n_warps
 
     def _batch_hits(self, chunk: np.ndarray, writes: np.ndarray) -> None:
         """Retire ``k`` consecutive Tier-1 hits as array operations.

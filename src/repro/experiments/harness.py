@@ -107,17 +107,6 @@ class RunOptions:
             latency_spike_factor=self.anomaly_spike,
         )
 
-    def instruments(self) -> dict[str, bool]:
-        """What every replay attaches, as the ``recorder`` / ``checks`` /
-        ``telemetry`` hints of
-        :func:`~repro.core.factory.resolve_engine_reason`."""
-        return {
-            "recorder": self.telemetry_lifecycle,
-            "checks": self.check_every is not None,
-            "telemetry": self.telemetry_dir is not None
-            or self.anomaly_spool is not None,
-        }
-
 
 _options = RunOptions()
 
@@ -279,12 +268,9 @@ def build_runtime(
     """Instantiate one of the comparison runtimes over ``config``.
 
     The replay engine resolves ``engine`` (explicit argument) over the
-    installed :class:`RunOptions` over ``config.engine``.  Windowed
-    telemetry export and the anomaly scan are batch-capable, so
-    ``"auto"`` stays on the vector engine for them; only the
-    page-lifecycle flight recorder (``telemetry_lifecycle``) and periodic
-    conformance checking (``check_every``) — genuinely per-access
-    consumers — demote it to scalar.
+    installed :class:`RunOptions` over ``config.engine``.  What the
+    options attach (audits, telemetry export, the lifecycle recorder,
+    the anomaly scan) never changes the engine.
     """
     if engine is None:
         engine = _options.engine
@@ -303,9 +289,7 @@ def build_runtime(
         raise ConfigError(
             f"unknown runtime kind {kind!r}; expected one of {RUNTIME_KINDS}"
         )
-    return make_runtime(
-        config, runtime_cls=runtime_cls, engine=engine, **_options.instruments()
-    )
+    return make_runtime(config, runtime_cls=runtime_cls, engine=engine)
 
 
 def get_workload(

@@ -203,7 +203,7 @@ def main(argv: list[str] | None = None) -> int:
         # The resolution every GMT replay cell sees under these options
         # (baseline runtimes follow the same rule).
         resolved, reason = resolve_engine_reason(
-            options.engine, default_config(args.scale), **options.instruments()
+            options.engine, default_config(args.scale)
         )
         record_run(
             "gmt-experiments",

@@ -67,10 +67,10 @@ _FLAGS: dict[str, dict] = {
         choices=list(ENGINE_NAMES),
         help="replay engine: 'scalar' (reference loop), 'vector' "
         "(byte-identical struct-of-arrays batch engine) or 'auto' (vector "
-        "unless something genuinely per-access is attached, such as the "
-        "full lifecycle recorder or --check-every; batch-capable telemetry "
-        "stays on the vector engine).  Default: %(default)s, where None "
-        "defers to the config's engine ('auto')",
+        "unless the Tier-1 policy has no vector twin; telemetry, lifecycle "
+        "recording and --check-every all stay on the vector engine).  "
+        "Default: %(default)s, where None defers to the config's engine "
+        "('auto')",
     ),
     "--check-every": dict(
         type=positive_int,

@@ -7,17 +7,15 @@ This subpackage models the mechanical pieces the paper builds on:
 - :mod:`repro.mem.tier` — a fixed-capacity pool of page frames;
 - :mod:`repro.mem.clock_replacement` — the clock (second chance) algorithm
   used for Tier-1 (and Tier-2 under GMT-TierOrder), per paper section 2;
-- :mod:`repro.mem.tier2_order` — the two Tier-2 eviction orders the
-  runtime drives and the serving layer's quota-aware victim selection
-  wraps: :class:`Tier2Fifo` (the simple FIFO of paper section 2.2) and
-  :class:`Tier2Clock`.
+- :mod:`repro.mem.tier2_order` — :class:`Tier2Fifo`, the simple Tier-2
+  FIFO of paper section 2.2.
 """
 
 from repro.mem.clock_replacement import ClockReplacement
 from repro.mem.page import PageLocation, PageState
 from repro.mem.page_table import PageTable
 from repro.mem.tier import Tier
-from repro.mem.tier2_order import Tier2Clock, Tier2Fifo
+from repro.mem.tier2_order import Tier2Fifo
 
 __all__ = [
     "ClockReplacement",
@@ -25,6 +23,5 @@ __all__ = [
     "PageState",
     "PageTable",
     "Tier",
-    "Tier2Clock",
     "Tier2Fifo",
 ]

@@ -4,7 +4,8 @@ The paper (section 2, "What to evict from GPU memory?") uses "the
 traditional clock-based replacement algorithm [37] (used in [40] as well),
 that offers an effective trade-off between approximating LRU and
 implementation efficiency".  GMT-TierOrder additionally runs a second clock
-instance over Tier-2 (section 2.1.1).
+instance over Tier-2 (section 2.1.1), whose demoted pages the runtime
+inserts cold (``referenced=False``).
 
 The implementation keeps a circular array of frames with one reference bit
 per frame.  ``advance()`` sweeps the hand: a set bit is cleared (second
@@ -65,15 +66,6 @@ class ClockReplacement:
             raise PageStateError(f"page {page} not tracked by clock") from None
         self._refbits[frame] = True
 
-    def give_second_chance(self, page: int) -> None:
-        """Re-arm ``page``'s reference bit without it being accessed.
-
-        Used by GMT-Reuse when a clock victim is predicted *short-reuse* and
-        retained in Tier-1 ("we will retain it in GPU memory and run another
-        round of clock", section 2.1.3).
-        """
-        self.touch(page)
-
     def remove(self, page: int) -> None:
         """Drop ``page`` from the clock (promotion or external eviction)."""
         try:
@@ -130,27 +122,6 @@ class ClockReplacement:
             self.remove(page)
             return page
         raise PageStateError("filtered clock sweep failed to converge")  # pragma: no cover
-
-    def peek_victim(self) -> int:
-        """Like :meth:`select_victim` but leaves the victim installed.
-
-        The hand still sweeps (clearing reference bits), matching a real
-        clock whose scan is destructive of recency state, but the chosen
-        page remains resident so the caller can decide its fate.
-        """
-        if not self._frame_of:
-            raise PageStateError("clock is empty; nothing to evict")
-        while True:
-            page = self._pages[self._hand]
-            if page is None:
-                self._hand = (self._hand + 1) % self.capacity
-                continue
-            if self._refbits[self._hand]:
-                self._refbits[self._hand] = False
-                self._hand = (self._hand + 1) % self.capacity
-                continue
-            self._hand = (self._hand + 1) % self.capacity
-            return page
 
     def pages(self) -> list[int]:
         """Snapshot of tracked pages in frame order (test helper)."""

@@ -1,14 +1,12 @@
-"""Tier-2 eviction orders: FIFO (section 2.2) and clock (GMT-TierOrder).
+"""Tier-2 FIFO eviction order (section 2.2).
 
-Both classes present the same small protocol the runtime's eviction
+:class:`Tier2Fifo` presents the small protocol the runtime's eviction
 pipeline drives — ``insert`` / ``remove`` / ``touch`` / ``select_victim``
-— plus :meth:`select_victim_where`, a *filtered* victim selection used by
-the multi-tenant serving layer (:mod:`repro.serve`) to restrict eviction
-to one tenant's pages (quota enforcement, TierBPF-style admission).
-
-These were private to :mod:`repro.core.runtime` originally; they are
-public here so quota-aware wrappers can build on them without reaching
-into runtime internals.
+— plus :meth:`~Tier2Fifo.select_victim_where`, a *filtered* victim
+selection used by the multi-tenant serving layer (:mod:`repro.serve`) to
+restrict eviction to one tenant's pages (quota enforcement,
+TierBPF-style admission).  The Tier-2 clock of GMT-TierOrder is the
+plain :class:`~repro.mem.clock_replacement.ClockReplacement`.
 """
 
 from __future__ import annotations
@@ -16,7 +14,6 @@ from __future__ import annotations
 from typing import Callable
 
 from repro.errors import PageStateError
-from repro.mem.clock_replacement import ClockReplacement
 
 
 class Tier2Fifo:
@@ -79,36 +76,3 @@ class Tier2Fifo:
         """Snapshot in FIFO order (oldest first)."""
         return list(self._order)
 
-
-class Tier2Clock:
-    """Tier-2 eviction order: clock (GMT-TierOrder, section 2.1.1)."""
-
-    def __init__(self, capacity: int) -> None:
-        self._clock = ClockReplacement(capacity)
-
-    def __len__(self) -> int:
-        return len(self._clock)
-
-    def __contains__(self, page: int) -> bool:
-        return page in self._clock
-
-    def insert(self, page: int, referenced: bool = False) -> None:
-        """Track a page; demoted pages arrive cold (``referenced=False``)."""
-        self._clock.insert(page, referenced=referenced)
-
-    def remove(self, page: int) -> None:
-        self._clock.remove(page)
-
-    def select_victim(self) -> int:
-        return self._clock.select_victim()
-
-    def select_victim_where(self, predicate: Callable[[int], bool]) -> int | None:
-        """Clock victim restricted to pages satisfying ``predicate``."""
-        return self._clock.select_victim_where(predicate)
-
-    def touch(self, page: int) -> None:
-        self._clock.touch(page)
-
-    def pages(self) -> list[int]:
-        """Snapshot of tracked pages in frame order."""
-        return self._clock.pages()

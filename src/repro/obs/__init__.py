@@ -13,8 +13,8 @@ Three pillars (see docs/observability.md for the catalog and formats):
 - :mod:`repro.obs.anomaly` — thrash / bypass-storm / latency-spike
   detection over windowed snapshots;
 - :mod:`repro.obs.batch` — the batch-aware instrumentation pipeline:
-  the ``batch_capable`` capability negotiation, the per-batch observer
-  chain the vector engine drives, and the sampled lifecycle recorder;
+  the per-batch observer chain the vector engine drives, and the
+  sampled lifecycle recorder;
 - :mod:`repro.obs.digest` — bounded-memory streaming quantile digests
   (:class:`LatencyDigest`) behind the latency-percentile gauges;
 - :mod:`repro.obs.ledger` — the append-only JSONL run ledger and the
@@ -32,7 +32,6 @@ from repro.obs.batch import (
     BatchObserverChain,
     SampledLifecycleRecorder,
     WindowBatchObserver,
-    is_batch_capable,
 )
 from repro.obs.digest import LatencyDigest
 from repro.obs.export import (
@@ -98,7 +97,6 @@ __all__ = [
     "chrome_trace_events",
     "counter_track_events",
     "detect_drift",
-    "is_batch_capable",
     "lifecycle_trace_events",
     "linear_buckets",
     "load_lifecycle_jsonl",

@@ -3,41 +3,43 @@ engine.
 
 The SoA replay engine (:mod:`repro.core.vector`) retires runs of Tier-1
 hits as a handful of array operations.  Per-access observer callbacks
-would undo exactly the win being bought, so historically *any* attached
-instrument demoted the whole run to the scalar loop — turning on SLO
-digests cost 50x (HM-Keeper's argument in PAPERS.md: profiling a tiered
-memory system must be cheap enough to stay on).  This module replaces
-that cliff with a capability negotiation:
+would undo exactly the win being bought (HM-Keeper's argument in
+PAPERS.md: profiling a tiered memory system must be cheap enough to stay
+on).  Instead, the engine composes one :class:`BatchObserverChain` from
+what is attached to the runtime, out of two per-batch observers:
 
-- every instrument declares :data:`batch_capable` (duck-typed attribute,
-  default False via :func:`is_batch_capable`);
-- a :class:`Telemetry <repro.obs.telemetry.Telemetry>` whose attached
-  instruments are all batch-capable composes a
-  :class:`BatchObserverChain` for the engine, built from per-batch
-  observers such as :class:`WindowBatchObserver`;
-- the engine consults ``chain.limit(position)`` before probing a hit run
-  and calls ``chain.on_hits(count, position)`` after retiring one.
+- :class:`WindowBatchObserver` (attached telemetry) splits batches at
+  windowed-snapshot boundaries;
+- :class:`AuditBatchObserver` (``enable_periodic_checks``) splits them
+  at periodic-audit positions.
 
-**Why this yields byte-identical telemetry.**  On the scalar path the
-window clock ticks *after* an access's ``coalesced_accesses``/compute
-contributions but *before* its hit-branch counters (``t1_hits``, clock
-touch), so a window cut at boundary position ``b`` must capture the
-``b``-th access half-applied.  A bulk-retired batch cannot reproduce
-that intermediate state — so :class:`WindowBatchObserver` never lets a
-batch reach a boundary: batches are capped to end at ``b - 1`` and the
-boundary access itself replays through the inherited scalar ``access``,
-inheriting the scalar tick ordering exactly.  Every other telemetry
-interaction is already scalar-side: spans, latency histograms, and the
-:class:`~repro.obs.digest.LatencyDigest` observe only on misses, and
-misses always take the scalar pipeline inside the vector engine.
-Counter tracks and anomaly findings are pure functions of the window
-stream, so their parity follows from window parity.  The ``gmt-check``
-telemetry-parity column asserts all four.
+The engine consults ``chain.limit(position)`` before probing a hit run
+and calls ``chain.on_hits(count, position)`` after retiring one.
 
-The genuinely per-access consumers — the full flight recorder ring
-(`gmt-why`'s default), the profiler, ``--check-every`` —
-keep forcing the scalar loop; :class:`SampledLifecycleRecorder` is the
-batch-capable middle ground for ``gmt-why`` on sampled page journeys.
+**Why this yields byte-identical telemetry and audits.**  On the scalar
+path the window clock ticks *after* an access's
+``coalesced_accesses``/compute contributions but *before* its hit-branch
+counters (``t1_hits``, clock touch), so a window cut at boundary
+position ``b`` must capture the ``b``-th access half-applied.  A
+bulk-retired batch cannot reproduce that intermediate state — so no
+batch ever reaches a boundary: batches are capped to end at ``b - 1``
+and the boundary access itself replays through the inherited scalar
+``access``, inheriting the scalar tick ordering exactly.  A periodic
+audit runs inside ``access`` just before the access at a non-zero
+multiple of its interval, so capping batches there makes the audit run
+at the same position over the same state.  Every other instrument is
+already scalar-side: spans, latency histograms, the
+:class:`~repro.obs.digest.LatencyDigest` and every lifecycle event
+(full or sampled ring) observe only misses, evictions, writebacks,
+prefetches and policy resolutions, and those always take the scalar
+pipeline inside the vector engine.  Counter tracks and anomaly findings
+are pure functions of the window stream, so their parity follows from
+window parity.  The ``gmt-check`` telemetry-parity column asserts all
+five surfaces.
+
+The only instrument that forces the scalar loop is the phase profiler,
+which wraps the per-access hot path itself (see
+:meth:`~repro.core.vector.VectorEngineMixin._fallback_reason`).
 """
 
 from __future__ import annotations
@@ -47,17 +49,11 @@ from repro.obs.lifecycle import LifecycleKind, LifecycleRecorder
 from repro.obs.snapshots import WindowedSnapshotter
 
 __all__ = [
+    "AuditBatchObserver",
     "BatchObserverChain",
     "SampledLifecycleRecorder",
     "WindowBatchObserver",
-    "is_batch_capable",
 ]
-
-
-def is_batch_capable(instrument) -> bool:
-    """Whether ``instrument`` declares it can observe bulk-retired
-    batches (``batch_capable`` attribute; absent means per-access)."""
-    return bool(getattr(instrument, "batch_capable", False))
 
 
 class WindowBatchObserver:
@@ -70,8 +66,6 @@ class WindowBatchObserver:
     this regime never cuts (the cap guarantees no boundary is crossed)
     but keeps the bulk path honest if intervals shrink mid-run.
     """
-
-    batch_capable = True
 
     def __init__(self, snapshotter: WindowedSnapshotter) -> None:
         self._snap = snapshotter
@@ -86,6 +80,30 @@ class WindowBatchObserver:
     def on_hits(self, count: int, position: int) -> None:
         """One retired hit run ended at ``position``."""
         self._snap.add_batch(position)
+
+
+class AuditBatchObserver:
+    """Splits retired batches at periodic-audit positions.
+
+    ``GMTRuntime.access`` audits just before the access at position
+    ``p`` (the coalesced-access count before it) when ``p`` is a
+    non-zero multiple of ``every``; ``limit`` stops each batch short of
+    that access so it replays scalar and the audit runs there.
+    """
+
+    def __init__(self, every: int) -> None:
+        self.every = every
+
+    def limit(self, position: int) -> int:
+        """Max accesses retirable in bulk from ``position`` before the
+        next audited access (0: the very next access is audited)."""
+        offset = position % self.every
+        if position and not offset:
+            return 0
+        return self.every - offset
+
+    def on_hits(self, count: int, position: int) -> None:
+        """Audits run on the scalar path only; nothing to advance."""
 
 
 class BatchObserverChain:
@@ -108,24 +126,20 @@ class BatchObserverChain:
 
 
 class SampledLifecycleRecorder(LifecycleRecorder):
-    """A page-sampled lifecycle stream that the vector engine tolerates.
+    """A page-sampled lifecycle stream.
 
-    The full :class:`LifecycleRecorder` wants every page's every
-    transition — a per-access contract, so it forces the scalar loop.
-    This variant records only a deterministic pseudo-random subset of
-    *pages* (not of events: a sampled page's journey is complete, which
-    is what ``gmt-why``'s causal queries need).  Lifecycle emission
-    sites all live on the scalar-side paths inside the vector engine
-    (misses, evictions, writebacks, prefetches, policy resolutions), so
-    the sampled stream is identical under either engine — and the
-    recorder can declare :data:`batch_capable`.
+    The full :class:`LifecycleRecorder` keeps every page's transitions
+    and drops the oldest once its ring is full.  This variant records
+    only a deterministic pseudo-random subset of *pages* (not of events:
+    a sampled page's journey is complete, which is what ``gmt-why``'s
+    causal queries need), so a long replay's bounded stream still holds
+    whole journeys.  Like the full ring, the sampled stream is identical
+    under either replay engine.
 
     Sampling is a splitmix64-style hash of ``(page, seed)`` against
     ``sample_rate``: engine-independent, replay-stable, and unbiased
     across page-id patterns (unlike ``page % k``).
     """
-
-    batch_capable = True
 
     def __init__(
         self,

@@ -165,13 +165,6 @@ class LifecycleRecorder:
             name (wired by :class:`~repro.serve.runtime.TenantAwareRuntime`).
     """
 
-    #: The full ring wants *every* event in order — it cannot ride the
-    #: vector engine's bulk hit path, so attaching one makes the runtime
-    #: replay scalar (see :func:`repro.obs.batch.is_batch_capable`; the
-    #: reservoir-sampled :class:`repro.obs.batch.SampledLifecycleRecorder`
-    #: is the batch-capable alternative).
-    batch_capable = False
-
     def __init__(self, capacity: int | None = 100_000) -> None:
         if capacity is not None and capacity < 1:
             raise ConfigError(f"capacity must be positive or None: {capacity}")

@@ -54,11 +54,9 @@ class Telemetry:
             capacity.  Off costs nothing — the runtime keeps its
             ``self._flight is None`` fast path.
         lifecycle_sample_rate: record only a deterministic hash-sampled
-            subset of pages' journeys
-            (:class:`~repro.obs.batch.SampledLifecycleRecorder`).  The
-            sampled recorder is batch-capable, so — unlike the full ring
-            — it does not force the vector engine back to the scalar
-            loop.  Implies ``lifecycle`` when set.
+            subset of pages' complete journeys
+            (:class:`~repro.obs.batch.SampledLifecycleRecorder`).
+            Implies ``lifecycle`` when set.
     """
 
     def __init__(
@@ -145,9 +143,9 @@ class Telemetry:
         Call before ``attach`` (or pass ``lifecycle=`` /
         ``lifecycle_sample_rate=`` to the constructor); the recorder is
         wired into the runtime's emission sites at attach time.  With
-        ``sample_rate`` set, the recorder is a batch-capable
-        :class:`~repro.obs.batch.SampledLifecycleRecorder` — the vector
-        engine keeps its bulk hit path.  Returns the recorder.
+        ``sample_rate`` set, the recorder is a
+        :class:`~repro.obs.batch.SampledLifecycleRecorder`.  Returns the
+        recorder.
         """
         if self.lifecycle is None:
             if sample_rate is not None:
@@ -168,30 +166,15 @@ class Telemetry:
     # ------------------------------------------------------------------
     # batch-aware pipeline (see repro.obs.batch)
     # ------------------------------------------------------------------
-    @property
-    def batch_capable(self) -> bool:
-        """Whether the vector engine may retire hit runs in bulk under
-        this telemetry.
-
-        True unless a per-access consumer is attached: the windows,
-        digests, histograms, spans and counter tracks all observe only
-        on scalar-side events (misses and window boundaries), so the
-        only instrument that can object is a full lifecycle ring
-        (`gmt-why`'s unsampled default).
-        """
-        from repro.obs.batch import is_batch_capable
-
-        return self.lifecycle is None or is_batch_capable(self.lifecycle)
-
     def batch_observer(self):
-        """The per-batch observer chain the vector engine drives
-        (None when an attached instrument is not batch-capable — the
-        engine then falls back to the scalar loop)."""
-        if not self.batch_capable:
-            return None
-        from repro.obs.batch import BatchObserverChain, WindowBatchObserver
+        """The per-batch observer the vector engine adds to its chain.
 
-        return BatchObserverChain([WindowBatchObserver(self.snapshotter)])
+        Digests, histograms, spans and lifecycle events observe only
+        scalar-side events (misses, evictions, writebacks, prefetches),
+        so window cuts are the one thing a hit batch must not cross."""
+        from repro.obs.batch import WindowBatchObserver
+
+        return WindowBatchObserver(self.snapshotter)
 
     # ------------------------------------------------------------------
     # virtual clock

@@ -2,9 +2,9 @@
 
 Both replacement structures the runtime drives — ``t1_clock`` over the
 GPU tier and ``_t2_order`` over the host tier — satisfy this contract.
-``ClockReplacement``, ``Tier2Fifo`` and ``Tier2Clock`` in ``repro.mem``
-predate the zoo and satisfy it structurally (duck typing); the zoo
-members subclass :class:`EvictionPolicy` directly.
+``ClockReplacement`` and ``Tier2Fifo`` in ``repro.mem`` predate the
+zoo and satisfy it structurally (duck typing); the zoo members subclass
+:class:`EvictionPolicy` directly.
 
 Contract (see ``docs/policies.md`` for the full statement):
 

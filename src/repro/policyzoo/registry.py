@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from repro.errors import ConfigError
 from repro.mem.clock_replacement import ClockReplacement
-from repro.mem.tier2_order import Tier2Clock, Tier2Fifo
+from repro.mem.tier2_order import Tier2Fifo
 from repro.policyzoo.freq import LfuReplacement, MruReplacement
 from repro.policyzoo.lhd import LhdReplacement
 from repro.policyzoo.mglru import GenClockReplacement
@@ -43,19 +43,17 @@ def validate_policy_name(name: str) -> str:
     return name
 
 
-def make_eviction_policy(name: str, capacity: int, tier: int = 1):
+def make_eviction_policy(name: str, capacity: int):
     """Build a fresh policy instance for a tier of ``capacity`` frames.
 
-    ``tier`` only matters for ``clock``: Tier-1 uses the raw
-    ``ClockReplacement`` (referenced inserts), Tier-2 the ``Tier2Clock``
-    adapter (demoted pages arrive cold), preserving the pre-zoo
-    behaviour of both tiers bit-for-bit.  ``fifo`` is unbounded, as the
-    historical Tier-2 order structure was; every other member enforces
-    ``capacity``.
+    The same structure serves either tier: the runtime states each
+    insert's reference bit (Tier-1 fills referenced, Tier-2 demotions
+    cold).  ``fifo`` is unbounded, as the historical Tier-2 order
+    structure was; every other member enforces ``capacity``.
     """
     validate_policy_name(name)
     if name == "clock":
-        return ClockReplacement(capacity) if tier == 1 else Tier2Clock(capacity)
+        return ClockReplacement(capacity)
     if name == "fifo":
         return Tier2Fifo()
     if name == "s3fifo":

@@ -181,7 +181,7 @@ class TenantAwareRuntime(GMTRuntime):
             names = [name or config.tier1_eviction for name in tier1_policies]
             self.t1_clock = PartitionedPolicy(
                 [
-                    make_eviction_policy(name, config.tier1_frames, tier=1)
+                    make_eviction_policy(name, config.tier1_frames)
                     for name in names
                 ],
                 owner_of_page,
@@ -197,7 +197,7 @@ class TenantAwareRuntime(GMTRuntime):
             names = [name or default for name in tier2_policies]
             self._t2_order = PartitionedPolicy(
                 [
-                    make_eviction_policy(name, config.tier2_frames, tier=2)
+                    make_eviction_policy(name, config.tier2_frames)
                     for name in names
                 ],
                 owner_of_page,

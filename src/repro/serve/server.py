@@ -63,9 +63,7 @@ class TenantResult:
     latency_p50_ns: float | None = None
     latency_p99_ns: float | None = None
     #: Same percentiles from the tenant's *solo* baseline replay (None =
-    #: solos skipped, telemetry off, or the solo never missed).  Solo
-    #: replays ride the vector engine where eligible — the digest is
-    #: miss-side and therefore batch-capable.
+    #: solos skipped, telemetry off, or the solo never missed).
     solo_latency_p50_ns: float | None = None
     solo_latency_p99_ns: float | None = None
     #: SLO targets from the tenant's spec (None = no target set).
@@ -464,9 +462,7 @@ class TenantServer:
                 if runtime._obs is not None:
                     # The served run is instrumented: instrument the solo
                     # baselines too, so per-tenant latency digests exist
-                    # for both sides of the slowdown comparison.  The
-                    # digest observes misses only, so the solo still
-                    # rides the vector engine where eligible.
+                    # for both sides of the slowdown comparison.
                     from repro.obs import Telemetry
 
                     solo_telemetry = Telemetry(
@@ -533,30 +529,23 @@ class TenantServer:
         ).elapsed_ns
 
     def solo_run(self, stream: TenantStream, telemetry=None) -> RunResult:
-        """Replay one tenant's stream alone on a fresh, unshared runtime.
+        """Replay one tenant's workload alone on a fresh, unshared runtime.
 
-        Engine selection honours :attr:`engine` (then ``config.engine``)
-        via :func:`repro.core.factory.make_runtime` — except for tenants
-        beyond index 0, whose namespaced page ids (``index << 32``) exceed
-        the vector store's dense page-id capacity and therefore always
-        replay scalar.  ``telemetry`` (a :class:`~repro.obs.Telemetry`)
-        is attached before the replay; batch-capable telemetry — per-
-        tenant latency digests included — keeps the solo on the vector
-        engine.  The live resolution lands in :attr:`solo_resolutions`.
+        On an empty machine the tenant namespace's constant page-id shift
+        changes nothing, so the solo replays ``stream.workload``'s own
+        page ids, and engine selection honours :attr:`engine` (then
+        ``config.engine``) via :func:`repro.core.factory.make_runtime`
+        for every tenant.  ``telemetry`` (a :class:`~repro.obs.Telemetry`)
+        is attached before the replay.  The live resolution lands in
+        :attr:`solo_resolutions`.
         """
         from repro.core.factory import make_runtime
 
-        engine = self.engine
-        if stream.index > 0:
-            engine = "scalar"
         runtime = make_runtime(
-            self.config,
-            engine=engine,
-            policy_factory=self._policy_factory,
-            telemetry=telemetry is not None,
+            self.config, engine=self.engine, policy_factory=self._policy_factory
         )
         if telemetry is not None:
             runtime.attach_telemetry(telemetry)
-        result = runtime.run(iter(stream))
+        result = runtime.run(stream.workload)
         self.solo_resolutions[stream.index] = runtime.engine_resolution()
         return result

@@ -43,6 +43,36 @@ class TestRunConformance:
         )
         assert report.ok
 
+    def test_audited_vector_replays_run_on_vector(self, monkeypatch):
+        # gmt-check --engine vector --check-every N: the in-run audits
+        # fire on the vector engine instead of demoting it.
+        from repro.check import differential
+
+        built, audits = [], []
+        build = differential.build_runtime
+
+        def capture(*args, **kwargs):
+            runtime = build(*args, **kwargs)
+            check = runtime._periodic_check
+
+            def counted_check():
+                audits.append(runtime.stats.coalesced_accesses)
+                check()
+
+            runtime._periodic_check = counted_check
+            built.append(runtime)
+            return runtime
+
+        monkeypatch.setattr(differential, "build_runtime", capture)
+        report = run_conformance(
+            "hotspot", scale=SCALE, check_every=500, engine="vector",
+            engines=False, telemetry=False, metamorphic=False, serve=False,
+        )
+        assert report.ok
+        assert len(built) == len(DEFAULT_RUNTIMES)
+        assert all(rt.engine_resolution()[0] == "vector" for rt in built)
+        assert audits and all(position % 500 == 0 for position in audits)
+
     def test_flags_prune_checks(self):
         report = run_conformance(
             "hotspot", scale=SCALE, metamorphic=False, serve=False

@@ -204,6 +204,13 @@ class TestGmtWhy:
         assert rc == 0
         return out, load_lifecycle_jsonl(str(out))
 
+    def test_full_recorder_replays_on_vector(self, capsys):
+        rc = main_why(["hotspot", *self.SCALE, "top"])
+        assert rc == 0
+        assert capsys.readouterr().out.splitlines()[0] == (
+            "engine=vector (reason=no per-access consumers attached)"
+        )
+
     def test_page_journey_reconstructed_with_causes(self, capsys):
         # Deterministic replay: find a real faulted page first, then ask
         # the CLI to explain it.

@@ -5,8 +5,8 @@ pure speed choice — every counter, the elapsed time, the confusion
 matrix, and the final page-table state must match the scalar runtime
 bit for bit, on any trace, under any policy.  The property tests drive
 randomized warp streams through both engines; the unit tests pin the
-factory surface, the clock port, the float-accumulation identity, the
-instrument fallback, and the dense-page-id capacity guard.
+factory surface, the clock port, the float-accumulation identity,
+in-run audits on the batch path, and the dense-page-id capacity guard.
 """
 
 import numpy as np
@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core import ENGINE_NAMES, GMTConfig, make_runtime, resolve_engine
+from repro.core import ENGINE_NAMES, GMTConfig, make_runtime, resolve_engine_reason
 from repro.core.runtime import GMTRuntime
 from repro.core.vector import (
     VectorClock,
@@ -28,6 +28,7 @@ from repro.core.vector import (
 from repro.errors import ConfigError, SimulationError
 from repro.experiments.harness import build_runtime, default_config
 from repro.mem.clock_replacement import ClockReplacement
+from repro.obs import Telemetry
 from repro.sim.cost import sequential_float_sum
 from repro.sim.gpu import WarpAccess
 
@@ -87,6 +88,35 @@ def assert_engines_agree(config, trace):
     )
 
 
+def audited_run(config, trace, engine, every):
+    """Replay with periodic audits; returns (runtime, result, audits,
+    batches): the counters each audit saw and the hit runs retired in
+    bulk."""
+    runtime = make_runtime(config, engine=engine)
+    runtime.enable_periodic_checks(every=every)
+    audits, batches = [], []
+    check = runtime._periodic_check
+
+    def recording_check():
+        stats = runtime.stats
+        audits.append(
+            (stats.coalesced_accesses, stats.warp_instructions, stats.t1_hits)
+        )
+        check()
+
+    runtime._periodic_check = recording_check
+    if engine == "vector":
+        batch_hits = runtime._batch_hits
+
+        def recording_batch(chunk, writes):
+            batches.append(len(chunk))
+            batch_hits(chunk, writes)
+
+        runtime._batch_hits = recording_batch
+    result = runtime.run(trace)
+    return runtime, result, audits, batches
+
+
 # ----------------------------------------------------------------------
 # property: random traces, both engines, identical everything
 # ----------------------------------------------------------------------
@@ -109,6 +139,27 @@ class TestEngineParityProperties:
     def test_prefetch_traces_are_byte_identical(self, warps, degree):
         config = small_config(prefetch_degree=degree)
         assert_engines_agree(config, make_trace(warps))
+
+    @settings(max_examples=15, deadline=None)
+    @given(
+        warps=trace_st,
+        policy=st.sampled_from(["reuse", "tier-order", "random"]),
+        every=st.sampled_from([1, 3, 7]),
+        degree=st.sampled_from([0, 2]),
+    )
+    def test_audited_traces_are_byte_identical(self, warps, policy, every, degree):
+        # In-run audits stay on the vector engine: same counters, and
+        # every audit fires at the same position over the same state.
+        # A 12-page hot set against 8 Tier-1 frames mixes hit runs with
+        # misses.
+        config = small_config(policy=policy, prefetch_degree=degree)
+        trace = make_trace(
+            [([p % 12 for p in pages], write) for pages, write in warps]
+        )
+        _, r_s, audits_s, _ = audited_run(config, trace, "scalar", every)
+        _, r_v, audits_v, _ = audited_run(config, trace, "vector", every)
+        assert_results_identical(r_s, r_v)
+        assert audits_s == audits_v
 
     @settings(max_examples=10, deadline=None)
     @given(warps=trace_st)
@@ -135,7 +186,7 @@ class TestEngineParityProperties:
 # property: the VectorClock is a literal ClockReplacement port
 # ----------------------------------------------------------------------
 clock_ops_st = st.lists(
-    st.tuples(st.integers(0, 3), st.integers(0, 15)), max_size=200
+    st.tuples(st.integers(0, 2), st.integers(0, 15)), max_size=200
 )
 
 
@@ -155,12 +206,7 @@ class TestVectorClockParity:
                 if page in ref:
                     ref.touch(page)
                     vec.touch(page)
-            elif code == 2:
-                if page in ref:
-                    ref.give_second_chance(page)
-                    vec.give_second_chance(page)
             elif len(ref):
-                assert ref.peek_victim() == vec.peek_victim()
                 assert ref.select_victim() == vec.select_victim()
             assert len(ref) == len(vec)
             assert ref.full == vec.full
@@ -207,24 +253,27 @@ class TestEngineSelection:
 
     def test_bad_engine_rejected(self):
         with pytest.raises(ConfigError):
-            resolve_engine("simd", small_config())
+            resolve_engine_reason("simd", small_config())
         with pytest.raises(ConfigError):
             small_config(engine="simd")
 
     def test_explicit_engine_wins(self):
         config = small_config(engine="scalar")
-        assert resolve_engine("vector", config) == "vector"
-        assert resolve_engine(None, config) == "scalar"
+        assert resolve_engine_reason("vector", config)[0] == "vector"
+        assert resolve_engine_reason(None, config)[0] == "scalar"
 
     def test_auto_picks_vector_when_uninstrumented(self):
-        assert resolve_engine("auto", small_config()) == "vector"
+        assert resolve_engine_reason("auto", small_config())[0] == "vector"
 
-    def test_auto_demotes_on_instruments_and_zoo_policies(self):
-        config = small_config()
-        assert resolve_engine("auto", config, recorder=True) == "scalar"
-        assert resolve_engine("auto", config, checks=True) == "scalar"
+    def test_auto_demotes_only_on_zoo_policies(self):
         zoo = small_config(tier1_eviction="mglru")
-        assert resolve_engine("auto", zoo) == "scalar"
+        assert resolve_engine_reason("auto", zoo)[0] == "scalar"
+        # Audits, telemetry and the full flight recorder keep the vector
+        # engine.
+        runtime = make_runtime(small_config(), engine="auto")
+        runtime.enable_periodic_checks(every=50)
+        runtime.attach_telemetry(Telemetry(window=7, lifecycle=True))
+        assert runtime.engine_resolution()[0] == "vector"
 
     def test_make_runtime_engine_classes(self):
         scalar = make_runtime(small_config(), engine="scalar")
@@ -251,19 +300,26 @@ class TestEngineSelection:
 
 
 # ----------------------------------------------------------------------
-# instrument fallback, trace cache, capacity guard
+# in-run audits, trace cache, capacity guard
 # ----------------------------------------------------------------------
 class TestFallbacksAndGuards:
-    def test_instrumented_vector_runtime_replays_scalar_and_matches(self):
-        trace = make_trace([((p % N_PAGES, (p * 7) % N_PAGES), p % 3 == 0)
-                            for p in range(300)])
-        config = small_config()
-        r_s = make_runtime(config, engine="scalar").run(trace)
-        vector = make_runtime(config, engine="vector")
-        vector.enable_periodic_checks(every=100)
-        assert not vector._vector_ready()
-        r_v = vector.run(trace)
+    def test_audited_vector_runtime_stays_vector_and_matches(self):
+        # A hot loop over 6 pages (Tier-1 holds 8) with a cold page every
+        # 40 accesses: long hit runs that the audit cuts must split.
+        trace = make_trace(
+            [((8 + p // 40,) if p % 40 == 39 else (p % 6, (p + 1) % 6),
+              p % 3 == 0) for p in range(400)]
+        )
+        config = small_config(policy="tier-order")
+        _, r_s, audits_s, _ = audited_run(config, trace, "scalar", every=7)
+        vector, r_v, audits_v, batches = audited_run(config, trace, "vector", every=7)
+        assert vector.engine_resolution()[0] == "vector"
+        assert batches and max(batches) <= 7
         assert_results_identical(r_s, r_v)
+        assert audits_v == audits_s
+        assert [a[0] for a in audits_s] == list(
+            range(7, r_s.stats.coalesced_accesses, 7)
+        )
 
     def test_trace_cache_materializes_once(self):
         from repro.workloads import make_workload

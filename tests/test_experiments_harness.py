@@ -115,14 +115,31 @@ class TestRunOptions:
         with pytest.raises(ConfigError):
             RunOptions(**kwargs)
 
-    def test_instruments(self):
-        assert RunOptions().instruments() == {
-            "recorder": False, "checks": False, "telemetry": False,
-        }
-        options = RunOptions(check_every=100, anomaly_spool="spool")
-        assert options.instruments() == {
-            "recorder": False, "checks": True, "telemetry": True,
-        }
+    def test_instruments(self, tiny_config, tmp_path, monkeypatch):
+        # What the options attach to a replay (audits, telemetry export
+        # with the lifecycle recorder, the anomaly scan) never changes
+        # the engine it runs on.
+        built = []
+        build = harness.build_runtime
+
+        def capture(*args, **kwargs):
+            built.append(build(*args, **kwargs))
+            return built[-1]
+
+        monkeypatch.setattr(harness, "build_runtime", capture)
+        options = RunOptions(
+            engine="auto", check_every=100, telemetry_dir=str(tmp_path),
+            telemetry_lifecycle=True, anomaly_spool=str(tmp_path),
+        )
+        previous = harness.install_options(options)
+        try:
+            harness.replay_cell("hotspot", "reuse", tiny_config)
+        finally:
+            harness.install_options(previous)
+        [runtime] = built
+        assert runtime._check_every == 100
+        assert runtime._obs is not None and runtime._flight is not None
+        assert runtime.engine_resolution()[0] == "vector"
 
     def test_engine_installs_options_only_for_its_cells(self):
         options = RunOptions(engine="scalar", check_every=500)

@@ -97,22 +97,6 @@ class TestClockSecondChance:
             c.insert(p, referenced=False)
         assert 1 not in survivors
 
-    def test_peek_victim_leaves_page_resident(self):
-        c = ClockReplacement(2)
-        c.insert(1, referenced=False)
-        c.insert(2, referenced=False)
-        v = c.peek_victim()
-        assert v == 1
-        assert v in c
-        assert len(c) == 2
-
-    def test_give_second_chance_defers_eviction(self):
-        c = ClockReplacement(2)
-        c.insert(1, referenced=False)
-        c.insert(2, referenced=False)
-        c.give_second_chance(1)
-        assert c.select_victim() == 2
-
     def test_pages_snapshot(self):
         c = ClockReplacement(3)
         c.insert(1)

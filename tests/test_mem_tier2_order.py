@@ -1,9 +1,11 @@
-"""Unit tests for the public Tier-2 eviction orders (repro.mem.tier2_order)."""
+"""Unit tests for the Tier-2 eviction orders: the FIFO
+(repro.mem.tier2_order) and the clock, which at Tier-2 is a plain
+ClockReplacement fed cold inserts."""
 
 import pytest
 
 from repro.errors import PageStateError
-from repro.mem import Tier2Clock, Tier2Fifo
+from repro.mem import ClockReplacement, Tier2Fifo
 
 
 class TestTier2Fifo:
@@ -62,39 +64,42 @@ class TestTier2Fifo:
 
 
 class TestTier2Clock:
+    """The runtime demotes pages into the Tier-2 clock cold
+    (``referenced=False``), as these tests insert them."""
+
     def test_insert_len_contains(self):
-        order = Tier2Clock(capacity=4)
-        order.insert(1)
-        order.insert(2)
+        order = ClockReplacement(capacity=4)
+        order.insert(1, referenced=False)
+        order.insert(2, referenced=False)
         assert len(order) == 2
         assert 1 in order and 3 not in order
 
     def test_inserted_without_reference_bit(self):
         # Tier-2 entries start unreferenced: the first sweep evicts the
         # first inserted page without a second-chance pass.
-        order = Tier2Clock(capacity=4)
-        order.insert(1)
-        order.insert(2)
+        order = ClockReplacement(capacity=4)
+        order.insert(1, referenced=False)
+        order.insert(2, referenced=False)
         assert order.select_victim() == 1
 
     def test_touch_grants_second_chance(self):
-        order = Tier2Clock(capacity=4)
-        order.insert(1)
-        order.insert(2)
+        order = ClockReplacement(capacity=4)
+        order.insert(1, referenced=False)
+        order.insert(2, referenced=False)
         order.touch(1)
         assert order.select_victim() == 2
 
     def test_remove(self):
-        order = Tier2Clock(capacity=2)
-        order.insert(1)
+        order = ClockReplacement(capacity=2)
+        order.insert(1, referenced=False)
         order.remove(1)
         assert 1 not in order
-        order.insert(1)  # frame reusable
+        order.insert(1, referenced=False)  # frame reusable
 
     def test_select_victim_where(self):
-        order = Tier2Clock(capacity=4)
+        order = ClockReplacement(capacity=4)
         for page in (10, 21, 30):
-            order.insert(page)
+            order.insert(page, referenced=False)
         assert order.select_victim_where(lambda p: p % 2 == 1) == 21
         assert 21 not in order
         assert order.select_victim_where(lambda p: p % 2 == 1) is None
@@ -112,4 +117,3 @@ class TestRuntimeUsesPublicOrders:
         from repro.core import runtime as core_runtime
 
         assert core_runtime.Tier2Fifo is Tier2Fifo
-        assert core_runtime.Tier2Clock is Tier2Clock

@@ -2,13 +2,12 @@
 
 The contract under test (docs/observability.md): windowed snapshots,
 latency-digest state, Perfetto counter tracks, anomaly findings and the
-*sampled* lifecycle stream are byte-identical between the scalar
+full and sampled lifecycle streams are byte-identical between the scalar
 reference loop and the vector engine — on any trace, under any policy,
 with batches deliberately straddling window boundaries (small prime
-intervals).  The unit tests pin the negotiation surface: batch
-capability, the window batch observer's boundary cap, bulk digest
+intervals).  The unit tests pin the batch observers' caps, bulk digest
 observation, sampled-lifecycle admission, engine resolution reasons and
-the ``window-desync`` self-test.
+the ``window-desync`` and lifecycle-corruption self-tests.
 """
 
 import pytest
@@ -21,16 +20,16 @@ from repro.errors import ConfigError
 from repro.obs import Telemetry
 from repro.obs.anomaly import AnomalyDetector
 from repro.obs.batch import (
+    AuditBatchObserver,
     BatchObserverChain,
     SampledLifecycleRecorder,
     WindowBatchObserver,
-    is_batch_capable,
 )
 from repro.obs.digest import LatencyDigest
 from repro.obs.export import counter_track_events
-from repro.obs.lifecycle import LifecycleRecorder
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.snapshots import WindowedSnapshotter
+from repro.prof import PhaseProfiler
 from repro.sim.gpu import WarpAccess
 
 N_PAGES = 48  # footprint; tier1=8 frames forces heavy eviction traffic
@@ -44,11 +43,15 @@ def make_trace(warps):
     return [WarpAccess(pages=tuple(pages), write=write) for pages, write in warps]
 
 
-def instrumented_run(config, trace, engine, window, sample_rate=None):
-    runtime = make_runtime(config, engine=engine, telemetry=True)
+def instrumented_run(config, trace, engine, window, sample_rate=None,
+                     full_lifecycle=False):
+    runtime = make_runtime(config, engine=engine)
     telemetry = Telemetry(window=window, lifecycle_sample_rate=sample_rate)
+    if full_lifecycle:
+        telemetry.enable_lifecycle(capacity=None)
     runtime.attach_telemetry(telemetry)
     result = runtime.run(trace)
+    assert runtime.engine_resolution()[0] == engine
     return result, telemetry
 
 
@@ -109,6 +112,30 @@ class TestEngineTelemetryParity:
         _, t_v = instrumented_run(config, trace, "vector", window, sample_rate=0.5)
         assert list(t_s.lifecycle.events()) == list(t_v.lifecycle.events())
 
+    @settings(max_examples=15, deadline=None)
+    @given(
+        warps=warp_lists,
+        policy=st.sampled_from(["tier-order", "random", "reuse"]),
+        window=st.sampled_from([5, 11]),
+        prefetch=st.sampled_from([0, 2]),
+    )
+    def test_full_lifecycle_stream_engine_independent(
+        self, warps, policy, window, prefetch
+    ):
+        # The unbounded, unsampled flight recorder rides the vector
+        # engine: every event is emitted on the scalar side of the batch
+        # path, so the streams match event for event.
+        trace = make_trace(warps)
+        config = small_config(
+            prefetch_degree=prefetch, footprint_pages=N_PAGES
+        ).with_policy(policy)
+        _, t_s = instrumented_run(config, trace, "scalar", window,
+                                  full_lifecycle=True)
+        _, t_v = instrumented_run(config, trace, "vector", window,
+                                  full_lifecycle=True)
+        assert t_s.lifecycle.dropped == t_v.lifecycle.dropped == 0
+        assert list(t_s.lifecycle.events()) == list(t_v.lifecycle.events())
+
     def test_vector_flushes_final_partial_window(self):
         # 25 coalesced accesses at interval 10: windows at 10 and 20 plus
         # the flushed tail at 25, identically under both engines.
@@ -155,6 +182,18 @@ class TestBatchPrimitives:
         snap.snapshot(10)
         assert observer.limit(10) == 9  # clock restarts past the boundary
 
+    def test_audit_batch_observer_stops_before_audited_access(self):
+        # GMTRuntime.access audits before the access at every non-zero
+        # multiple of the interval; batches must stop short of it.
+        observer = AuditBatchObserver(10)
+        assert observer.limit(0) == 10
+        assert observer.limit(3) == 7
+        assert observer.limit(9) == 1
+        assert observer.limit(10) == 0
+        assert observer.limit(11) == 9
+        assert AuditBatchObserver(1).limit(0) == 1
+        assert AuditBatchObserver(1).limit(5) == 0
+
     def test_chain_takes_most_restrictive_limit_and_fans_out(self):
         class Fixed:
             def __init__(self, limit):
@@ -175,18 +214,17 @@ class TestBatchPrimitives:
 
 
 class TestCapabilityNegotiation:
-    def test_duck_typed_attribute(self):
-        assert not is_batch_capable(LifecycleRecorder())
-        assert not is_batch_capable(object())
-        assert is_batch_capable(SampledLifecycleRecorder(0.5))
-        assert is_batch_capable(WindowBatchObserver(
-            WindowedSnapshotter(MetricsRegistry(), interval=10)
-        ))
-
-    def test_telemetry_negotiates_on_lifecycle_kind(self):
-        assert Telemetry().batch_capable
-        assert Telemetry(lifecycle_sample_rate=0.25).batch_capable
-        assert not Telemetry(lifecycle=True).batch_capable
+    def test_every_lifecycle_kind_keeps_vector(self):
+        trace = make_trace([((i % N_PAGES,), False) for i in range(40)])
+        for telemetry in (
+            Telemetry(window=10),
+            Telemetry(window=10, lifecycle_sample_rate=0.25),
+            Telemetry(window=10, lifecycle=True),
+        ):
+            runtime = make_runtime(small_config(), engine="vector")
+            runtime.attach_telemetry(telemetry)
+            runtime.run(trace)
+            assert runtime.engine_resolution()[0] == "vector"
 
     def test_sample_rate_validated(self):
         for rate in (0.0, -0.5, 1.5):
@@ -212,33 +250,28 @@ class TestEngineResolution:
         assert resolve_engine_reason(None, config) == (
             "vector", "auto: no per-access consumers"
         )
-        assert resolve_engine_reason(None, config, telemetry=True) == (
-            "vector", "auto: telemetry is batch-capable"
-        )
-        engine, reason = resolve_engine_reason(None, config, recorder=True)
-        assert engine == "scalar" and "per-access recorder" in reason
-        engine, reason = resolve_engine_reason(
-            None, config, checks=True, telemetry=True
-        )
-        assert engine == "scalar" and "conformance" in reason
         zoo = small_config(tier1_eviction="s3fifo")
-        engine, reason = resolve_engine_reason(None, zoo, telemetry=True)
+        engine, reason = resolve_engine_reason(None, zoo)
         assert engine == "scalar" and "s3fifo" in reason
 
     def test_runtime_reports_live_resolution(self):
         trace = make_trace([((i % N_PAGES,), False) for i in range(40)])
-        runtime = make_runtime(small_config(), engine="vector", telemetry=True)
-        runtime.attach_telemetry(Telemetry(window=10))
+        runtime = make_runtime(small_config(), engine="vector")
+        runtime.attach_telemetry(Telemetry(window=10, lifecycle=True))
+        runtime.enable_periodic_checks(every=7)
         runtime.run(trace)
-        engine, reason = runtime.engine_resolution()
-        assert engine == "vector"
-        assert "batch-capable" in reason
+        assert runtime.engine_resolution() == (
+            "vector", "no per-access consumers attached"
+        )
         demoted = make_runtime(small_config(), engine="vector")
-        demoted.attach_telemetry(Telemetry(window=10, lifecycle=True))
-        demoted.run(trace)
-        engine, reason = demoted.engine_resolution()
+        demoted.attach_profiler(PhaseProfiler(mode="exact"))
+        try:
+            demoted.run(trace)
+            engine, reason = demoted.engine_resolution()
+        finally:
+            demoted.detach_profiler()
         assert engine == "scalar"
-        assert "flight recorder" in reason
+        assert "profiler" in reason
 
 
 class TestWindowDesyncSelfTest:
@@ -260,3 +293,32 @@ class TestWindowDesyncSelfTest:
         assert violations
         assert note is not None and "shifted" in note
         assert all(v.identity == "telemetry-parity" for v in violations)
+
+    def test_corrupted_lifecycle_event_is_caught(self):
+        from repro.check.differential import check_telemetry_parity
+
+        def corrupt_first_event(telemetry):
+            # Shift the access index of the vector side's first lifecycle
+            # event; every other surface stays intact.
+            recorder = telemetry.lifecycle
+            emit = recorder.emit
+
+            def emit_once_corrupted(kind, page, access, *args, **kwargs):
+                del recorder.emit
+                return emit(kind, page, access + 1, *args, **kwargs)
+
+            recorder.emit = emit_once_corrupted
+            return "first lifecycle event's access shifted"
+
+        trace = make_trace(
+            [((i % N_PAGES, (i * 7) % N_PAGES), i % 3 == 0) for i in range(90)]
+        )
+        violations, note = check_telemetry_parity(
+            "tier-order", small_config(), trace, window=13,
+            corrupt=corrupt_first_event,
+        )
+        assert note is not None
+        assert len(violations) == 1
+        assert violations[0].identity == "telemetry-parity"
+        assert "lifecycle events diverge" in violations[0].message
+        assert "entry 0 differs in access" in violations[0].message

@@ -10,7 +10,7 @@ import pytest
 
 from repro.errors import CapacityError, ConfigError, PageStateError, SimulationError
 from repro.mem.clock_replacement import ClockReplacement
-from repro.mem.tier2_order import Tier2Clock, Tier2Fifo
+from repro.mem.tier2_order import Tier2Fifo
 from repro.policyzoo import (
     EVICTION_POLICY_NAMES,
     GenClockReplacement,
@@ -31,7 +31,7 @@ CAPACITY = 8
 
 
 def make(name, capacity=CAPACITY):
-    return make_eviction_policy(name, capacity, tier=1)
+    return make_eviction_policy(name, capacity)
 
 
 class TestRegistry:
@@ -47,11 +47,13 @@ class TestRegistry:
             make_eviction_policy("lru-3000", 8)
 
     def test_tier1_clock_builds_the_historical_structure(self):
-        assert isinstance(make_eviction_policy("clock", 8, tier=1), ClockReplacement)
+        assert isinstance(make_eviction_policy("clock", 8), ClockReplacement)
 
     def test_tier2_clock_and_fifo_build_tier2_orders(self):
-        assert isinstance(make_eviction_policy("clock", 8, tier=2), Tier2Clock)
-        assert isinstance(make_eviction_policy("fifo", 8, tier=2), Tier2Fifo)
+        # One clock class serves both tiers; the runtime inserts Tier-2
+        # demotions cold.
+        assert type(make_eviction_policy("clock", 8)) is ClockReplacement
+        assert isinstance(make_eviction_policy("fifo", 8), Tier2Fifo)
 
     def test_every_zoo_name_builds(self):
         kinds = {

@@ -88,6 +88,24 @@ class TestSoloReproduction:
         assert outcome.fairness()["jain_index"] == pytest.approx(1.0)
 
 
+class TestSoloBaselines:
+    def test_every_tenant_solo_honours_the_engine(self, config):
+        # Solo baselines replay each tenant's own workload, so the
+        # namespaced page ids of tenants past the first no longer force
+        # the scalar engine, and every baseline is unchanged.
+        server = make_server(config, ["bfs", "hotspot", "srad"], engine="vector")
+        server.attach_telemetry()
+        outcome = server.run()
+        assert [server.solo_resolutions[i][0] for i in range(3)] == ["vector"] * 3
+        for stream, tenant in zip(server.streams, outcome.tenants):
+            namespaced = GMTRuntime(config)
+            telemetry = namespaced.attach_telemetry()
+            assert tenant.solo_ns == namespaced.run(iter(stream)).elapsed_ns
+            digest = telemetry.latency_digest
+            assert tenant.solo_latency_p50_ns == digest.p50
+            assert tenant.solo_latency_p99_ns == digest.p99
+
+
 class TestSharedRun:
     @pytest.fixture(scope="class")
     def outcome(self, config):
