@@ -21,7 +21,8 @@ be reshaped without notice; prefer these re-exports over deep imports.
   ``"scalar"`` is the reference per-access loop, ``"vector"`` the
   byte-identical struct-of-arrays batch engine, ``"auto"`` picks vector
   unless the Tier-1 structure is a policy-zoo member with no vector twin
-  (telemetry, lifecycle recorders and periodic audits never demote).
+  (telemetry, lifecycle recorders, periodic audits and the phase
+  profiler never demote).
   ``runtime.engine_resolution()`` reports the live ``(engine, reason)``
   pair after a run (see ``docs/performance.md``).
 - Experiments: :class:`ExperimentSpec`, :func:`run_spec`,

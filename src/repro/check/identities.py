@@ -393,8 +393,9 @@ def audit_runtime(runtime) -> list[Violation]:
 
 def audit_split(aggregate: RuntimeStats, slices) -> list[Violation]:
     """Serve-layer conservation: tenant slices must sum to the aggregate
-    for every counter (the mirroring in ``SplitStats`` may not lose or
-    double-count an increment)."""
+    for every counter (the charge at each tenant switch may not lose or
+    double-count an increment).  Read it after the run's final
+    ``begin_tenant(None)``: slices are current to the last switch."""
     a = _Auditor()
     slices = list(slices)
     for name in RuntimeStats.counter_names():

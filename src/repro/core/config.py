@@ -33,12 +33,10 @@ POLICY_NAMES = _POLICY_NAMES
 #: Replay-engine names (``GMTConfig.engine`` / every ``--engine`` flag).
 #: "scalar" is the reference per-access loop, "vector" the SoA batch
 #: engine (:mod:`repro.core.vector`), and "auto" resolves per run site:
-#: vector unless something genuinely per-access is requested (a full
-#: flight recorder / profiler, periodic checks, or a
-#: policy-zoo Tier-1 structure).  Batch-capable telemetry — windowed
-#: snapshots, latency digests, counter tracks, anomaly scans, sampled
-#: lifecycle streams (:mod:`repro.obs.batch`) — stays on the vector
-#: engine.
+#: vector unless the Tier-1 structure is a policy-zoo member with no
+#: vector twin.  Every instrument — telemetry, lifecycle recorders,
+#: periodic checks (:mod:`repro.obs.batch`) and the phase profiler —
+#: stays on the vector engine.
 ENGINE_NAMES = ("scalar", "vector", "auto")
 
 

@@ -11,9 +11,10 @@ so ``GMTConfig.engine`` / ``--engine`` behave identically everywhere:
   hit-dominated streams;
 - ``"auto"`` — vector unless the config's Tier-1 structure is a
   policy-zoo member with no vector twin.  Telemetry, lifecycle
-  recorders (full or sampled) and periodic conformance checks all ride
-  the vector engine (see :mod:`repro.obs.batch`); only an attached
-  phase profiler makes a vector runtime replay scalar (see
+  recorders (full or sampled), periodic conformance checks (see
+  :mod:`repro.obs.batch`) and the phase profiler all ride the vector
+  engine, and the Tier-1 structure is the only thing that makes a
+  vector runtime replay scalar (see
   :meth:`~repro.core.vector.VectorEngineMixin._fallback_reason`), so
   "auto" is always safe — the resolution is a fast-path choice, never a
   correctness one.

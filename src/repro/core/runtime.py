@@ -102,7 +102,7 @@ class GMTRuntime:
     def __init__(self, config: GMTConfig, policy_factory=None) -> None:
         self.config = config
         platform = config.platform
-        self.stats = self._make_stats()
+        self.stats = RuntimeStats()
         self.page_table = PageTable()
         self.vts = VirtualTimestampClock()
         self.rng = random.Random(config.seed)
@@ -158,10 +158,9 @@ class GMTRuntime:
         #: :mod:`repro.obs.lifecycle`).  Same discipline: None is the
         #: default and each emission site costs one attribute check.
         self._flight = None
-        #: Optional phase profiler (see :mod:`repro.prof`).  None is the
-        #: default; when off the hot path is the *original unwrapped*
-        #: methods — attach instruments them, detach restores them, so
-        #: disabled profiling costs literally nothing.
+        #: The attached phase profiler (see :mod:`repro.prof`), or None.
+        #: It samples frames from its own thread, so the hot path never
+        #: reads this; it only guards double-attach.
         self._prof = None
         #: Scratch: the cause/prediction behind the eviction currently in
         #: flight (set by ``_ensure_tier1_frame``, read by the placement
@@ -187,18 +186,12 @@ class GMTRuntime:
         """The replay engine the next ``run`` will use, with the reason.
 
         The scalar runtime always runs scalar; the vector mixin
-        overrides this with its live fallback check (an attached
-        profiler demotes a vector runtime back to the scalar loop).
-        This is the surface the CLIs print (``engine=...
-        (reason=...)``) and the exporters embed in headers.
+        overrides this with its fallback check (a Tier-1 structure with
+        no vector twin replays on the scalar loop).  This is the surface
+        the CLIs print (``engine=... (reason=...)``), the exporters embed
+        in headers and every profile records.
         """
         return self.engine_name, self.engine_reason
-
-    def _make_stats(self) -> RuntimeStats:
-        """Counter storage for this run.  The multi-tenant serving layer
-        (:mod:`repro.serve`) overrides this with a stats object that also
-        mirrors increments into per-tenant slices."""
-        return RuntimeStats()
 
     # ------------------------------------------------------------------
     # queueing time model (optional, config.time_model == "queueing")
@@ -279,7 +272,7 @@ class GMTRuntime:
     # phase profiling (optional, see repro.prof)
     # ------------------------------------------------------------------
     def attach_profiler(self, profiler=None):
-        """Instrument the phase boundaries with a
+        """Start sampling this runtime's phases with a
         :class:`~repro.prof.PhaseProfiler` (a fresh one if None); returns
         the profiler.  Detach with :meth:`detach_profiler`."""
         if profiler is None:
@@ -290,7 +283,7 @@ class GMTRuntime:
         return profiler
 
     def detach_profiler(self) -> None:
-        """Restore the unwrapped hot path (the profiler keeps its data)."""
+        """Stop the attached profiler (it keeps its data)."""
         if self._prof is not None:
             self._prof.detach()
 

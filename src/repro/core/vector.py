@@ -31,9 +31,8 @@ Byte-identity with the scalar engine is a hard requirement (the
   (:attr:`~repro.core.policies.PlacementPolicy.hits_batchable`), window
   boundary accesses under attached telemetry, accesses a periodic audit
   runs before — drops to the inherited scalar code path for that access
-  (the per-batch observer chain, see :mod:`repro.obs.batch`); only the
-  phase profiler and a Tier-1 structure with no vector twin demote the
-  whole run.
+  (the per-batch observer chain, see :mod:`repro.obs.batch`); only a
+  Tier-1 structure with no vector twin demotes the whole run.
 
 :func:`vector_variant` composes the mixin onto any runtime class whose
 access path is inherited from :class:`GMTRuntime` (all the baselines),
@@ -457,10 +456,15 @@ def _iter_trace_chunks(
     as exactly one chunk, possibly empty).
 
     ``warps[k]`` counts the chunk's warps up to and including access
-    ``k``'s.  The arrays view compact ``array``/``bytearray`` buffers,
-    so flattening a long trace allocates no per-access Python object.
+    ``k``'s.  Accesses collect in compact ``array``/``bytearray``
+    blocks that close at the first warp boundary past
+    :data:`_FLATTEN_BLOCK` accesses, and each chunk joins its blocks
+    once.  So flattening a long trace allocates no per-access Python
+    object, and no buffer is grown by reallocation past one block.
     """
-    pages, writes, warps = array("q"), bytearray(), array("q")
+    block = _FLATTEN_BLOCK
+    columns: tuple[list, list, list] = ([], [], [])
+    pages, writes, warps = _open_block(columns)
     n_warps = 0
     for warp in trace:
         n_warps += 1
@@ -470,19 +474,37 @@ def _iter_trace_chunks(
             writes.append(write)
             warps.append(n_warps)
         if n_warps == chunk_warps:
-            yield n_warps, *_chunk_arrays(pages, writes, warps)
-            pages, writes, warps = array("q"), bytearray(), array("q")
+            yield n_warps, *_join_blocks(columns)
             n_warps = 0
+            pages, writes, warps = _open_block(columns)
+        elif len(pages) >= block:
+            pages, writes, warps = _open_block(columns)
     if n_warps or chunk_warps is None:
-        yield n_warps, *_chunk_arrays(pages, writes, warps)
+        yield n_warps, *_join_blocks(columns)
 
 
-def _chunk_arrays(pages: array, writes: bytearray, warps: array):
-    return (
-        np.frombuffer(pages, dtype=np.int64),
-        np.frombuffer(writes, dtype=bool),
-        np.frombuffer(warps, dtype=np.int64),
-    )
+#: Coalesced accesses per flattening block (see :func:`_iter_trace_chunks`).
+_FLATTEN_BLOCK = 1 << 16
+
+
+def _open_block(columns: tuple[list, list, list]) -> tuple[array, bytearray, array]:
+    """Start a fresh block in each column; returns its three buffers."""
+    buffers = (array("q"), bytearray(), array("q"))
+    for blocks, buffer in zip(columns, buffers):
+        blocks.append(buffer)
+    return buffers
+
+
+def _join_blocks(columns: tuple[list, list, list]) -> list[np.ndarray]:
+    """Concatenate each column's blocks into one array, releasing the
+    blocks column by column."""
+    joined = []
+    for blocks, dtype in zip(columns, (np.int64, bool, np.int64)):
+        joined.append(
+            np.concatenate([np.frombuffer(b, dtype=dtype) for b in blocks])
+        )
+        blocks.clear()
+    return joined
 
 
 # ----------------------------------------------------------------------
@@ -515,15 +537,12 @@ class VectorEngineMixin:
     def _fallback_reason(self) -> str | None:
         """Why the batch path cannot run (None = it can).
 
-        Exactly two things force the inherited scalar loop: the phase
-        profiler, which wraps the per-access hot path, and a policy-zoo
-        Tier-1 structure with no vector twin.  Everything else that can
-        be attached observes only scalar-side events (misses, evictions,
+        Exactly one thing forces the inherited scalar loop: a policy-zoo
+        Tier-1 structure with no vector twin.  Everything that can be
+        attached observes only scalar-side events (misses, evictions,
         window cuts, audits) and rides the batch path through
-        :meth:`_batch_observers`.
+        :meth:`_batch_observers`; the phase profiler only reads frames.
         """
-        if self._prof is not None:
-            return "phase profiler wraps the per-access hot path"
         if not isinstance(self.t1_clock, VectorClock):
             return (
                 f"tier1_eviction={self.config.tier1_eviction!r} has no "

@@ -37,8 +37,9 @@ are pure functions of the window stream, so their parity follows from
 window parity.  The ``gmt-check`` telemetry-parity column asserts all
 five surfaces.
 
-The only instrument that forces the scalar loop is the phase profiler,
-which wraps the per-access hot path itself (see
+No instrument forces the scalar loop; the phase profiler only samples
+frames.  The one run-wide fallback is a Tier-1 structure with no
+vector twin (see
 :meth:`~repro.core.vector.VectorEngineMixin._fallback_reason`).
 """
 

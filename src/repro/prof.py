@@ -1,58 +1,52 @@
 """``repro.prof`` — phase-attributed wall-clock profiler for replays.
 
-The replay hot path is pure Python, and ROADMAP item 1 (the vectorized
-struct-of-arrays core) needs to prove *where* its speedup comes from.
-This module attributes host wall-clock time to the runtime's named
-phases:
+The replay hot path is pure Python, and every speed claim needs to show
+*where* the wall time goes.  This module attributes host wall-clock
+time to the runtime's named phases:
 
 ==================  ====================================================
 phase               what it covers
 ==================  ====================================================
-``trace-gen``       generating/iterating the workload's warp stream
+``trace-gen``       generating the workload's warp stream, and the
+                    vector engine's flattening of it
 ``dispatch``        warp decomposition (:meth:`GMTRuntime.access_warp`)
-``access``          the coalesced access path's own bookkeeping
+                    and the vector engine's batch replay loop
+``access``          the coalesced access path's own bookkeeping, and
+                    the vector engine's batched hit retirement
 ``page-table``      :meth:`PageTable.lookup`
 ``reuse-policy``    VTD clock, policy ``on_access``/``choose``/fills
 ``victim-select``   Tier-1 clock sweep / Tier-2 order victim nomination
-``eviction``        the eviction pipeline outside its wrapped leaves
+``eviction``        the eviction pipeline outside its named leaves
 ``writeback``       dirty-page SSD writeback accounting
 ``prefetch``        the sequential prefetcher
 ``device-model``    PCIe/NVMe byte accounting and the queueing model
 ``stats-obs``       telemetry/flight-recorder emission overhead
 ==================  ====================================================
 
-Attribution is *exclusive* (self-time): each clock delta is charged to
-the innermost active phase only, so the phase totals sum to
+Attribution is *exclusive* (self-time): each sample's wall is charged
+to the innermost active phase only, so the phase totals sum to
 (approximately) the replay wall time and the ``stack -> self seconds``
 map renders directly as a collapsed-stack flamegraph (``flamegraph.pl``
 / speedscope both read the format).
 
-Two engines share that output schema:
+A ``SIGPROF`` interval timer fires every ``interval`` seconds of CPU
+time; its handler runs in the main thread at the next bytecode
+boundary, maps the interrupted stack's code objects to phases via a
+table built at attach time, and charges the wall since the previous
+sample to the innermost phase.  (A sampler *thread* would only see the
+replay when it released the GIL, which numpy calls do voluntarily, so
+it would charge most of a vector replay to the numpy-calling batch
+loop.)  The handler only reads frames: nothing on the runtime is
+wrapped or replaced, so a profiled replay runs on whichever engine the
+runtime resolves, produces the same results as an unprofiled one, and
+costs a few percent.  Each profile records the engine it measured
+(``engine`` / ``engine_reason``).  Profile from the main thread: only
+it runs signal handlers.
 
-``sampled`` (default)
-    A daemon thread wakes every ``interval`` seconds, snapshots the
-    profiled thread's Python frames (``sys._current_frames``), maps
-    frame code objects to phases via a table built at attach time, and
-    charges the elapsed wall to the innermost phase.  Nothing on the
-    runtime is touched, so the enabled overhead is a few percent —
-    the replay hot path makes ~15 phase-boundary calls per access,
-    far too many for per-call timing to stay inside the <15% budget.
-
-``exact``
-    Enter/exit hooks: phase-boundary methods are wrapped (instance
-    attributes, restored at detach) to append ``(phase, t)`` events
-    that a bulk drain folds into the same per-phase tables.
-    Deterministic — with an injected clock the attribution is
-    bit-exact — but the per-call clock reads cost roughly another
-    replay on default-scale configs.  Use it for unit tests and for
-    precise call counts, not for overhead-sensitive measurement.
-
-Profiling is **off by default and costs nothing when off** — the same
-``self._prof is None`` discipline as the flight recorder, except here
-"off" is even cheaper: a non-profiled runtime is not instrumented at
-all (no wrappers, no sampler), so it executes the original methods
-with zero extra checks.  ``runtime._prof`` only marks the attachment
-(and guards double-attach).
+Profiling is **off by default and costs nothing when off**: a
+non-profiled runtime has no timer and executes with zero extra
+checks.  ``runtime._prof`` only marks the attachment (and guards
+double-attach).
 
 Quick start::
 
@@ -75,17 +69,18 @@ from __future__ import annotations
 
 import argparse
 import json
+import signal
 import sys
 import threading
 import time
 from collections import defaultdict
 from contextlib import contextmanager
-from typing import Callable, Iterable, Iterator
+from typing import Iterable, Iterator
 
 from repro.errors import ConfigError, SimulationError
 
 #: The named phases (docs table above).  ``format_top`` orders unknown
-#: phases after these, so custom wrap sites are allowed.
+#: phases after these.
 PHASES = (
     "trace-gen",
     "dispatch",
@@ -103,307 +98,108 @@ PHASES = (
 PROFILE_VERSION = 1
 
 
-class ThroughputMeter:
-    """Wall-clock accesses/sec meter with periodic samples.
-
-    ``tick(position)`` stamps ``(position, wall_s since start)`` at most
-    every ``interval`` position units; :meth:`rate` reads the recent
-    rate, :meth:`overall` the whole-run rate.
-    """
-
-    def __init__(self, interval: int = 1000, clock: Callable[[], float] = time.perf_counter) -> None:
-        if interval < 1:
-            raise ConfigError(f"interval must be >= 1, got {interval}")
-        self.interval = interval
-        self.clock = clock
-        self.samples: list[tuple[int, float]] = []
-        self._t0: float | None = None
-        self._base = 0
-
-    def start(self, position: int = 0) -> None:
-        self._t0 = self.clock()
-        self._base = position
-        self.samples = [(position, 0.0)]
-
-    def tick(self, position: int) -> None:
-        if self._t0 is None:
-            self.start(position)
-            return
-        if position - self.samples[-1][0] >= self.interval:
-            self.samples.append((position, self.clock() - self._t0))
-
-    def rate(self, window: int = 5) -> float:
-        """Accesses/sec over the most recent ``window`` samples."""
-        if len(self.samples) < 2:
-            return self.overall()
-        tail = self.samples[-window - 1 :]
-        positions = tail[-1][0] - tail[0][0]
-        seconds = tail[-1][1] - tail[0][1]
-        return positions / seconds if seconds > 0 else 0.0
-
-    def overall(self) -> float:
-        """Accesses/sec across the whole metered run so far."""
-        if self._t0 is None:
-            return 0.0
-        elapsed = self.clock() - self._t0
-        position = self.samples[-1][0] if self.samples else self._base
-        return (position - self._base) / elapsed if elapsed > 0 else 0.0
-
-
 class PhaseProfiler:
-    """Exclusive-time phase profiler over one runtime's replay.
+    """Exclusive-time, frame-sampling phase profiler over one runtime's
+    replay.
 
     Args:
-        mode: ``"sampled"`` (frame-sampling thread, default) or
-            ``"exact"`` (enter/exit event hooks; deterministic but
-            roughly doubles replay cost on default-scale configs).
-        interval: sampling period in seconds (sampled mode).
-        clock: injectable time source (seconds; default
-            ``time.perf_counter``).
-        throughput_interval: sampling cadence of the embedded
-            :class:`ThroughputMeter` (coalesced accesses).
+        interval: sampling period in seconds of process CPU time (the
+            kernel rounds it up to its timer tick).
     """
 
-    def __init__(
-        self,
-        mode: str = "sampled",
-        interval: float = 0.001,
-        clock: Callable[[], float] = time.perf_counter,
-        throughput_interval: int = 1000,
-    ) -> None:
-        if mode not in ("sampled", "exact"):
-            raise ConfigError(f"mode must be 'sampled' or 'exact', got {mode!r}")
+    def __init__(self, interval: float = 0.001) -> None:
         if interval <= 0:
             raise ConfigError(f"interval must be positive, got {interval}")
-        self.mode = mode
         self.interval = interval
-        self.clock = clock
         #: Exclusive (self) seconds per phase.
         self.self_s: dict[str, float] = defaultdict(float)
-        #: Per-phase event counts: wrapped calls in exact mode, sampler
-        #: hits in sampled mode.
+        #: Sampler hits per phase.
         self.calls: dict[str, int] = defaultdict(int)
         #: Collapsed stacks: ``"access;page-table" -> exclusive seconds``.
         self.stacks: dict[str, float] = defaultdict(float)
-        self.throughput = ThroughputMeter(interval=throughput_interval, clock=clock)
         #: Total replay wall seconds (set by :meth:`run`).
         self.wall_s = 0.0
         #: Coalesced accesses replayed under :meth:`run`.
         self.accesses = 0
-        self._stack: list[str] = []
-        #: Parallel stack of pre-joined ``;``-paths (avoids a join per
-        #: charge when draining).
-        self._paths: list[str] = []
-        self._mark = 0.0
-        #: Raw boundary events ``(phase | _EXIT, t)``.  The hot path only
-        #: appends here — all stack walking and charging happens in bulk
-        #: in :meth:`_drain`, keeping per-call overhead to two clock
-        #: reads and two list appends.
-        self._events: list[tuple[object, float]] = []
-        #: Drain threshold bounding event-buffer memory (~64 MB worst
-        #: case).  Mid-run drains leave their own cost unattributed
-        #: rather than mis-charging it to whatever phase was running.
-        self._drain_at = 1 << 20
-        #: Manual phase markers (sampled mode): the sampler prepends
-        #: these outside whatever the frame walk finds.
-        self._manual: list[str] = []
-        #: ``(obj, attr, original)`` restore records; ``original`` is the
-        #: :data:`_CLASS_ATTR` sentinel when the wrap shadowed a class
-        #: method (restore = remove the instance shadow).
-        self._wrapped: list[tuple[object, str, object]] = []
+        #: The replay engine the profiled runtime resolved, and why
+        #: (None until a profiled run ends).
+        self.engine: str | None = None
+        self.engine_reason: str | None = None
         self._runtime = None
-        # --- sampled-mode state -------------------------------------
         #: ``code object -> phase`` lookup the sampler walks frames with.
         self._code_phases: dict[object, str] = {}
-        self._sampler: threading.Thread | None = None
-        self._stop: threading.Event | None = None
-        self._target_tid: int | None = None
+        #: The ``SIGPROF`` handler and timer attach replaced (None while
+        #: detached); detach restores both.
+        self._saved: tuple | None = None
+        self._last = 0.0
 
     # ------------------------------------------------------------------
-    # phase stack
+    # attachment and sampling
     # ------------------------------------------------------------------
-    def enter(self, phase: str) -> None:
-        """Push a manual ``phase``.  Exact mode records a timestamped
-        event; sampled mode just marks the phase as active so the
-        sampler attributes wall to it."""
-        if self.mode == "exact":
-            self._events.append((phase, self.clock()))
-        else:
-            self._manual.append(phase)
-
-    def exit(self) -> None:
-        """Pop the innermost manual phase."""
-        if self.mode == "exact":
-            events = self._events
-            events.append((_EXIT, self.clock()))
-            if len(events) >= self._drain_at:
-                self._drain()
-        else:
-            self._manual.pop()
-
-    def _drain(self) -> None:
-        """Fold the raw event buffer into per-phase exclusive times.
-
-        Each inter-event interval is charged to the phase that was
-        innermost during it; intervals outside any phase stay
-        unattributed (they count against :attr:`coverage`).
-        """
-        events = self._events
-        if not events:
-            return
-        mark = self._mark
-        stack = self._stack
-        paths = self._paths
-        self_s = self.self_s
-        stacks = self.stacks
-        calls = self.calls
-        for tag, t in events:
-            if stack:
-                dt = t - mark
-                self_s[stack[-1]] += dt
-                stacks[paths[-1]] += dt
-            if tag is _EXIT:
-                stack.pop()
-                paths.pop()
-            else:
-                calls[tag] += 1
-                paths.append(paths[-1] + ";" + tag if paths else tag)
-                stack.append(tag)
-            mark = t
-        events.clear()
-        # Skip the wall the drain itself consumed: advancing the mark to
-        # "now" leaves it unattributed instead of charging it to the
-        # phase that happened to be on top of the stack.
-        self._mark = self.clock()
-
-    # ------------------------------------------------------------------
-    # instrumentation (attach wraps instance attributes; detach restores)
-    # ------------------------------------------------------------------
-    def _wrap(self, obj: object, attr: str, phase: str) -> None:
-        fn = getattr(obj, attr, None)
-        if fn is None:
-            return
-        if attr in vars(obj):
-            # Already an instance attribute: either another profiler's
-            # wrapper (refused at attach) or a runtime that stores bound
-            # callables directly — wrap it the same way, but remember to
-            # restore the *original* value instead of deleting.
-            original = vars(obj)[attr]
-            self._wrapped.append((obj, attr, original))
-        else:
-            self._wrapped.append((obj, attr, _CLASS_ATTR))
-
-        # The wrapper is the enabled-overhead hot path: two clock reads
-        # and two appends per call, everything else closure-captured.
-        events = self._events
-        clock = self.clock
-        drain_at = self._drain_at
-        drain = self._drain
-
-        def wrapped(*args, **kwargs):
-            events.append((phase, clock()))
-            try:
-                return fn(*args, **kwargs)
-            finally:
-                events.append((_EXIT, clock()))
-                if len(events) >= drain_at:
-                    drain()
-
-        wrapped.__wrapped__ = fn  # introspection/debugging
-        setattr(obj, attr, wrapped)
-
     def attach(self, runtime) -> "PhaseProfiler":
-        """Instrument ``runtime``'s phase boundaries (one runtime per
-        profiler; raises if either side is already attached).
-
-        Exact mode wraps the boundary methods; sampled mode builds the
-        code-object table and starts the sampler thread (which samples
-        only the attaching thread)."""
+        """Build ``runtime``'s code-object table and start the sampling
+        timer (one runtime per profiler; raises if either side is
+        already attached, or off the main thread)."""
         if self._runtime is not None:
             raise ConfigError("PhaseProfiler is already attached to a runtime")
         if getattr(runtime, "_prof", None) is not None:
             raise ConfigError("runtime already has an attached profiler")
+        if threading.current_thread() is not threading.main_thread():
+            raise ConfigError(
+                "the phase profiler samples with SIGPROF, whose handler "
+                "only the main thread runs; profile from the main thread"
+            )
         self._runtime = runtime
         runtime._prof = self
-        if self.mode == "sampled":
-            self._register_sites(runtime)
-            self._target_tid = threading.get_ident()
-            self._stop = threading.Event()
-            self._sampler = threading.Thread(
-                target=self._sample_loop, name="gmt-prof-sampler", daemon=True
-            )
-            self._sampler.start()
-            return self
-
         for obj, attr, phase in _phase_sites(runtime):
-            self._wrap(obj, attr, phase)
-        return self
-
-    def _register_sites(self, runtime) -> None:
-        """Build the sampled-mode ``code object -> phase`` table from the
-        same site list exact mode wraps."""
-        for obj, attr, phase in _phase_sites(runtime):
-            fn = getattr(obj, attr, None)
-            code = getattr(fn, "__code__", None)
+            code = getattr(getattr(obj, attr, None), "__code__", None)
             if code is not None:
                 self._code_phases[code] = phase
+        self._last = time.perf_counter()
+        handler = signal.signal(signal.SIGPROF, self._on_sample)
+        timer = signal.setitimer(signal.ITIMER_PROF, self.interval, self.interval)
+        self._saved = (handler, timer)
+        return self
 
-    def _sample_loop(self) -> None:
-        """Sampler thread body: every ``interval``, walk the profiled
-        thread's frames innermost-out, map code objects to phases, and
-        charge the elapsed wall to the innermost matching phase.
+    def _on_sample(self, signum, frame) -> None:
+        """``SIGPROF`` handler: fold the interrupted stack, charging it
+        the wall since the previous sample."""
+        now = time.perf_counter()
+        self._fold_sample(frame, now - self._last)
+        self._last = now
 
-        Samples with no matching frame (and no manual phase) are left
-        unattributed — they count against :attr:`coverage`, which is
-        exactly the honest outcome for time spent outside the runtime.
+    def _fold_sample(self, frame, dt: float) -> None:
+        """Charge ``dt`` seconds to the innermost phase on ``frame``'s
+        stack.
+
+        The walk goes innermost-out, maps code objects to phases, and
+        folds adjacent duplicates (a phase calling itself, or two sites
+        of one phase).  A stack with no matching frame is left
+        unattributed: it counts against :attr:`coverage`, which is the
+        honest outcome for time spent outside the runtime.
         """
-        clock = self.clock
-        stop = self._stop
-        interval = self.interval
-        tid = self._target_tid
         code_phases = self._code_phases
-        self_s = self.self_s
-        stacks = self.stacks
-        calls = self.calls
-        manual = self._manual
-        last = clock()
-        while not stop.wait(interval):
-            now = clock()
-            dt = now - last
-            last = now
-            frame = sys._current_frames().get(tid)
-            phases: list[str] = []  # innermost-first, adjacent dups folded
-            while frame is not None:
-                phase = code_phases.get(frame.f_code)
-                if phase is not None and (not phases or phases[-1] != phase):
-                    phases.append(phase)
-                frame = frame.f_back
-            phases.reverse()
-            if manual:
-                phases = list(manual) + phases
-            if not phases:
-                continue
-            leaf = phases[-1]
-            self_s[leaf] += dt
-            stacks[";".join(phases)] += dt
-            calls[leaf] += 1
+        phases: list[str] = []  # innermost-first
+        while frame is not None:
+            phase = code_phases.get(frame.f_code)
+            if phase is not None and (not phases or phases[-1] != phase):
+                phases.append(phase)
+            frame = frame.f_back
+        if not phases:
+            return
+        leaf = phases[0]
+        self.self_s[leaf] += dt
+        self.stacks[";".join(reversed(phases))] += dt
+        self.calls[leaf] += 1
 
     def detach(self) -> None:
-        """Stop sampling / restore every wrapped attribute; the profile
-        data stays."""
-        if self._sampler is not None:
-            self._stop.set()
-            self._sampler.join()
-            self._sampler = None
-            self._stop = None
-            self._target_tid = None
-        self._drain()
-        for obj, attr, original in self._wrapped:
-            if original is _CLASS_ATTR:
-                vars(obj).pop(attr, None)
-            else:
-                setattr(obj, attr, original)
-        self._wrapped.clear()
+        """Stop sampling and restore the replaced ``SIGPROF`` handler and
+        timer; the profile data stays."""
+        if self._saved is not None:
+            handler, timer = self._saved
+            signal.setitimer(signal.ITIMER_PROF, *timer)
+            signal.signal(signal.SIGPROF, signal.SIG_DFL if handler is None else handler)
+            self._saved = None
         if self._runtime is not None:
             self._runtime._prof = None
             self._runtime = None
@@ -411,47 +207,34 @@ class PhaseProfiler:
     # ------------------------------------------------------------------
     # driving a replay
     # ------------------------------------------------------------------
-    def run(self, runtime, trace: Iterable) -> "object":
-        """Attach, replay ``trace`` with trace-generation timed as its own
-        phase, detach; returns the runtime's :class:`RunResult`."""
+    @contextmanager
+    def _measure(self, runtime) -> Iterator["PhaseProfiler"]:
+        """Attach for the body, then add its wall time and accesses and
+        record the engine ``runtime`` resolved."""
         self.attach(runtime)
         accesses0 = runtime.stats.coalesced_accesses
-        stats = runtime.stats
-        meter = self.throughput
-        meter.start(accesses0)
-        iterator = iter(trace)
-        if self.mode == "sampled":
-            # A generator-backed workload shows up in the frame walk as
-            # its own code object; tag it so iteration time lands in
-            # "trace-gen" instead of going unattributed.
-            gen_code = getattr(iterator, "gi_code", None)
-            if gen_code is not None:
-                self._code_phases[gen_code] = "trace-gen"
-        t0 = self.clock()
-        self._mark = t0
+        t0 = time.perf_counter()
         try:
-            if self.mode == "sampled":
-                for warp in iterator:
-                    runtime.access_warp(warp)
-                    meter.tick(stats.coalesced_accesses)
-            else:
-                while True:
-                    self.enter("trace-gen")
-                    try:
-                        warp = next(iterator)
-                    except StopIteration:
-                        break
-                    finally:
-                        self.exit()
-                    runtime.access_warp(warp)
-                    meter.tick(stats.coalesced_accesses)
+            yield self
         finally:
-            self.wall_s += self.clock() - t0
+            self.wall_s += time.perf_counter() - t0
             self.accesses += runtime.stats.coalesced_accesses - accesses0
-            if runtime._obs is not None:
-                runtime._obs.finish()
+            self.engine, self.engine_reason = runtime.engine_resolution()
             self.detach()
-        return runtime.result()
+
+    def run(self, runtime, trace: Iterable) -> "object":
+        """Replay ``trace`` through ``runtime.run`` under the profiler;
+        returns the runtime's :class:`RunResult`."""
+        with self._measure(runtime):
+            # A scalar replay pulls warps from the trace's generator in
+            # the runtime's own loop; tag the generator's code so that
+            # time lands in "trace-gen" instead of going unattributed.
+            code = getattr(trace, "gi_code", None) or getattr(
+                getattr(trace, "generate", None), "__code__", None
+            )
+            if code is not None:
+                self._code_phases[code] = "trace-gen"
+            return runtime.run(trace)
 
     # ------------------------------------------------------------------
     # reporting
@@ -459,7 +242,6 @@ class PhaseProfiler:
     @property
     def attributed_s(self) -> float:
         """Seconds attributed to named phases (sum of self-times)."""
-        self._drain()
         return sum(self.self_s.values())
 
     @property
@@ -478,11 +260,12 @@ class PhaseProfiler:
     def report(self) -> dict:
         """JSON-ready profile document (the ``gmt-prof --json-out`` body
         and the ``--compare`` input)."""
-        self._drain()
         return {
             "version": PROFILE_VERSION,
-            "mode": self.mode,
-            "interval_s": self.interval if self.mode == "sampled" else None,
+            "mode": "sampled",
+            "interval_s": self.interval,
+            "engine": self.engine,
+            "engine_reason": self.engine_reason,
             "wall_s": self.wall_s,
             "accesses": self.accesses,
             "accesses_per_sec": self.accesses_per_sec,
@@ -510,21 +293,19 @@ class PhaseProfiler:
         return len(lines)
 
 
-#: Sentinel marking a wrap that shadowed a class-level attribute.
-_CLASS_ATTR = object()
-
-#: Sentinel event tag marking a phase exit in the raw event buffer.
-_EXIT = object()
-
-
 def _phase_sites(runtime):
     """Yield ``(obj, attr, phase)`` phase-boundary sites of ``runtime``.
 
-    The single source of truth for both engines: exact mode wraps each
-    site, sampled mode registers each site's code object.
+    A site whose attribute ``obj`` lacks is skipped, so the vector
+    engine's sites cost a scalar runtime nothing.
     """
+    from repro.core import vector
+
+    yield vector, "_iter_trace_chunks", "trace-gen"
     yield runtime, "access_warp", "dispatch"
+    yield runtime, "_replay_flat", "dispatch"
     yield runtime, "access", "access"
+    yield runtime, "_batch_hits", "access"
     yield runtime.page_table, "lookup", "page-table"
     yield runtime.vts, "observe_access", "reuse-policy"
     for name in ("on_access", "choose", "on_tier1_fill", "on_evicted"):
@@ -542,7 +323,7 @@ def _phase_sites(runtime):
     yield runtime.pcie, "record_d2h", "device-model"
     queueing = runtime._queueing_model()
     if queueing is not None:
-        for name in ("on_hit", "on_miss", "on_background_io", "on_background_pcie"):
+        for name in ("on_hit", "on_hits", "on_miss", "on_background_io", "on_background_pcie"):
             yield queueing, name, "device-model"
     if runtime._obs is not None:
         for name in ("tick", "span", "instant", "on_miss"):
@@ -566,20 +347,13 @@ def profile(runtime) -> Iterator[PhaseProfiler]:
     ...     runtime.run(workload)
     >>> print(prof.format_top())
 
-    Unlike :func:`profile_replay` the trace-generation cost is not
-    separable (the caller owns the loop), so it shows up as unattributed
-    wall; prefer :func:`profile_replay` for full replays.
+    Unlike :func:`profile_replay` the profiler never sees the trace, so
+    a scalar replay's warp generation shows up as unattributed wall;
+    prefer :func:`profile_replay` for full replays.
     """
     prof = PhaseProfiler()
-    prof.attach(runtime)
-    accesses0 = runtime.stats.coalesced_accesses
-    t0 = prof.clock()
-    try:
+    with prof._measure(runtime):
         yield prof
-    finally:
-        prof.wall_s += prof.clock() - t0
-        prof.accesses += runtime.stats.coalesced_accesses - accesses0
-        prof.detach()
 
 
 def profile_replay(runtime, workload, profiler: PhaseProfiler | None = None):
@@ -600,37 +374,31 @@ def format_top(doc: dict, limit: int | None = None) -> str:
     from repro.analysis.report import render_table
 
     wall = doc.get("wall_s", 0.0)
-    sampled = doc.get("mode", "exact") == "sampled"
     phases = doc.get("phases", {})
     ordered = sorted(phases.items(), key=lambda kv: -kv[1]["self_s"])
     if limit is not None:
         ordered = ordered[:limit]
-    rows = []
-    for name, rec in ordered:
-        self_s = rec["self_s"]
-        calls = rec["calls"]
-        # ns/call only means something when calls are real call counts
-        # (exact mode); in sampled mode the count is sampler hits.
-        per_call = f"{self_s / calls * 1e9:10.0f}" if calls and not sampled else "-"
-        rows.append(
-            [
-                name,
-                f"{self_s * 1e3:10.2f}",
-                f"{self_s / wall:7.1%}" if wall > 0 else "-",
-                calls,
-                per_call,
-            ]
-        )
+    rows = [
+        [
+            name,
+            f"{rec['self_s'] * 1e3:10.2f}",
+            f"{rec['self_s'] / wall:7.1%}" if wall > 0 else "-",
+            rec["calls"],
+        ]
+        for name, rec in ordered
+    ]
     title = (
-        f"phase profile ({doc.get('mode', 'exact')}): wall {wall * 1e3:.1f} ms, "
+        f"phase profile (engine={_engine(doc)}): wall {wall * 1e3:.1f} ms, "
         f"{doc.get('accesses', 0)} accesses, "
         f"{doc.get('accesses_per_sec', 0.0):,.0f} accesses/s, "
         f"{doc.get('coverage', 0.0):.1%} attributed"
     )
-    count_col = "samples" if sampled else "calls"
-    return render_table(
-        ["phase", "self ms", "% wall", count_col, "ns/call"], rows, title=title
-    )
+    return render_table(["phase", "self ms", "% wall", "samples"], rows, title=title)
+
+
+def _engine(doc: dict) -> str:
+    """The engine a profile document measured (``?`` if unrecorded)."""
+    return doc.get("engine") or "?"
 
 
 def collapsed_lines(doc: dict, scale: float = 1e6) -> list[str]:
@@ -652,7 +420,8 @@ def diff_profiles(before: dict, after: dict) -> str:
 
     The table shows where wall-clock moved: negative deltas are phases
     the ``after`` profile made cheaper.  The headline reports the
-    throughput change — the number a perf PR quotes.
+    throughput change — the number a performance change quotes — and
+    the engine each side measured.
     """
     from repro.analysis.report import render_table
 
@@ -680,7 +449,8 @@ def diff_profiles(before: dict, after: dict) -> str:
     after_rate = after.get("accesses_per_sec", 0.0)
     speedup = after_rate / before_rate if before_rate > 0 else float("inf")
     title = (
-        f"profile diff: {before_rate:,.0f} -> {after_rate:,.0f} accesses/s "
+        f"profile diff (engine={_engine(before)} -> {_engine(after)}): "
+        f"{before_rate:,.0f} -> {after_rate:,.0f} accesses/s "
         f"({speedup:.2f}x throughput)"
     )
     return render_table(["phase", "before ms", "after ms", "delta ms", "ratio"], rows, title=title)
@@ -716,13 +486,8 @@ def main(argv: list[str] | None = None) -> int:
     flags.add(parser, "--scale", "--oversubscription", "--seed")
     parser.set_defaults(scale=4096)
     parser.add_argument(
-        "--exact", action="store_true",
-        help="use the deterministic enter/exit engine instead of frame "
-        "sampling (precise call counts, but roughly doubles replay cost)",
-    )
-    parser.add_argument(
         "--interval-ms", type=float, default=1.0, metavar="MS",
-        help="sampling period in milliseconds (default 1.0; sampled mode)",
+        help="sampling period in milliseconds (default 1.0)",
     )
     parser.add_argument(
         "--top", type=int, default=None, metavar="N",
@@ -768,10 +533,7 @@ def main(argv: list[str] | None = None) -> int:
         args.workload, config, oversubscription=args.oversubscription, seed=args.seed
     )
     runtime = build_runtime(args.runtime, config)
-    profiler = PhaseProfiler(
-        mode="exact" if args.exact else "sampled",
-        interval=args.interval_ms / 1e3,
-    )
+    profiler = PhaseProfiler(interval=args.interval_ms / 1e3)
     prof, _result = profile_replay(runtime, workload, profiler=profiler)
     print(prof.format_top(limit=args.top))
 

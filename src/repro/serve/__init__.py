@@ -17,8 +17,8 @@ Tier-1/Tier-2/Tier-3 hierarchy — on the simulated-time axis:
   (static caps, or dynamic with idle reclaim) enforced through the
   runtime's victim-selection and admission hooks;
 - :mod:`repro.serve.runtime` — the tenant-aware runtime: per-tenant
-  counter slices (:class:`SplitStats`), quota-steered eviction, and
-  ``tenant=``-labelled telemetry;
+  counter slices charged at each tenant switch, quota-steered eviction,
+  and ``tenant=``-labelled telemetry;
 - :mod:`repro.serve.server` — the closed-loop front door:
   :class:`TenantServer` replays a mix and reports per-tenant results,
   slowdowns vs solo runs, and Jain-fairness summaries;
@@ -58,7 +58,7 @@ from repro.serve.openloop import (
     OpenLoopServer,
 )
 from repro.serve.quota import QUOTA_MODES, OwnedTier, QuotaConfig, TierQuotas, split_frames
-from repro.serve.runtime import SplitStats, TenantAwareRuntime
+from repro.serve.runtime import TenantAwareRuntime
 from repro.serve.scheduler import (
     SCHEDULER_NAMES,
     Admission,
@@ -105,7 +105,6 @@ __all__ = [
     "QuotaConfig",
     "RoundRobinScheduler",
     "ServeResult",
-    "SplitStats",
     "TenantAwareRuntime",
     "TenantPopulation",
     "TenantResult",

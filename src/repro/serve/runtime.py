@@ -2,12 +2,13 @@
 
 Three things distinguish a served runtime from the single-stream one:
 
-- **per-tenant accounting** — :class:`SplitStats` mirrors every counter
-  increment into the active tenant's private
-  :class:`~repro.core.stats.RuntimeStats` slice, so the shared run yields
-  both the aggregate numbers and an exact per-tenant decomposition
-  (including the cost of evictions a tenant's miss inflicted on others,
-  charged to the tenant that caused the work);
+- **per-tenant accounting** — each tenant switch charges the outgoing
+  tenant's private :class:`~repro.core.stats.RuntimeStats` slice with
+  everything the shared counters moved since the previous switch, so the
+  shared run yields both the aggregate numbers and an exact per-tenant
+  decomposition (including the cost of evictions a tenant's miss
+  inflicted on others, charged to the tenant that caused the work) while
+  the hot path keeps plain counter writes;
 - **quota enforcement** — the victim-selection and admission hooks of the
   base eviction pipeline are overridden to honour
   :class:`~repro.serve.quota.TierQuotas`: a tenant at its Tier-1 budget
@@ -26,6 +27,8 @@ exactly (asserted in tests).
 
 from __future__ import annotations
 
+import operator
+
 from repro.core.config import GMTConfig
 from repro.core.runtime import GMTRuntime
 from repro.core.stats import RuntimeStats
@@ -38,39 +41,9 @@ from repro.policyzoo.registry import make_eviction_policy
 from repro.serve.quota import OwnedTier, QuotaConfig, TierQuotas
 from repro.serve.stream import owner_of_page
 
-_SPLIT_FIELDS = frozenset(RuntimeStats.counter_names())
-
-
-class SplitStats(RuntimeStats):
-    """RuntimeStats that mirrors counter increments into a tenant slice.
-
-    The hot path keeps its plain ``stats.t1_hits += 1`` writes; this
-    subclass intercepts the attribute assignment and applies the delta to
-    the active tenant's own :class:`RuntimeStats` as well.  The serving
-    loop switches the target with :meth:`split_into` before each warp.
-    """
-
-    def split_into(self, target: RuntimeStats | None) -> None:
-        """Mirror subsequent counter increments into ``target`` (None stops)."""
-        object.__setattr__(self, "_split_target", target)
-
-    def __setattr__(self, name: str, value) -> None:
-        if name in _SPLIT_FIELDS:
-            target = getattr(self, "_split_target", None)
-            if target is not None:
-                delta = value - getattr(self, name)
-                if delta:
-                    setattr(target, name, getattr(target, name) + delta)
-        object.__setattr__(self, name, value)
-
-    def record_prediction_outcome(self, predicted: str, actual: str) -> None:
-        # resolved/correct counters split through __setattr__; the
-        # confusion dict is mutated in place and needs explicit mirroring.
-        super().record_prediction_outcome(predicted, actual)
-        target = getattr(self, "_split_target", None)
-        if target is not None:
-            key = (predicted, actual)
-            target.confusion[key] = target.confusion.get(key, 0) + 1
+_COUNTERS = RuntimeStats.counter_names()
+#: Reads every scalar counter of a stats object as one tuple.
+_read_counters = operator.attrgetter(*_COUNTERS)
 
 
 class _TenantObsShim:
@@ -146,6 +119,7 @@ class TenantAwareRuntime(GMTRuntime):
     """
 
     orchestration = "gpu"
+    engine_reason = "shared multi-tenant hierarchy switches tenant context per access"
 
     def __init__(
         self,
@@ -226,21 +200,39 @@ class TenantAwareRuntime(GMTRuntime):
         #: the unobserved hot path never touches them).
         self.tenant_digests = [LatencyDigest() for _ in tenant_names]
         self._current: int | None = None
+        #: The shared counters and confusion matrix as of the last tenant
+        #: switch; the next switch charges the difference.
+        self._charged = _read_counters(self.stats)
+        self._charged_confusion: dict[tuple[str, str], int] = {}
         self.obs_extra_labels = dict(self.obs_extra_labels)
         self.obs_extra_labels["tenants"] = str(len(tenant_names))
 
-    # -- stats ----------------------------------------------------------
-    def _make_stats(self) -> RuntimeStats:
-        return SplitStats()
-
     # -- tenant switching (driven by the server, per warp) --------------
     def begin_tenant(self, index: int | None) -> None:
-        """All subsequent work is issued by (and charged to) ``index``."""
+        """All subsequent work is issued by (and charged to) ``index``.
+
+        The outgoing tenant's slice is charged with what the shared
+        counters and confusion matrix moved since the previous switch
+        (work done with no tenant active is charged to nobody).  So a
+        slice read mid-run is current to the last switch; the servers
+        end every run with ``begin_tenant(None)``.
+        """
+        counters = _read_counters(self.stats)
+        confusion = self.stats.confusion
+        if self._current is not None:
+            target = self.tenant_stats[self._current]
+            for name, now, then in zip(_COUNTERS, counters, self._charged):
+                if now != then:
+                    setattr(target, name, getattr(target, name) + now - then)
+            charged = self._charged_confusion
+            for key, count in confusion.items():
+                moved = count - charged.get(key, 0)
+                if moved:
+                    target.confusion[key] = target.confusion.get(key, 0) + moved
+        self._charged = counters
+        self._charged_confusion = dict(confusion)
         self._current = index
-        if index is None:
-            self.stats.split_into(None)
-        else:
-            self.stats.split_into(self.tenant_stats[index])
+        if index is not None:
             self.quotas.note_active(index, self.stats.coalesced_accesses)
 
     def finish_tenant(self, index: int) -> None:
@@ -255,6 +247,15 @@ class TenantAwareRuntime(GMTRuntime):
         if self._current is None:
             return None
         return self.tenant_names[self._current]
+
+    def elapsed_ns(self) -> float:
+        """Cheap read of the aggregate modelled elapsed time so far."""
+        if self._queueing is not None:
+            return self._queueing.makespan_ns
+        return self.cost.breakdown(
+            pcie_busy_ns=self.pcie.busy_time_ns(),
+            ssd_busy_ns=self.ssd.busy_time_ns(),
+        ).elapsed_ns
 
     # -- quota-aware eviction hooks -------------------------------------
     def _tier1_needs_eviction(self) -> bool:

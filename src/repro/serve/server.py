@@ -349,17 +349,11 @@ class TenantServer:
         return self.runtime.attach_telemetry(telemetry)
 
     def engine_resolution(self) -> tuple[str, str]:
-        """Resolved engine of the *shared* multiplexed runtime.
-
-        Always scalar today; the reason explains why, mirroring
-        ``GMTRuntime.engine_resolution()`` so CLIs and the ledger treat
-        served and solo runs uniformly.  Solo replays resolve per stream
-        — see :attr:`solo_resolutions`.
+        """Resolved engine of the *shared* multiplexed runtime, so CLIs
+        and the ledger treat served and solo runs uniformly.  Solo
+        replays resolve per stream — see :attr:`solo_resolutions`.
         """
-        return (
-            "scalar",
-            "shared multi-tenant hierarchy switches tenant context per access",
-        )
+        return self.runtime.engine_resolution()
 
     def tenant_registries(self, prefix: str = "gmt_") -> list:
         """Per-tenant metric registries (constant label ``tenant=<name>``).
@@ -430,7 +424,7 @@ class TenantServer:
             # immediately after the tenant's last warp; the interleaving
             # disciplines may be a few foreign warps late, which is noise
             # at trace scale).
-            finish_ns[index] = self._elapsed_now()
+            finish_ns[index] = runtime.elapsed_ns()
             runtime.finish_tenant(index)
 
         tracked = [_DrainTracking(s, on_drained) for s in self.streams]
@@ -517,16 +511,6 @@ class TenantServer:
             result=result,
             tenants=tenants,
         )
-
-    def _elapsed_now(self) -> float:
-        """Cheap read of the aggregate modelled elapsed time so far."""
-        runtime = self.runtime
-        if runtime._queueing is not None:
-            return runtime._queueing.makespan_ns
-        return runtime.cost.breakdown(
-            pcie_busy_ns=runtime.pcie.busy_time_ns(),
-            ssd_busy_ns=runtime.ssd.busy_time_ns(),
-        ).elapsed_ns
 
     def solo_run(self, stream: TenantStream, telemetry=None) -> RunResult:
         """Replay one tenant's workload alone on a fresh, unshared runtime.

@@ -9,6 +9,8 @@ factory surface, the clock port, the float-accumulation identity,
 in-run audits on the batch path, and the dense-page-id capacity guard.
 """
 
+import random
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -17,10 +19,13 @@ from hypothesis import strategies as st
 from repro.core import ENGINE_NAMES, GMTConfig, make_runtime, resolve_engine_reason
 from repro.core.runtime import GMTRuntime
 from repro.core.vector import (
+    _FLATTEN_BLOCK,
+    _STREAM_CHUNK_WARPS,
     VectorClock,
     VectorEngineMixin,
     VectorPageStore,
     VectorReplayEngine,
+    _iter_trace_chunks,
     clear_trace_cache,
     materialize_trace,
     vector_variant,
@@ -30,7 +35,7 @@ from repro.experiments.harness import build_runtime, default_config
 from repro.mem.clock_replacement import ClockReplacement
 from repro.obs import Telemetry
 from repro.sim.cost import sequential_float_sum
-from repro.sim.gpu import WarpAccess
+from repro.sim.gpu import WarpAccess, coalesce
 
 N_PAGES = 48  # footprint; tier1=8 frames forces heavy eviction traffic
 
@@ -363,3 +368,59 @@ class TestFallbacksAndGuards:
                 metamorphic=False,
                 serve=False,
             )
+
+
+class TestTraceFlattening:
+    """``_iter_trace_chunks`` builds the flat stream in bounded blocks and
+    still yields exactly what a per-access loop over the warps gives."""
+
+    @pytest.fixture(scope="class")
+    def warps(self):
+        # Up to 32 lanes over a small page range: warps span many pages
+        # and repeat some, so coalescing matters, and each
+        # _STREAM_CHUNK_WARPS chunk holds more than one block.
+        rng = random.Random(7)
+        warps, accesses = [], 0
+        while accesses < 3 * _FLATTEN_BLOCK + 1000:
+            lanes = tuple(rng.randrange(4096) for _ in range(rng.randint(1, 32)))
+            warps.append(WarpAccess(pages=lanes, write=rng.random() < 0.3))
+            accesses += len(set(lanes))
+        return warps
+
+    @staticmethod
+    def naive(warps):
+        pages, writes, counts = [], [], []
+        for count, warp in enumerate(warps, start=1):
+            for page in coalesce(warp):
+                pages.append(page)
+                writes.append(warp.write)
+                counts.append(count)
+        return pages, writes, counts
+
+    @staticmethod
+    def flat(chunk):
+        n_warps, pages, writes, counts = chunk
+        assert (pages.dtype, writes.dtype, counts.dtype) == (np.int64, bool, np.int64)
+        return n_warps, (pages.tolist(), writes.tolist(), counts.tolist())
+
+    def test_whole_trace_as_one_chunk(self, warps):
+        (chunk,) = _iter_trace_chunks(warps)
+        n_warps, arrays = self.flat(chunk)
+        assert n_warps == len(warps)
+        assert len(arrays[0]) > 3 * _FLATTEN_BLOCK
+        assert arrays == self.naive(warps)
+
+    def test_bounded_chunks(self, warps):
+        chunks = list(_iter_trace_chunks(iter(warps), _STREAM_CHUNK_WARPS))
+        assert len(chunks) == -(-len(warps) // _STREAM_CHUNK_WARPS)
+        for index, chunk in enumerate(chunks):
+            part = warps[index * _STREAM_CHUNK_WARPS : (index + 1) * _STREAM_CHUNK_WARPS]
+            n_warps, arrays = self.flat(chunk)
+            assert n_warps == len(part)
+            assert arrays == self.naive(part)
+        assert len(chunks[0][1]) > _FLATTEN_BLOCK
+
+    def test_empty_trace(self):
+        (chunk,) = _iter_trace_chunks([])
+        assert self.flat(chunk) == (0, ([], [], []))
+        assert list(_iter_trace_chunks([], _STREAM_CHUNK_WARPS)) == []

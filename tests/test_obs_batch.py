@@ -263,15 +263,23 @@ class TestEngineResolution:
         assert runtime.engine_resolution() == (
             "vector", "no per-access consumers attached"
         )
-        demoted = make_runtime(small_config(), engine="vector")
-        demoted.attach_profiler(PhaseProfiler(mode="exact"))
+
+    def test_attached_profiler_keeps_the_vector_engine(self):
+        trace = make_trace(
+            [((i % N_PAGES, (i * 5) % N_PAGES), i % 4 == 0) for i in range(200)]
+        )
+        scalar = make_runtime(small_config(), engine="scalar").run(trace)
+        profiled = make_runtime(small_config(), engine="vector")
+        profiled.attach_profiler(PhaseProfiler())
         try:
-            demoted.run(trace)
-            engine, reason = demoted.engine_resolution()
+            result = profiled.run(trace)
+            resolution = profiled.engine_resolution()
         finally:
-            demoted.detach_profiler()
-        assert engine == "scalar"
-        assert "profiler" in reason
+            profiled.detach_profiler()
+        assert resolution == ("vector", "no per-access consumers attached")
+        assert result.stats.as_dict() == scalar.stats.as_dict()
+        assert result.stats.confusion == scalar.stats.confusion
+        assert result.elapsed_ns == scalar.elapsed_ns
 
 
 class TestWindowDesyncSelfTest:

@@ -1,20 +1,25 @@
-"""Phase profiler: attribution exactness, attach/detach hygiene, zero
-cost when disabled, sampled-mode statistics, and the gmt-prof CLI."""
+"""Phase profiler: the per-sample fold, attach/detach hygiene, zero cost
+when disabled, engine-transparent replays, and the gmt-prof CLI."""
 
+import dataclasses
 import json
 import random
+import signal
+import sys
+import threading
 import tracemalloc
 
 import pytest
 
 import repro.prof
 from repro.core.config import GMTConfig
+from repro.core.factory import make_runtime
 from repro.core.runtime import GMTRuntime
 from repro.errors import ConfigError, SimulationError
+from repro.experiments.harness import build_runtime, default_config, get_workload
 from repro.prof import (
     PHASES,
     PhaseProfiler,
-    ThroughputMeter,
     collapsed_lines,
     diff_profiles,
     format_top,
@@ -23,16 +28,6 @@ from repro.prof import (
     profile,
     profile_replay,
 )
-
-
-class FakeClock:
-    """Settable clock for deterministic exact-mode attribution."""
-
-    def __init__(self, t=0.0):
-        self.t = t
-
-    def __call__(self):
-        return self.t
 
 
 def make_config(**kwargs):
@@ -51,107 +46,76 @@ def random_pages(n=2000, universe=512, seed=11):
     return [rng.randrange(universe) for _ in range(n)]
 
 
-class TestThroughputMeter:
-    def test_overall_rate(self):
-        clk = FakeClock()
-        meter = ThroughputMeter(interval=10, clock=clk)
-        meter.start(0)
-        clk.t = 2.0
-        meter.tick(100)
-        assert meter.overall() == pytest.approx(50.0)
-
-    def test_recent_rate_uses_tail_samples(self):
-        clk = FakeClock()
-        meter = ThroughputMeter(interval=10, clock=clk)
-        meter.start(0)
-        clk.t = 1.0
-        meter.tick(10)  # 10/s
-        clk.t = 1.1
-        meter.tick(30)  # then 200/s
-        assert meter.rate(window=1) == pytest.approx(200.0, rel=1e-6)
-
-    def test_sub_interval_ticks_are_coalesced(self):
-        meter = ThroughputMeter(interval=100, clock=FakeClock())
-        meter.start(0)
-        for position in range(0, 90, 10):
-            meter.tick(position)
-        assert len(meter.samples) == 1
-
-    def test_bad_interval_rejected(self):
-        with pytest.raises(ConfigError):
-            ThroughputMeter(interval=0)
+# Call chains for the fold tests: each site calls the next function in
+# ``rest``, and the last one folds the live stack.
+def dispatch_site(prof, dt, *rest):
+    return rest[0](prof, dt, *rest[1:])
 
 
-class TestExactAttribution:
-    def test_exclusive_times_are_exact_with_fake_clock(self):
-        clk = FakeClock()
-        prof = PhaseProfiler(mode="exact", clock=clk)
-        prof.enter("access")  # t=0
-        clk.t = 1.0
-        prof.enter("page-table")
-        clk.t = 3.0
-        prof.exit()
-        clk.t = 6.0
-        prof.exit()
-        doc = prof.report()
-        assert doc["phases"]["access"]["self_s"] == pytest.approx(4.0)
-        assert doc["phases"]["page-table"]["self_s"] == pytest.approx(2.0)
-        assert doc["stacks"] == pytest.approx(
-            {"access": 4.0, "access;page-table": 2.0}
-        )
+def access_site(prof, dt, *rest):
+    return rest[0](prof, dt, *rest[1:])
 
-    def test_reentry_accumulates(self):
-        clk = FakeClock()
-        prof = PhaseProfiler(mode="exact", clock=clk)
-        for start in (0.0, 10.0):
-            clk.t = start
-            prof.enter("eviction")
-            clk.t = start + 2.0
-            prof.exit()
-        doc = prof.report()
-        assert doc["phases"]["eviction"]["self_s"] == pytest.approx(4.0)
-        assert doc["phases"]["eviction"]["calls"] == 2
 
-    def test_gap_between_phases_is_unattributed(self):
-        clk = FakeClock()
-        prof = PhaseProfiler(mode="exact", clock=clk)
-        prof.enter("access")
-        clk.t = 1.0
-        prof.exit()
-        clk.t = 5.0  # 4s outside any phase
-        prof.enter("access")
-        clk.t = 6.0
-        prof.exit()
-        prof.wall_s = 6.0
-        assert prof.attributed_s == pytest.approx(2.0)
-        assert prof.coverage == pytest.approx(2.0 / 6.0)
+def other_access_site(prof, dt, *rest):
+    return rest[0](prof, dt, *rest[1:])
 
-    def test_drain_cap_bounds_event_buffer(self):
-        clk = FakeClock()
-        prof = PhaseProfiler(mode="exact", clock=clk)
-        prof._drain_at = 64
-        for i in range(1000):
-            clk.t = float(i)
-            prof.enter("access")
-            clk.t = float(i) + 0.5
-            prof.exit()
-        assert len(prof._events) < 64
-        assert prof.report()["phases"]["access"]["calls"] == 1000
+
+def table_site(prof, dt, *rest):
+    return rest[0](prof, dt, *rest[1:])
+
+
+def unregistered(prof, dt, *rest):
+    return rest[0](prof, dt, *rest[1:])
+
+
+def sample(prof, dt):
+    prof._fold_sample(sys._getframe(), dt)
+
+
+class TestFoldSample:
+    @pytest.fixture
+    def prof(self):
+        prof = PhaseProfiler()
+        for fn, phase in (
+            (dispatch_site, "dispatch"),
+            (access_site, "access"),
+            (other_access_site, "access"),
+            (table_site, "page-table"),
+        ):
+            prof._code_phases[fn.__code__] = phase
+        return prof
+
+    def test_nested_phases_charge_the_innermost(self, prof):
+        dispatch_site(prof, 0.5, access_site, table_site, sample)
+        dispatch_site(prof, 0.25, access_site, sample)
+        assert dict(prof.self_s) == {"page-table": 0.5, "access": 0.25}
+        assert dict(prof.calls) == {"page-table": 1, "access": 1}
+        assert dict(prof.stacks) == {
+            "dispatch;access;page-table": 0.5,
+            "dispatch;access": 0.25,
+        }
+
+    def test_adjacent_duplicates_fold(self, prof):
+        access_site(prof, 1.0, access_site, other_access_site, sample)
+        access_site(prof, 2.0, table_site, access_site, sample)
+        assert dict(prof.stacks) == {"access": 1.0, "access;page-table;access": 2.0}
+        assert dict(prof.self_s) == {"access": 3.0}
+
+    def test_unregistered_frames_are_skipped(self, prof):
+        unregistered(prof, 0.5, access_site, unregistered, table_site, unregistered, sample)
+        assert dict(prof.stacks) == {"access;page-table": 0.5}
+        assert dict(prof.self_s) == {"page-table": 0.5}
+
+    def test_sample_with_no_phase_is_unattributed(self, prof):
+        unregistered(prof, 0.5, sample)
+        prof._fold_sample(None, 0.5)
+        prof.wall_s = 1.0
+        assert not prof.self_s and not prof.stacks and not prof.calls
+        assert prof.attributed_s == 0.0
+        assert prof.coverage == 0.0
 
 
 class TestAttachDetach:
-    def test_exact_detach_restores_methods(self):
-        runtime = GMTRuntime(make_config())
-        baseline_access = runtime.access_warp
-        prof = PhaseProfiler(mode="exact")
-        prof.attach(runtime)
-        assert "access_warp" in vars(runtime)
-        assert runtime._prof is prof
-        prof.detach()
-        assert "access_warp" not in vars(runtime)
-        assert runtime.access_warp == baseline_access
-        assert runtime._prof is None
-
     def test_sampled_attach_never_touches_methods(self):
         runtime = GMTRuntime(make_config())
         prof = PhaseProfiler()
@@ -163,7 +127,38 @@ class TestAttachDetach:
         finally:
             prof.detach()
         assert runtime._prof is None
-        assert prof._sampler is None
+
+    def test_detach_restores_the_sigprof_handler_and_timer(self):
+        def previous(signum, frame):
+            pass
+
+        old = signal.signal(signal.SIGPROF, previous)
+        try:
+            prof = PhaseProfiler().attach(GMTRuntime(make_config()))
+            assert signal.getsignal(signal.SIGPROF) == prof._on_sample
+            assert signal.getitimer(signal.ITIMER_PROF)[1] == pytest.approx(prof.interval)
+            prof.detach()
+            assert signal.getsignal(signal.SIGPROF) is previous
+            assert signal.getitimer(signal.ITIMER_PROF) == (0.0, 0.0)
+        finally:
+            signal.signal(signal.SIGPROF, old)
+
+    def test_attach_off_the_main_thread_rejected(self):
+        runtime = GMTRuntime(make_config())
+        errors = []
+
+        def attach():
+            try:
+                PhaseProfiler().attach(runtime)
+            except ConfigError as exc:
+                errors.append(exc)
+
+        worker = threading.Thread(target=attach)
+        worker.start()
+        worker.join(timeout=30)
+        assert not worker.is_alive()
+        assert len(errors) == 1 and "main thread" in str(errors[0])
+        assert runtime._prof is None
 
     def test_double_attach_rejected_both_sides(self):
         runtime = GMTRuntime(make_config())
@@ -186,14 +181,13 @@ class TestAttachDetach:
         assert runtime._prof is None
         runtime.detach_profiler()  # idempotent
 
-    @pytest.mark.parametrize("mode", ["exact", "sampled"])
-    def test_profiling_does_not_change_results(self, mode):
+    def test_profiling_does_not_change_results(self):
         pages = random_pages()
         bare = GMTRuntime(make_config())
         for page in pages:
             bare.access(page)
         profiled = GMTRuntime(make_config())
-        prof = PhaseProfiler(mode=mode)
+        prof = PhaseProfiler()
         prof.attach(profiled)
         try:
             for page in pages:
@@ -204,9 +198,7 @@ class TestAttachDetach:
         assert profiled.stats.t1_evictions == bare.stats.t1_evictions
         assert profiled.result().elapsed_ns == bare.result().elapsed_ns
 
-    def test_bad_mode_and_interval_rejected(self):
-        with pytest.raises(ConfigError):
-            PhaseProfiler(mode="statistical")
+    def test_bad_interval_rejected(self):
         with pytest.raises(ConfigError):
             PhaseProfiler(interval=0.0)
 
@@ -222,22 +214,13 @@ class TestReplayProfiling:
 
         return gen()
 
-    def test_exact_replay_attributes_most_of_wall(self):
-        runtime = GMTRuntime(make_config())
-        prof = PhaseProfiler(mode="exact")
-        prof, result = profile_replay(runtime, self._workload(), profiler=prof)
-        assert prof.accesses == 3000
-        assert prof.wall_s > 0
-        assert prof.coverage > 0.9
-        assert result.stats.coalesced_accesses == 3000
-        assert set(prof.report()["phases"]) <= set(PHASES)
-
     def test_sampled_replay_produces_samples(self):
         runtime = GMTRuntime(make_config())
         prof = PhaseProfiler(interval=1e-4)
         prof, _result = profile_replay(runtime, self._workload(8000), profiler=prof)
         doc = prof.report()
         assert doc["mode"] == "sampled"
+        assert doc["engine"] == "scalar"
         assert prof.accesses == 8000
         # Statistical: every matched sample charges its interval, so on a
         # replay this long attribution should dominate the wall.
@@ -253,6 +236,30 @@ class TestReplayProfiling:
         assert runtime._prof is None
         assert prof.wall_s > 0
         assert prof.accesses == 500
+        assert prof.engine == "scalar"
+
+    def test_vector_replay_stays_vector_and_matches_unprofiled(self):
+        config = dataclasses.replace(default_config(8192), prefetch_degree=2)
+        workload = get_workload("hotspot", config)
+        bare = build_runtime("reuse", config).run(workload)
+        prof, result = profile_replay(build_runtime("reuse", config), workload)
+        assert result.stats.as_dict() == bare.stats.as_dict()
+        assert result.stats.confusion == bare.stats.confusion
+        assert result.elapsed_ns == bare.elapsed_ns
+        assert result.stats.prefetch_hits > 0
+        doc = prof.report()
+        assert (doc["engine"], doc["engine_reason"]) == (
+            "vector", "no per-access consumers attached"
+        )
+
+    def test_zoo_tier1_profile_says_scalar(self):
+        config = dataclasses.replace(default_config(8192), tier1_eviction="s3fifo")
+        prof, _result = profile_replay(
+            make_runtime(config), get_workload("hotspot", config)
+        )
+        doc = prof.report()
+        assert doc["engine"] == "scalar"
+        assert "s3fifo" in doc["engine_reason"]
 
 
 class TestZeroCostWhenDisabled:
@@ -275,11 +282,12 @@ class TestZeroCostWhenDisabled:
 
 
 class TestReporting:
-    def _doc(self, **phases):
+    def _doc(self, engine="vector", **phases):
         total = sum(phases.values())
         return {
             "version": 1,
-            "mode": "exact",
+            "mode": "sampled",
+            "engine": engine,
             "wall_s": total,
             "accesses": 1000,
             "accesses_per_sec": 1000 / total if total else 0.0,
@@ -297,6 +305,13 @@ class TestReporting:
         access_at = text.index("access", text.index("% wall"))
         assert eviction_at < access_at
         assert "100.0% attributed" in text
+        assert "engine=vector" in text
+
+    def test_document_without_engine_shows_unknown(self):
+        doc = self._doc(access=0.1)
+        del doc["engine"]
+        assert "engine=?" in format_top(doc)
+        assert "engine=? -> scalar" in diff_profiles(doc, self._doc("scalar", access=0.1))
 
     def test_collapsed_lines_integer_microseconds(self):
         lines = collapsed_lines({"stacks": {"dispatch;access": 0.001234}})
@@ -306,11 +321,12 @@ class TestReporting:
         assert collapsed_lines({"stacks": {"dispatch": 1e-9}}) == []
 
     def test_diff_reports_throughput_and_deltas(self):
-        before = self._doc(access=0.4, eviction=0.4)
-        after = self._doc(access=0.1, eviction=0.4)
+        before = self._doc("scalar", access=0.4, eviction=0.4)
+        after = self._doc("vector", access=0.1, eviction=0.4)
         after["accesses_per_sec"] = 2000.0
         text = diff_profiles(before, after)
         assert "accesses/s" in text
+        assert "engine=scalar -> vector" in text
         assert "access" in text and "eviction" in text
 
     def test_load_profile_rejects_non_profile(self, tmp_path):
@@ -330,8 +346,7 @@ class TestCLI:
                 "--runtime",
                 "reuse",
                 "--scale",
-                "256",
-                "--exact",
+                "4096",
                 "--json-out",
                 str(out),
                 "--collapsed-out",
@@ -342,13 +357,14 @@ class TestCLI:
         )
         assert rc == 0
         doc = json.loads(out.read_text())
-        assert doc["mode"] == "exact"
+        assert doc["mode"] == "sampled"
+        assert doc["engine"] == "vector"
         assert doc["coverage"] > 0.8
         assert folded.read_text().strip()
-        assert "phase profile" in capsys.readouterr().out
+        assert "phase profile (engine=vector)" in capsys.readouterr().out
 
     def test_min_coverage_failure_exits_nonzero(self, tmp_path, capsys):
-        rc = main(["hotspot", "--scale", "256", "--min-coverage", "1.0"])
+        rc = main(["hotspot", "--scale", "4096", "--min-coverage", "1.0"])
         captured = capsys.readouterr()
         if rc == 0:  # a fully-attributed run can legitimately pass
             assert "attributed" in captured.out
@@ -357,28 +373,21 @@ class TestCLI:
 
     def test_compare_mode(self, tmp_path, capsys):
         docs = []
-        for seed in (0, 1):
-            out = tmp_path / f"p{seed}.json"
+        for runtime in ("reuse", "bam"):
+            out = tmp_path / f"{runtime}.json"
             assert (
-                main(
-                    [
-                        "hotspot",
-                        "--scale",
-                        "256",
-                        "--exact",
-                        "--seed",
-                        str(seed),
-                        "--json-out",
-                        str(out),
-                    ]
-                )
+                main(["hotspot", "--runtime", runtime, "--scale", "4096", "--json-out", str(out)])
                 == 0
             )
             docs.append(out)
         capsys.readouterr()
         rc = main(["--compare", str(docs[0]), str(docs[1])])
         assert rc == 0
-        assert "profile diff" in capsys.readouterr().out
+        assert "profile diff (engine=vector -> vector)" in capsys.readouterr().out
+
+    def test_exact_flag_is_gone(self):
+        with pytest.raises(SystemExit):
+            main(["hotspot", "--exact"])
 
     def test_workload_required_without_compare(self):
         with pytest.raises(SystemExit):

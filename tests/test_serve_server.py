@@ -1,5 +1,7 @@
 """End-to-end tests for the multi-tenant serving layer (repro.serve)."""
 
+from collections import Counter
+
 import pytest
 
 from repro.core.runtime import GMTRuntime
@@ -7,8 +9,8 @@ from repro.core.stats import RuntimeStats
 from repro.errors import ConfigError, SimulationError
 from repro.experiments.harness import default_config, get_workload
 from repro.serve import (
+    GovernorConfig,
     QuotaConfig,
-    SplitStats,
     TenantServer,
     TenantSpec,
     build_tenants,
@@ -116,7 +118,6 @@ class TestSharedRun:
     def test_tenant_slices_sum_to_aggregate(self, outcome):
         server, result = outcome
         aggregate = result.result.stats
-        assert isinstance(aggregate, SplitStats)
         for field in RuntimeStats.counter_names():
             total = sum(getattr(t.stats, field) for t in result.tenants)
             assert total == getattr(aggregate, field), field
@@ -148,6 +149,46 @@ class TestSharedRun:
     def test_invariants_hold_after_run(self, outcome):
         server, _ = outcome
         server.runtime.check_invariants()
+
+
+class TestTenantCharging:
+    def test_slices_match_a_per_warp_reference(self, config):
+        # The reference is independent of the switch-time charging: the
+        # counter and confusion-matrix movement around every warp,
+        # summed per issuing tenant.
+        server = make_server(
+            config,
+            ["bfs", "hotspot", "srad"],
+            discipline="weighted-fair",
+            epoch=3,
+            quota=QuotaConfig(mode="static"),
+            governor=GovernorConfig(tokens_per_1k_accesses=200.0),
+        )
+        runtime = server.runtime
+        names = RuntimeStats.counter_names()
+        counters = [Counter() for _ in server.streams]
+        confusion = [Counter() for _ in server.streams]
+        access_warp = runtime.access_warp
+
+        def traced(warp):
+            before = runtime.stats.as_dict()
+            before_confusion = Counter(runtime.stats.confusion)
+            access_warp(warp)
+            after = runtime.stats.as_dict()
+            tenant = runtime.current_tenant
+            counters[tenant].update({n: after[n] - before[n] for n in names})
+            confusion[tenant].update(Counter(runtime.stats.confusion) - before_confusion)
+
+        runtime.access_warp = traced
+        result = server.run(solo_baselines=False)
+        stats = runtime.stats
+        assert stats.t2_quota_denials and stats.migration_throttled
+        assert stats.resolved_predictions
+        for index, tenant in enumerate(result.tenants):
+            assert {n: getattr(tenant.stats, n) for n in names} == {
+                n: counters[index][n] for n in names
+            }
+            assert tenant.stats.confusion == dict(confusion[index])
 
 
 class TestStaticQuotas:
