@@ -19,7 +19,8 @@ be reshaped without notice; prefer these re-exports over deep imports.
 - Engine selection: :func:`make_runtime` (the one constructor every tool
   routes through), :func:`resolve_engine_reason`, :data:`ENGINE_NAMES` —
   ``"scalar"`` is the reference per-access loop, ``"vector"`` the
-  byte-identical struct-of-arrays batch engine, ``"auto"`` picks vector
+  byte-identical engine that retires Tier-1 hit runs in batches over
+  the same page table and clock, ``"auto"`` picks vector
   unless the Tier-1 structure is a policy-zoo member with no vector twin
   (telemetry, lifecycle recorders, periodic audits and the phase
   profiler never demote).

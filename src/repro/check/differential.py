@@ -8,7 +8,7 @@ the cross-runtime and metamorphic checks:
 - **cross-runtime-trace** — all runtimes must observe the identical
   coalesced access stream (policies decide placement, never the trace);
 - **scalar-vs-vector** — every runtime kind replayed through both replay
-  engines (the scalar reference loop and the SoA batch engine,
+  engines (the scalar reference loop and the batched vector engine,
   :mod:`repro.core.vector`) must be counter-identical byte for byte,
   including the modelled ``elapsed_ns``;
 - **telemetry-parity** — every runtime kind replayed through both
@@ -92,25 +92,31 @@ def _inject_lost_writeback(runtime: GMTRuntime) -> str:
 
 
 def _inject_vector_desync(runtime: GMTRuntime) -> str:
-    """Corrupt the vector engine's SoA tier column for a Tier-1 resident
-    page (the exact failure mode a buggy batch path would produce: the
-    dense arrays and the tier structures disagreeing about a page)."""
+    """Set the vector engine's hit-map bit of a page that must miss (the
+    exact failure mode a buggy map would produce: a miss retired as a
+    hit).  The page is a pending prefetch when there is one, whose first
+    demand touch must bill the prefetch path, else a Tier-2 resident."""
     from repro.core.vector import VectorEngineMixin
     from repro.mem.page import PageLocation
 
     if not isinstance(runtime, VectorEngineMixin):
         raise ConfigError(
-            "vector-desync corrupts the SoA page store; run with "
-            "--engine vector"
+            "vector-desync corrupts the hit map; run with --engine vector"
         )
-    page = next(iter(runtime.tier1), None)
-    if page is None:
+    states = list(runtime.page_table)
+    target = next((s for s in states if s.prefetched), None)
+    if target is None:
+        target = next(
+            (s for s in states if s.location is PageLocation.TIER2), None
+        )
+    if target is None:
         raise ConfigError(
-            "vector-desync needs a Tier-1 resident page; use a trace "
-            "that leaves Tier-1 populated"
+            "vector-desync needs a Tier-2 resident or a pending prefetch; "
+            "run a 3-tier runtime (not bam) or --prefetch-degree > 0"
         )
-    runtime._vstore.loc[page] = PageLocation.TIER2.value
-    return f"store.loc[{page}] rewritten to TIER2 while Tier-1 resident"
+    runtime._hit_map.bits[target.page] = True
+    kind = "pending prefetch" if target.prefetched else "Tier-2 page"
+    return f"hit-map bit set for {kind} {target.page}"
 
 
 def _inject_ghost_leak(runtime: GMTRuntime) -> str:

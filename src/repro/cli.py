@@ -282,6 +282,43 @@ def _parse_tenants(spec: str) -> list:
     return specs
 
 
+#: gmt-serve flags that only one mode reads.  Setting one to a value
+#: other than its default in the other mode is a usage error rather than
+#: a silently ignored request (an unwritten --trace-out, say).
+_OPEN_LOOP_ONLY = (
+    "--requests",
+    "--arrival-process",
+    "--arrival-rate",
+    "--max-backlog",
+    "--population-workload",
+)
+_CLOSED_LOOP_ONLY = (
+    "--tenants",
+    "--tier1-policy",
+    "--tier2-policy",
+    "--governor",
+    "--governor-rate",
+    "--governor-burst",
+    "--governor-stall-ns",
+    "--discipline",
+    "--quotas",
+    "--oversubscription",
+    "--no-solo",
+    "--trace-out",
+    "--metrics-out",
+    "--engine",
+    *flags.ANOMALY,
+)
+
+
+def _reject_unread_flags(parser, args, mode: str, names) -> None:
+    """Exit 2 naming the first of ``names`` set off its default."""
+    for name in names:
+        dest = name[2:].replace("-", "_")
+        if getattr(args, dest) != parser.get_default(dest):
+            parser.error(f"{name} is not read in {mode} mode")
+
+
 def _serve_open_loop(args, config) -> int:
     """``gmt-serve --open-loop N``: the open-loop service simulator."""
     from repro.check.identities import assert_conformant, audit_split
@@ -542,6 +579,10 @@ def main_serve(argv: list[str] | None = None) -> int:
 
     if args.open_loop is None and args.tenants is None:
         parser.error("--tenants is required (or use --open-loop TENANTS)")
+    if args.open_loop is not None:
+        _reject_unread_flags(parser, args, "open-loop", _CLOSED_LOOP_ONLY)
+    else:
+        _reject_unread_flags(parser, args, "closed-loop", _OPEN_LOOP_ONLY)
 
     config = default_config(
         args.scale, platform=get_platform(args.platform), policy=args.policy

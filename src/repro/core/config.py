@@ -31,10 +31,10 @@ _POLICY_NAMES = ("tier-order", "random", "reuse", "dueling")
 POLICY_NAMES = _POLICY_NAMES
 
 #: Replay-engine names (``GMTConfig.engine`` / every ``--engine`` flag).
-#: "scalar" is the reference per-access loop, "vector" the SoA batch
-#: engine (:mod:`repro.core.vector`), and "auto" resolves per run site:
-#: vector unless the Tier-1 structure is a policy-zoo member with no
-#: vector twin.  Every instrument — telemetry, lifecycle recorders,
+#: "scalar" is the reference per-access loop, "vector" the batched
+#: hit-run engine (:mod:`repro.core.vector`), and "auto" resolves per
+#: run site: vector unless the Tier-1 structure is a policy-zoo member
+#: with no vector twin.  Every instrument — telemetry, lifecycle recorders,
 #: periodic checks (:mod:`repro.obs.batch`) and the phase profiler —
 #: stays on the vector engine.
 ENGINE_NAMES = ("scalar", "vector", "auto")

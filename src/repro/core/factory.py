@@ -6,9 +6,9 @@ experiment harness) routes runtime construction through
 so ``GMTConfig.engine`` / ``--engine`` behave identically everywhere:
 
 - ``"scalar"`` — the reference per-access Python loop;
-- ``"vector"`` — the struct-of-arrays batch engine
-  (:mod:`repro.core.vector`), byte-identical results, 10-50x faster on
-  hit-dominated streams;
+- ``"vector"`` — the batched hit-run engine (:mod:`repro.core.vector`)
+  over the scalar page table and clock, byte-identical results, 10-50x
+  faster on hit-dominated streams;
 - ``"auto"`` — vector unless the config's Tier-1 structure is a
   policy-zoo member with no vector twin.  Telemetry, lifecycle
   recorders (full or sampled), periodic conformance checks (see

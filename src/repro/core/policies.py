@@ -99,7 +99,6 @@ class PlacementPolicy(abc.ABC):
 
     def on_evicted(self, state: PageState, plan: PlacementPlan) -> None:
         """The victim actually left Tier-1 under ``plan``."""
-        state.eviction_count += 1
 
 
 class TierOrderPolicy(PlacementPolicy):
@@ -279,7 +278,6 @@ class ReusePolicy(PlacementPolicy):
         return PlacementPlan(decision=decision, predicted_class=predicted)
 
     def on_evicted(self, state: PageState, plan: PlacementPlan) -> None:
-        super().on_evicted(state, plan)
         state.last_eviction_ts = self._vts.now
         if plan.predicted_class is not None:
             state.policy_state[self._PENDING] = plan.predicted_class

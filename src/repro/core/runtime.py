@@ -84,7 +84,7 @@ class GMTRuntime:
     """
 
     name = "GMT"
-    #: Replay engine identity ("scalar" here; the SoA batch engine,
+    #: Replay engine identity ("scalar" here; the batched hit-run engine,
     #: :mod:`repro.core.vector`, overrides with "vector").  Distinct from
     #: :attr:`engine`, which is the Tier-1<->Tier-2 *transfer* engine.
     engine_name = "scalar"
@@ -159,8 +159,8 @@ class GMTRuntime:
         #: default and each emission site costs one attribute check.
         self._flight = None
         #: The attached phase profiler (see :mod:`repro.prof`), or None.
-        #: It samples frames from its own thread, so the hot path never
-        #: reads this; it only guards double-attach.
+        #: A ``SIGPROF`` timer samples the main thread's frames, so the
+        #: hot path never reads this; it only guards double-attach.
         self._prof = None
         #: Scratch: the cause/prediction behind the eviction currently in
         #: flight (set by ``_ensure_tier1_frame``, read by the placement

@@ -1,27 +1,27 @@
-"""Struct-of-arrays (SoA) replay engine — the vectorized hot path.
+"""Vector replay engine: Tier-1 hit runs retired in batches.
 
-The scalar :class:`~repro.core.runtime.GMTRuntime` pays one Python object
-hop per coalesced access: a dict lookup in the page table, an enum
-comparison, a clock-dict lookup, half a dozen attribute increments.  That
-caps every experiment cell, bench number, and serve run (ROADMAP item 1).
+The scalar :class:`~repro.core.runtime.GMTRuntime` pays one Python call
+chain per coalesced access: a page-table lookup, a VTD stamp, an enum
+comparison, a clock touch, half a dozen attribute increments.  On a
+stream of Tier-1 hits that is almost all the work there is.
 
-This module keeps the *miss pipeline* — the part with real control flow:
-eviction decisions, Tier-2 admission, writebacks — byte-for-byte on the
-scalar code path, and vectorizes only what dominates the instruction
-stream: runs of consecutive Tier-1 hits.  Per-page metadata lives in
-parallel numpy arrays indexed by page id (:class:`VectorPageStore`); the
-replay loop detects maximal hit prefixes with one fancy-indexed compare
-and retires them with a handful of array ops (:meth:`VectorEngineMixin.
-_batch_hits`) instead of one Python iteration each.
+This engine keeps the runtime's own structures (its :class:`PageTable`
+rows and its :class:`ClockReplacement`), so every miss runs the
+inherited scalar pipeline, byte for byte and cost for cost.  What it
+adds is one dense bit per page (:class:`HitMap`: Tier-1 resident and
+not a pending prefetch), which the rows keep current.  The replay loop
+finds maximal hit prefixes with one fancy-indexed probe of the map and
+retires them in :meth:`VectorEngineMixin._batch_hits`, with numpy work
+per run and Python work once per *distinct* page of the run.
 
 Byte-identity with the scalar engine is a hard requirement (the
 ``gmt-check`` differential harness enforces it, see
 ``repro.check.differential``), which dictates the design:
 
-- a batched hit retires the *same* state transitions in the same order a
-  scalar hit would: VTD clock tick, per-page timestamp/access-count
-  update, stats increments, compute-cost accrual, queueing-model arrival,
-  dirty marking, clock reference bit;
+- a batched run retires the state a run of scalar hits would leave: the
+  VTD clock advance, each page's last-access stamp, stats increments,
+  compute-cost accrual, queueing-model arrivals, dirty marks, clock
+  reference bits;
 - float accumulators advance through
   :func:`repro.sim.cost.sequential_float_sum`, which reproduces the exact
   rounding of a sequential ``+=`` loop (``np.add.accumulate`` is the
@@ -32,7 +32,7 @@ Byte-identity with the scalar engine is a hard requirement (the
   boundary accesses under attached telemetry, accesses a periodic audit
   runs before — drops to the inherited scalar code path for that access
   (the per-batch observer chain, see :mod:`repro.obs.batch`); only a
-  Tier-1 structure with no vector twin demotes the whole run.
+  Tier-1 structure other than the plain clock demotes the whole run.
 
 :func:`vector_variant` composes the mixin onto any runtime class whose
 access path is inherited from :class:`GMTRuntime` (all the baselines),
@@ -50,7 +50,7 @@ from typing import Iterable, Iterator
 import numpy as np
 
 from repro.core.runtime import GMTRuntime
-from repro.errors import CapacityError, PageStateError, SimulationError
+from repro.errors import SimulationError
 from repro.mem.clock_replacement import ClockReplacement
 from repro.mem.page import PageLocation, PageState
 from repro.mem.page_table import PageTable
@@ -59,22 +59,15 @@ from repro.sim.gpu import WarpAccess, coalesce
 from repro.workloads.trace import Workload
 
 __all__ = [
+    "HitMap",
     "TraceArrays",
-    "VectorClock",
     "VectorEngineMixin",
-    "VectorPageStore",
-    "VectorPageState",
-    "VectorPageTable",
     "VectorReplayEngine",
     "materialize_trace",
     "vector_variant",
 ]
 
-#: Tier codes as stored in :attr:`VectorPageStore.loc` (== PageLocation.value).
-_T1_CODE = PageLocation.TIER1.value
-_T3_CODE = PageLocation.TIER3.value
-#: Decode table: location code -> PageLocation (index 0 unused).
-_LOC_FROM_CODE = (None, PageLocation.TIER1, PageLocation.TIER2, PageLocation.TIER3)
+_TIER1 = PageLocation.TIER1
 
 #: Adaptive hit-window bounds (batch sizes; tuning only, never semantics).
 _WINDOW_MIN = 64
@@ -87,57 +80,45 @@ _WINDOW_MAX = 8192
 _SCALAR_STRIDE = 256
 #: Consecutive empty hit-prefixes (probe found an immediate miss) before
 #: the replay stops probing and bursts scalar for a stride.  Bounds the
-#: probe overhead on miss-dominated streams to ~1 fancy index per
-#: ``_SCALAR_STRIDE`` accesses, so the vector engine degrades to ~scalar
-#: speed instead of below it when Tier-1 is thrashing.
+#: probe overhead on runs of misses to ~1 fancy index per
+#: ``_SCALAR_STRIDE`` accesses; short hit runs between misses still pay
+#: a probe and a batch each (docs/performance.md has the measured cost).
 _MISS_STREAK_LIMIT = 4
 #: Warps gathered per chunk when streaming a generic iterable trace.
 _STREAM_CHUNK_WARPS = 4096
 
 
-class VectorPageStore:
-    """Dense parallel arrays of per-page metadata, indexed by page id.
+class HitMap:
+    """One bit per page id, set iff the page is Tier-1 resident and not a
+    pending prefetch: all the batch path reads of the page table.
 
-    One store backs a runtime's page table *and* its Tier-1 clock, so the
-    batch path reads tier ids, prefetch flags, dirty bits and clock frames
-    with pure fancy indexing.  Arrays grow geometrically on demand; page
-    ids are assumed reasonably dense (they are: workloads number pages
-    ``0..footprint``).  Sparse gigantic ids — e.g. the serve layer's
-    namespaced ``tenant << 32`` pages — exceed :data:`MAX_PAGES` and raise,
-    which is why the serve multiplexer always runs the scalar engine.
+    A vector runtime's page-table rows are :class:`_MappedPageState`
+    objects, whose ``location`` and ``prefetched`` setters write their
+    page's bit, so the map follows every change the scalar pipeline
+    makes.  The arrays grow geometrically on demand; page ids are
+    assumed reasonably dense (they are: workloads number pages
+    ``0..footprint``).  Sparse gigantic ids, e.g. the serve layer's
+    namespaced ``tenant << 32`` pages, exceed :data:`MAX_PAGES` and
+    raise, which is why the serve multiplexer always runs the scalar
+    engine.
     """
 
-    #: Hard cap on the dense address space (64 Mi pages ~= several GiB of
-    #: metadata).  Beyond this, use ``engine="scalar"``.
+    #: Hard cap on the dense page-id space (64 Mi pages, 9 bytes each).
+    #: Beyond this, use ``engine="scalar"``.
     MAX_PAGES = 1 << 26
 
-    __slots__ = (
-        "size",
-        "loc",
-        "dirty",
-        "prefetched",
-        "last_access",
-        "last_evict",
-        "access_count",
-        "evict_count",
-        "t1_frame",
-    )
+    __slots__ = ("bits", "stamps")
 
     def __init__(self, initial: int = 1024) -> None:
-        initial = max(1, initial)
-        self.size = initial
-        self.loc = np.full(initial, _T3_CODE, dtype=np.int8)
-        self.dirty = np.zeros(initial, dtype=bool)
-        self.prefetched = np.zeros(initial, dtype=bool)
-        self.last_access = np.full(initial, -1, dtype=np.int64)
-        self.last_evict = np.full(initial, -1, dtype=np.int64)
-        self.access_count = np.zeros(initial, dtype=np.int64)
-        self.evict_count = np.zeros(initial, dtype=np.int64)
-        self.t1_frame = np.full(initial, -1, dtype=np.int32)
+        self.bits = np.zeros(initial, dtype=bool)
+        #: Scratch for :meth:`VectorEngineMixin._batch_hits`: each
+        #: page's last virtual timestamp within a hit run.
+        self.stamps = np.zeros(initial, dtype=np.int64)
 
     def ensure(self, n: int) -> None:
         """Grow the arrays to cover page ids ``0..n-1``."""
-        if n <= self.size:
+        size = self.bits.shape[0]
+        if n <= size:
             return
         if n > self.MAX_PAGES:
             raise SimulationError(
@@ -145,256 +126,45 @@ class VectorPageStore:
                 f"capacity ({self.MAX_PAGES}); run this trace with "
                 "engine='scalar'"
             )
-        new = min(max(n, self.size * 2), self.MAX_PAGES)
-        self.loc = self._grow(self.loc, new, _T3_CODE)
-        self.dirty = self._grow(self.dirty, new, False)
-        self.prefetched = self._grow(self.prefetched, new, False)
-        self.last_access = self._grow(self.last_access, new, -1)
-        self.last_evict = self._grow(self.last_evict, new, -1)
-        self.access_count = self._grow(self.access_count, new, 0)
-        self.evict_count = self._grow(self.evict_count, new, 0)
-        self.t1_frame = self._grow(self.t1_frame, new, -1)
-        self.size = new
+        grow = min(max(n, size * 2), self.MAX_PAGES) - size
+        self.bits = np.pad(self.bits, (0, grow))
+        self.stamps = np.pad(self.stamps, (0, grow))
 
-    @staticmethod
-    def _grow(arr: np.ndarray, new: int, fill) -> np.ndarray:
-        out = np.full(new, fill, dtype=arr.dtype)
-        out[: arr.shape[0]] = arr
-        return out
+    def row(self, page: int) -> PageState:
+        """The page-table row of a page seen for the first time."""
+        self.ensure(page + 1)
+        return _MappedPageState(page, self)
 
 
-class VectorPageState(PageState):
-    """A :class:`PageState` view over one :class:`VectorPageStore` row.
+class _MappedPageState(PageState):
+    """A :class:`PageState` whose ``location`` and ``prefetched`` setters
+    write the page's :class:`HitMap` bit; every other field is a plain
+    slot."""
 
-    The scalar miss pipeline keeps mutating ``state.location``,
-    ``state.dirty`` etc.; these data descriptors route every read and
-    write to the shared arrays, so the scalar and batch paths can never
-    disagree about a page.  ``policy_state`` stays a plain per-page dict —
-    it holds arbitrary policy scratch (Markov histories, pending
-    predictions) that has no array shape.
-    """
+    __slots__ = ("_map", "_location", "_prefetched")
 
-    def __init__(self, page: int, store: VectorPageStore) -> None:
-        store.ensure(page + 1)
-        self.page = page
-        self._store = store
-        self.policy_state = {}
+    def __init__(self, page: int, hit_map: HitMap) -> None:
+        self._map = hit_map
+        self._prefetched = False
+        super().__init__(page)
 
     @property
     def location(self) -> PageLocation:
-        return _LOC_FROM_CODE[self._store.loc[self.page]]
+        return self._location
 
     @location.setter
     def location(self, value: PageLocation) -> None:
-        self._store.loc[self.page] = value.value
-
-    @property
-    def dirty(self) -> bool:
-        return bool(self._store.dirty[self.page])
-
-    @dirty.setter
-    def dirty(self, value: bool) -> None:
-        self._store.dirty[self.page] = value
+        self._location = value
+        self._map.bits[self.page] = value is _TIER1 and not self._prefetched
 
     @property
     def prefetched(self) -> bool:
-        return bool(self._store.prefetched[self.page])
+        return self._prefetched
 
     @prefetched.setter
     def prefetched(self, value: bool) -> None:
-        self._store.prefetched[self.page] = value
-
-    @property
-    def last_access_ts(self) -> int | None:
-        ts = self._store.last_access[self.page]
-        return None if ts < 0 else int(ts)
-
-    @last_access_ts.setter
-    def last_access_ts(self, value: int | None) -> None:
-        self._store.last_access[self.page] = -1 if value is None else value
-
-    @property
-    def last_eviction_ts(self) -> int | None:
-        ts = self._store.last_evict[self.page]
-        return None if ts < 0 else int(ts)
-
-    @last_eviction_ts.setter
-    def last_eviction_ts(self, value: int | None) -> None:
-        self._store.last_evict[self.page] = -1 if value is None else value
-
-    @property
-    def access_count(self) -> int:
-        return int(self._store.access_count[self.page])
-
-    @access_count.setter
-    def access_count(self, value: int) -> None:
-        self._store.access_count[self.page] = value
-
-    @property
-    def eviction_count(self) -> int:
-        return int(self._store.evict_count[self.page])
-
-    @eviction_count.setter
-    def eviction_count(self, value: int) -> None:
-        self._store.evict_count[self.page] = value
-
-
-class VectorPageTable(PageTable):
-    """Page table whose entries are views over a :class:`VectorPageStore`.
-
-    ``_entries`` still maps page id -> state object, because the miss
-    pipeline and the policies hold on to state objects; but the per-page
-    *data* lives in the store.  Every page ever accessed takes at least
-    one miss (all pages start on Tier-3), so every resident page has an
-    entry here — the batch path never needs to create one.
-    """
-
-    def __init__(self, store: VectorPageStore) -> None:
-        super().__init__()
-        self._store = store
-
-    def lookup(self, page: int) -> PageState:
-        if page < 0:
-            raise ValueError(f"page ids must be non-negative, got {page}")
-        state = self._entries.get(page)
-        if state is None:
-            state = VectorPageState(page, self._store)
-            self._entries[page] = state
-        return state
-
-
-class VectorClock:
-    """Clock replacement over numpy frame arrays, byte-compatible with
-    :class:`~repro.mem.clock_replacement.ClockReplacement`.
-
-    The sweep methods are literal ports of the scalar algorithm (misses
-    are scalar anyway; an identical sweep is the cheapest way to guarantee
-    identical victims).  What the arrays buy is :meth:`touch_many` — the
-    per-hit reference-bit set becomes one fancy-indexed store, with the
-    page -> frame map held in :attr:`VectorPageStore.t1_frame` instead of
-    a dict.
-    """
-
-    def __init__(self, capacity: int, store: VectorPageStore) -> None:
-        if capacity < 0:
-            raise CapacityError(f"negative clock capacity {capacity}")
-        self.capacity = capacity
-        self._store = store
-        self._pages = np.full(capacity, -1, dtype=np.int64)
-        self._refbits = np.zeros(capacity, dtype=bool)
-        self._free: list[int] = list(range(capacity - 1, -1, -1))
-        self._hand = 0
-        self._count = 0
-
-    def __len__(self) -> int:
-        return self._count
-
-    def __contains__(self, page: int) -> bool:
-        return self._frame_of(page) != -1
-
-    def _frame_of(self, page: int) -> int:
-        t1f = self._store.t1_frame
-        if page < 0 or page >= t1f.shape[0]:
-            return -1
-        return int(t1f[page])
-
-    @property
-    def full(self) -> bool:
-        return not self._free
-
-    def insert(self, page: int, referenced: bool = True) -> None:
-        """Install ``page`` in a free frame (reference bit set by default,
-        since insertion is itself an access)."""
-        if self._frame_of(page) != -1:
-            raise PageStateError(f"page {page} already tracked by clock")
-        if not self._free:
-            raise CapacityError("clock is full; call evict() first")
-        frame = self._free.pop()
-        self._pages[frame] = page
-        self._refbits[frame] = referenced
-        self._store.ensure(page + 1)
-        self._store.t1_frame[page] = frame
-        self._count += 1
-
-    def touch(self, page: int) -> None:
-        """Set the reference bit for ``page`` (called on every Tier hit)."""
-        frame = self._frame_of(page)
-        if frame == -1:
-            raise PageStateError(f"page {page} not tracked by clock")
-        self._refbits[frame] = True
-
-    def touch_many(self, pages: np.ndarray) -> None:
-        """Set the reference bits for a batch of tracked pages at once.
-
-        Callers guarantee every page is tracked (the batch hit path only
-        feeds Tier-1 residents); duplicates are fine.
-        """
-        self._refbits[self._store.t1_frame[pages]] = True
-
-    def remove(self, page: int) -> None:
-        """Drop ``page`` from the clock (promotion or external eviction)."""
-        frame = self._frame_of(page)
-        if frame == -1:
-            raise PageStateError(f"page {page} not tracked by clock")
-        self._pages[frame] = -1
-        self._refbits[frame] = False
-        self._store.t1_frame[page] = -1
-        self._free.append(frame)
-        self._count -= 1
-
-    def select_victim(self) -> int:
-        """Sweep the hand and return (and remove) the next victim page."""
-        if not self._count:
-            raise PageStateError("clock is empty; nothing to evict")
-        pages = self._pages
-        refbits = self._refbits
-        capacity = self.capacity
-        hand = self._hand
-        while True:
-            page = pages[hand]
-            if page == -1:
-                hand = (hand + 1) % capacity
-                continue
-            if refbits[hand]:
-                refbits[hand] = False
-                hand = (hand + 1) % capacity
-                continue
-            hand = (hand + 1) % capacity
-            self._hand = hand
-            self.remove(int(page))
-            return int(page)
-
-    def select_victim_where(self, predicate) -> int | None:
-        """Filtered clock sweep: evict the next victim satisfying
-        ``predicate``; non-matching pages' reference bits stay untouched.
-        Returns ``None`` when no tracked page matches."""
-        if not any(predicate(int(p)) for p in self._pages if p != -1):
-            return None
-        pages = self._pages
-        refbits = self._refbits
-        capacity = self.capacity
-        hand = self._hand
-        # Two sweeps bound the scan: the first clears matching pages'
-        # reference bits, the second must then find a clear one.
-        for _ in range(2 * capacity + 1):
-            page = pages[hand]
-            if page == -1 or not predicate(int(page)):
-                hand = (hand + 1) % capacity
-                continue
-            if refbits[hand]:
-                refbits[hand] = False
-                hand = (hand + 1) % capacity
-                continue
-            hand = (hand + 1) % capacity
-            self._hand = hand
-            self.remove(int(page))
-            return int(page)
-        self._hand = hand
-        raise PageStateError("filtered clock sweep failed to converge")  # pragma: no cover
-
-    def pages(self) -> list[int]:
-        """Snapshot of tracked pages in frame order (test helper)."""
-        return [int(p) for p in self._pages if p != -1]
+        self._prefetched = value
+        self._map.bits[self.page] = self._location is _TIER1 and not value
 
 
 # ----------------------------------------------------------------------
@@ -511,7 +281,7 @@ def _join_blocks(columns: tuple[list, list, list]) -> list[np.ndarray]:
 # the engine mixin
 # ----------------------------------------------------------------------
 class VectorEngineMixin:
-    """Mixes the SoA replay loop into a :class:`GMTRuntime` subclass.
+    """Mixes the batched replay loop into a :class:`GMTRuntime` subclass.
 
     Composition contract: the base class must inherit its ``run`` /
     ``access_warp`` / ``access`` path from :class:`GMTRuntime` (true for
@@ -523,14 +293,10 @@ class VectorEngineMixin:
 
     def __init__(self, *args, **kwargs) -> None:
         super().__init__(*args, **kwargs)
-        store = VectorPageStore()
-        self._vstore = store
-        self.page_table = VectorPageTable(store)
-        # Only the plain clock has a vector twin; a policy-zoo Tier-1
-        # structure (s3fifo, mglru, ...) keeps its scalar implementation
-        # and the whole replay falls back to the scalar loop.
-        if type(self.t1_clock) is ClockReplacement:
-            self.t1_clock = VectorClock(self.t1_clock.capacity, store)
+        self._hit_map = HitMap()
+        # Still the scalar page table (nothing has looked a page up
+        # yet), with rows that keep the hit map current.
+        self.page_table = PageTable(self._hit_map.row)
         self._window = _WINDOW_INIT
 
     # -- fallback gate --------------------------------------------------
@@ -538,12 +304,13 @@ class VectorEngineMixin:
         """Why the batch path cannot run (None = it can).
 
         Exactly one thing forces the inherited scalar loop: a policy-zoo
-        Tier-1 structure with no vector twin.  Everything that can be
-        attached observes only scalar-side events (misses, evictions,
-        window cuts, audits) and rides the batch path through
+        Tier-1 structure (s3fifo, mglru, ...), whose per-hit bookkeeping
+        one batched touch per page would not reproduce.  Everything that
+        can be attached observes only scalar-side events (misses,
+        evictions, window cuts, audits) and rides the batch path through
         :meth:`_batch_observers`; the phase profiler only reads frames.
         """
-        if not isinstance(self.t1_clock, VectorClock):
+        if type(self.t1_clock) is not ClockReplacement:
             return (
                 f"tier1_eviction={self.config.tier1_eviction!r} has no "
                 "vector twin"
@@ -623,12 +390,10 @@ class VectorEngineMixin:
         if n == 0:
             stats.warp_instructions = warp_base + n_warps
             return
-        store = self._vstore
         # Headroom covers sequential prefetch candidates past the chunk
-        # maximum, so no array grows (and invalidates local views) while
-        # the chunk replays.
-        store.ensure(int(pages.max()) + 1 + self.config.prefetch_degree)
-        check_prefetched = bool(self.config.prefetch_degree)
+        # maximum, so the map does not grow while the chunk replays.
+        self._hit_map.ensure(int(pages.max()) + 1 + self.config.prefetch_degree)
+        bits = self._hit_map.bits
         access = self.access
         window = self._window
         miss_streak = 0
@@ -661,9 +426,7 @@ class VectorEngineMixin:
                 if room < w:
                     w = room
             chunk = pages[i : i + w]
-            hits = store.loc[chunk] == _T1_CODE
-            if check_prefetched:
-                hits &= ~store.prefetched[chunk]
+            hits = bits[chunk]
             if hits.all():
                 run_len = w
             else:
@@ -692,33 +455,63 @@ class VectorEngineMixin:
         stats.warp_instructions = warp_base + n_warps
 
     def _batch_hits(self, chunk: np.ndarray, writes: np.ndarray) -> None:
-        """Retire ``k`` consecutive Tier-1 hits as array operations.
+        """Retire ``k`` consecutive Tier-1 hits.
 
-        Mirrors the scalar hit path exactly: one VTD tick per access with
-        last-occurrence timestamps (``np.maximum.at`` is unbuffered, and
-        a page's prior stamp is always <= the batch base), access-count
-        bumps, stats, sequentially-rounded compute cost, queueing-model
-        arrivals, dirty marks for writes, clock reference bits.
+        Leaves the state ``k`` scalar hits would: the VTD clock ``k``
+        ticks on, each page stamped with the tick of its last
+        occurrence, stats, sequentially-rounded compute cost,
+        queueing-model arrivals, dirty marks for writes, clock
+        reference bits.  A hit run holds at most Tier-1-capacity
+        distinct pages, and the per-page work runs once for each.
         """
         k = chunk.shape[0]
-        store = self._vstore
         base = self.vts.now
         self.vts.advance(k)
-        np.maximum.at(
-            store.last_access,
-            chunk,
-            np.arange(base + 1, base + k + 1, dtype=np.int64),
-        )
-        np.add.at(store.access_count, chunk, 1)
+        # ``np.maximum.at`` is unbuffered, so a page repeated in the run
+        # keeps its last tick; the scratch entries it overwrites are
+        # earlier ticks, never newer than the batch base.
+        stamps = self._hit_map.stamps
+        ticks = np.arange(base + 1, base + k + 1, dtype=np.int64)
+        np.maximum.at(stamps, chunk, ticks)
+        distinct = np.sort(chunk)
+        distinct = distinct[np.diff(distinct, prepend=-1) != 0]
+        row = self.page_table.peek
+        touch = self.t1_clock.touch
+        for page, stamp in zip(distinct.tolist(), stamps[distinct].tolist()):
+            row(page).last_access_ts = stamp
+            touch(page)
+        if writes.any():
+            for page in set(chunk[writes].tolist()):
+                row(page).dirty = True
         self.stats.coalesced_accesses += k
         self.stats.t1_hits += k
         self.cost.add_compute_batch(self.config.platform.gpu_access_ns, k)
         queueing = self._queueing_model()
         if queueing is not None:
             queueing.on_hits(k)
-        if writes.any():
-            store.dirty[chunk[writes]] = True
-        self.t1_clock.touch_many(chunk)
+
+    # -- audit ----------------------------------------------------------
+    def check_invariants(self) -> None:
+        """The scalar structural checks, plus: the hit map's set bits are
+        exactly the pages the page table holds in Tier-1 and not as
+        pending prefetches.  A bit set for any other page would retire
+        a miss as a hit."""
+        super().check_invariants()
+        hits = [
+            state.page
+            for state in self.page_table
+            if state.location is _TIER1 and not state.prefetched
+        ]
+        bits = self._hit_map.bits
+        expected = np.zeros(bits.shape[0], dtype=bool)
+        expected[hits] = True
+        wrong = np.flatnonzero(bits != expected)
+        if wrong.size:
+            page = int(wrong[0])
+            raise SimulationError(
+                f"hit map bit {bool(bits[page])} for page {page} disagrees "
+                "with its page-table state"
+            )
 
 
 # ----------------------------------------------------------------------
@@ -749,7 +542,7 @@ def vector_variant(runtime_cls: type) -> type:
 
 
 class VectorReplayEngine(VectorEngineMixin, GMTRuntime):
-    """:class:`GMTRuntime` with the SoA batch replay loop."""
+    """:class:`GMTRuntime` with the batched replay loop."""
 
 
 _VARIANT_CACHE[GMTRuntime] = VectorReplayEngine

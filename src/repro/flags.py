@@ -66,11 +66,11 @@ _FLAGS: dict[str, dict] = {
         default=None,
         choices=list(ENGINE_NAMES),
         help="replay engine: 'scalar' (reference loop), 'vector' "
-        "(byte-identical struct-of-arrays batch engine) or 'auto' (vector "
-        "unless the Tier-1 policy has no vector twin; telemetry, lifecycle "
-        "recording and --check-every all stay on the vector engine).  "
-        "Default: %(default)s, where None defers to the config's engine "
-        "('auto')",
+        "(byte-identical, retires Tier-1 hit runs in batches) or 'auto' "
+        "(vector unless the Tier-1 policy has no vector twin; telemetry, "
+        "lifecycle recording and --check-every all stay on the vector "
+        "engine).  Default: %(default)s, where None defers to the config's "
+        "engine ('auto')",
     ),
     "--check-every": dict(
         type=positive_int,

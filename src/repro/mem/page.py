@@ -31,7 +31,7 @@ class PageLocation(enum.Enum):
         return {1: "Tier-1", 2: "Tier-2", 3: "Tier-3"}[self.value]
 
 
-@dataclass
+@dataclass(slots=True)
 class PageState:
     """Mutable per-page bookkeeping kept by the page table.
 
@@ -45,8 +45,6 @@ class PageState:
         last_eviction_ts: virtual timestamp at which the page was last
             evicted from Tier-1; used to compute the *actual* remaining VTD
             when the page returns (paper section 2.1.3, step 2).
-        access_count: total coalesced accesses to this page.
-        eviction_count: times this page has been evicted from Tier-1.
     """
 
     page: int
@@ -54,8 +52,6 @@ class PageState:
     dirty: bool = False
     last_access_ts: int | None = None
     last_eviction_ts: int | None = None
-    access_count: int = 0
-    eviction_count: int = 0
     #: True while the page sits in Tier-1 due to a prefetch and has not
     #: been demand-accessed yet (prefetch usefulness accounting).
     prefetched: bool = False

@@ -1,8 +1,8 @@
 """Batch-aware instrumentation — observability that survives the vector
 engine.
 
-The SoA replay engine (:mod:`repro.core.vector`) retires runs of Tier-1
-hits as a handful of array operations.  Per-access observer callbacks
+The vector replay engine (:mod:`repro.core.vector`) retires runs of
+Tier-1 hits in batches.  Per-access observer callbacks
 would undo exactly the win being bought (HM-Keeper's argument in
 PAPERS.md: profiling a tiered memory system must be cheap enough to stay
 on).  Instead, the engine composes one :class:`BatchObserverChain` from

@@ -49,14 +49,13 @@ class VirtualTimestampClock:
         """Advance the clock for an access to ``state``'s page and return
         the access's VTD (``None`` on the page's first access).
 
-        Also stamps the page with the new time and bumps its access count.
+        Also stamps the page with the new time.
         """
         now = self.tick()
         vtd: int | None = None
         if state.last_access_ts is not None:
             vtd = now - state.last_access_ts
         state.last_access_ts = now
-        state.access_count += 1
         return vtd
 
     def remaining_vtd_since(self, timestamp: int) -> int:

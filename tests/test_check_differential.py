@@ -92,8 +92,8 @@ class TestInjections:
     @pytest.mark.parametrize("fault", sorted(INJECTIONS))
     def test_every_injection_detected(self, fault):
         # ghost-leak corrupts the S3-FIFO ghost queue, so one has to be
-        # in the matrix for that fault; vector-desync corrupts the dense
-        # SoA location array, so the replay has to run on the vector engine.
+        # in the matrix for that fault; vector-desync corrupts the hit map,
+        # so the replay has to run on the vector engine.
         extra = {"tier1_policy": "s3fifo"} if fault == "ghost-leak" else {}
         if fault == "vector-desync":
             extra = {"engine": "vector"}

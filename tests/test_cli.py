@@ -189,6 +189,65 @@ class TestGmtServe:
         with pytest.raises(SystemExit):
             main_serve(["--scale", "8192"])
 
+    #: A non-default value for each flag only the other mode reads.
+    CLOSED_LOOP_ONLY = [
+        ["--tenants", "bfs"],
+        ["--tier1-policy", "s3fifo"],
+        ["--tier2-policy", "s3fifo"],
+        ["--governor"],
+        ["--governor-rate", "10"],
+        ["--governor-burst", "4"],
+        ["--governor-stall-ns", "100"],
+        ["--discipline", "fifo"],
+        ["--quotas", "static"],
+        ["--oversubscription", "3"],
+        ["--no-solo"],
+        ["--trace-out", "{tmp}/x.json"],
+        ["--metrics-out", "{tmp}/x.prom"],
+        ["--engine", "vector"],
+        ["--anomaly-scan"],
+        ["--anomaly-window", "500"],
+        ["--anomaly-thrash", "0.9"],
+        ["--anomaly-bypass", "0.9"],
+        ["--anomaly-spike", "5"],
+    ]
+    OPEN_LOOP_ONLY = [
+        ["--requests", "8"],
+        ["--arrival-process", "bursty"],
+        ["--arrival-rate", "100"],
+        ["--max-backlog", "4"],
+        ["--population-workload", "bfs"],
+    ]
+
+    @pytest.mark.parametrize(
+        "mode, base, extra",
+        [
+            pytest.param("open-loop", ["--open-loop", "8"], flag,
+                         id=f"open-loop{flag[0]}")
+            for flag in CLOSED_LOOP_ONLY
+        ]
+        + [
+            pytest.param("closed-loop", ["--tenants", "bfs"], flag,
+                         id=f"closed-loop{flag[0]}")
+            for flag in OPEN_LOOP_ONLY
+        ],
+    )
+    def test_flag_the_mode_ignores_is_a_usage_error(
+        self, capsys, tmp_path, mode, base, extra
+    ):
+        # A mode that silently ignored the flag would exit 0 after a
+        # full replay, having written nothing the flag asked for.
+        from repro.cli import main_serve
+
+        out = tmp_path / "out"
+        out.mkdir()
+        extra = [arg.format(tmp=out) for arg in extra]
+        with pytest.raises(SystemExit) as exc:
+            main_serve(base + extra + ["--scale", "65536", "--no-ledger"])
+        assert exc.value.code == 2
+        assert f"{extra[0]} is not read in {mode} mode" in capsys.readouterr().err
+        assert not list(out.iterdir())
+
 
 class TestGmtWhy:
     SCALE = ["--scale", "8192"]

@@ -3,10 +3,12 @@
 The contract under test (docs/performance.md): ``engine="vector"`` is a
 pure speed choice — every counter, the elapsed time, the confusion
 matrix, and the final page-table state must match the scalar runtime
-bit for bit, on any trace, under any policy.  The property tests drive
-randomized warp streams through both engines; the unit tests pin the
-factory surface, the clock port, the float-accumulation identity,
-in-run audits on the batch path, and the dense-page-id capacity guard.
+bit for bit, on any trace, under any policy, and the vector runtime's
+hit map must agree with its page table after every replay.  The
+property tests drive randomized warp streams through both engines; the
+unit tests pin the factory surface, the shared scalar structures, the
+float-accumulation identity, in-run audits on the batch path, the
+hit-map desync injection, and the dense-page-id capacity guard.
 """
 
 import random
@@ -21,9 +23,8 @@ from repro.core.runtime import GMTRuntime
 from repro.core.vector import (
     _FLATTEN_BLOCK,
     _STREAM_CHUNK_WARPS,
-    VectorClock,
+    HitMap,
     VectorEngineMixin,
-    VectorPageStore,
     VectorReplayEngine,
     _iter_trace_chunks,
     clear_trace_cache,
@@ -33,6 +34,7 @@ from repro.core.vector import (
 from repro.errors import ConfigError, SimulationError
 from repro.experiments.harness import build_runtime, default_config
 from repro.mem.clock_replacement import ClockReplacement
+from repro.mem.page import PageState
 from repro.obs import Telemetry
 from repro.sim.cost import sequential_float_sum
 from repro.sim.gpu import WarpAccess, coalesce
@@ -78,8 +80,6 @@ def page_table_snapshot(runtime, n_pages):
                 state.prefetched,
                 state.last_access_ts,
                 state.last_eviction_ts,
-                state.access_count,
-                state.eviction_count,
             )
         )
     return rows
@@ -91,6 +91,8 @@ def assert_engines_agree(config, trace):
     assert page_table_snapshot(scalar, N_PAGES) == page_table_snapshot(
         vector, N_PAGES
     )
+    # The hit map must equal {Tier-1 and not a pending prefetch}.
+    vector.check_invariants()
 
 
 def audited_run(config, trace, engine, every):
@@ -188,51 +190,6 @@ class TestEngineParityProperties:
 
 
 # ----------------------------------------------------------------------
-# property: the VectorClock is a literal ClockReplacement port
-# ----------------------------------------------------------------------
-clock_ops_st = st.lists(
-    st.tuples(st.integers(0, 2), st.integers(0, 15)), max_size=200
-)
-
-
-class TestVectorClockParity:
-    @settings(max_examples=50, deadline=None)
-    @given(ops=clock_ops_st)
-    def test_op_sequences_match_scalar_clock(self, ops):
-        store = VectorPageStore()
-        vec = VectorClock(4, store)
-        ref = ClockReplacement(4)
-        for code, page in ops:
-            if code == 0:
-                if page not in ref and not ref.full:
-                    ref.insert(page)
-                    vec.insert(page)
-            elif code == 1:
-                if page in ref:
-                    ref.touch(page)
-                    vec.touch(page)
-            elif len(ref):
-                assert ref.select_victim() == vec.select_victim()
-            assert len(ref) == len(vec)
-            assert ref.full == vec.full
-            assert ref.pages() == vec.pages()
-
-    def test_touch_many_matches_repeated_touch(self):
-        store = VectorPageStore()
-        vec = VectorClock(8, store)
-        ref = ClockReplacement(8)
-        for page in range(8):
-            vec.insert(page, referenced=False)
-            ref.insert(page, referenced=False)
-        batch = np.array([1, 3, 3, 5], dtype=np.int64)
-        vec.touch_many(batch)
-        for page in batch:
-            ref.touch(int(page))
-        victims = [ref.select_victim() for _ in range(8)]
-        assert victims == [vec.select_victim() for _ in range(8)]
-
-
-# ----------------------------------------------------------------------
 # property: sequential float accumulation identity
 # ----------------------------------------------------------------------
 class TestSequentialFloatSum:
@@ -288,6 +245,17 @@ class TestEngineSelection:
         assert isinstance(vector, VectorReplayEngine)
         assert vector.engine_name == "vector"
 
+    def test_vector_runtime_keeps_the_scalar_structures(self):
+        # One page table and one clock: the vector engine's rows are the
+        # scalar PageState rows and its Tier-1 clock is ClockReplacement.
+        vector = make_runtime(small_config(), engine="vector")
+        vector.run(make_trace([((p % 12,), p % 3 == 0) for p in range(100)]))
+        assert type(vector.t1_clock) is ClockReplacement
+        assert len(vector.page_table) == 12
+        assert all(isinstance(state, PageState) for state in vector.page_table)
+        resident = sorted(vector.tier1)
+        assert np.flatnonzero(vector._hit_map.bits).tolist() == resident
+
     def test_vector_variant_is_memoized(self):
         from repro.baselines.bam import BamRuntime
 
@@ -338,9 +306,20 @@ class TestFallbacksAndGuards:
         clear_trace_cache()
 
     def test_dense_capacity_guard(self):
-        store = VectorPageStore()
+        hit_map = HitMap()
         with pytest.raises(SimulationError):
-            store.ensure(VectorPageStore.MAX_PAGES + 1)
+            hit_map.ensure(HitMap.MAX_PAGES + 1)
+        with pytest.raises(SimulationError):
+            hit_map.row(HitMap.MAX_PAGES)
+
+    @staticmethod
+    def assert_hit_map_desync_caught(report, kind):
+        assert not report.ok
+        assert f"hit-map bit set for {kind}" in report.injected
+        assert [
+            (violation.identity, "hit map bit True for page" in violation.message)
+            for _, violation in report.violations
+        ] == [("structural", True)]
 
     def test_vector_desync_injection_is_detected(self):
         from repro.check.differential import run_conformance
@@ -353,8 +332,23 @@ class TestFallbacksAndGuards:
             metamorphic=False,
             serve=False,
         )
-        assert not report.ok
-        assert report.violations
+        self.assert_hit_map_desync_caught(report, "Tier-2 page")
+
+    def test_vector_desync_of_a_pending_prefetch_is_detected(self):
+        # pagerank leaves prefetched pages in Tier-1 that were never
+        # demand-touched; a set bit would skip their prefetch-hit billing.
+        from repro.check.differential import run_conformance
+
+        report = run_conformance(
+            "pagerank",
+            scale=8192,
+            prefetch_degree=2,
+            inject="vector-desync",
+            engine="vector",
+            metamorphic=False,
+            serve=False,
+        )
+        self.assert_hit_map_desync_caught(report, "pending prefetch")
 
     def test_vector_desync_injection_needs_vector_engine(self):
         from repro.check.differential import run_conformance

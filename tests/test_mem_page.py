@@ -14,8 +14,8 @@ class TestPageState:
         assert not s.dirty
         assert s.last_access_ts is None
         assert s.last_eviction_ts is None
-        assert s.access_count == 0
-        assert s.eviction_count == 0
+        assert not s.prefetched
+        assert s.policy_state == {}
 
     def test_resident(self):
         s = PageState(page=1, location=PageLocation.TIER1)
