@@ -27,7 +27,6 @@ from repro.mem.clock_replacement import ClockReplacement
 from repro.reuse.classifier import ReuseClass, RRDClassifier
 from repro.reuse.distance import ReuseDistanceTracker, _FenwickTree
 from repro.reuse.regression import LinearModel, fit_ols
-from repro.units import GiB
 from repro.workloads.trace import Workload
 
 
@@ -56,9 +55,6 @@ class WorkloadCharacteristics:
     def total_io_bytes(self, page_size: int) -> int:
         """Table 2's "Total I/O": all data the kernel demands, in bytes."""
         return self.coalesced_accesses * page_size
-
-    def total_io_gb(self, page_size: int) -> float:
-        return self.total_io_bytes(page_size) / GiB
 
 
 def characterize_workload(workload: Workload) -> WorkloadCharacteristics:

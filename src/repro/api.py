@@ -3,9 +3,9 @@
 Everything a downstream user of the reproduction needs, re-exported from
 one module so internal refactors never break callers:
 
->>> from repro.api import RuntimeConfig, make_runtime, run_experiment
+>>> from repro.api import GMTRuntime, RuntimeConfig, run_experiment
 >>> config = RuntimeConfig.paper_default(scale=1024)
->>> runtime = make_runtime(config, engine="vector")
+>>> runtime = GMTRuntime(config)
 >>> results = run_experiment("fig9", scale=1024)
 
 ``repro.api`` is the **stable** surface: the names here are covered by
@@ -16,16 +16,10 @@ be reshaped without notice; prefer these re-exports over deep imports.
 - Runtime: :class:`GMTRuntime`, :class:`BamRuntime`, :class:`HmmRuntime`,
   :class:`DragonRuntime`, :class:`RuntimeConfig` (alias of
   :class:`GMTConfig`), :class:`RunResult`, :class:`RuntimeStats`.
-- Engine selection: :func:`make_runtime` (the one constructor every tool
-  routes through), :func:`resolve_engine_reason`, :data:`ENGINE_NAMES` —
-  ``"scalar"`` is the reference per-access loop, ``"vector"`` the
-  byte-identical engine that retires Tier-1 hit runs in batches over
-  the same page table and clock, ``"auto"`` picks vector
-  unless the Tier-1 structure is a policy-zoo member with no vector twin
-  (telemetry, lifecycle recorders, periodic audits and the phase
-  profiler never demote).
-  ``runtime.engine_resolution()`` reports the live ``(engine, reason)``
-  pair after a run (see ``docs/performance.md``).
+  Every runtime's ``run`` retires Tier-1 hit runs in batches,
+  byte-identical to its per-warp reference ``replay_per_warp``;
+  ``runtime.engine_resolution()`` reports how it replays as an
+  ``(engine, reason)`` pair (see ``docs/performance.md``).
 - Experiments: :class:`ExperimentSpec`, :func:`run_spec`,
   :func:`run_experiment`, :data:`EXPERIMENTS`, :class:`ExperimentResult`.
 - Engine: :class:`Cell`, :class:`Engine`, :class:`ResultCache`,
@@ -67,15 +61,7 @@ from repro.check import (
     audit_stats,
     run_conformance,
 )
-from repro.core import (
-    ENGINE_NAMES,
-    GMTConfig,
-    GMTRuntime,
-    RunResult,
-    RuntimeStats,
-    make_runtime,
-    resolve_engine_reason,
-)
+from repro.core import GMTConfig, GMTRuntime, RunResult, RuntimeStats
 from repro.core.config import DEFAULT_SCALE
 from repro.experiments.engine import Cell, Engine, EngineStats, ResultCache, run_cells
 from repro.experiments.harness import ExperimentResult, RunOptions, default_config
@@ -118,7 +104,6 @@ def serve(
     tier2_policy: str | None = None,
     governor: GovernorConfig | None = None,
     solo_baselines: bool = True,
-    engine: str | None = None,
     epoch: int = 1,
 ):
     """Serve a tenant mix on one shared hierarchy; returns a ``ServeResult``.
@@ -141,9 +126,6 @@ def serve(
             migration admission control.
         solo_baselines: also replay each stream solo so per-tenant
             slowdowns and fairness are populated.
-        engine: replay engine for the solo baselines
-            (:data:`ENGINE_NAMES`); the shared multiplexed runtime always
-            replays scalar.  Defaults to ``config.engine``.
         epoch: warps emitted per scheduling decision (1 = the
             historical per-warp interleave, byte-identical).
     """
@@ -160,7 +142,6 @@ def serve(
         tier1_policy=tier1_policy,
         tier2_policy=tier2_policy,
         governor=governor,
-        engine=engine,
         epoch=epoch,
     )
     return server.run(solo_baselines=solo_baselines)
@@ -215,7 +196,6 @@ __all__ = [
     "ConformanceError",
     "DEFAULT_SCALE",
     "DragonRuntime",
-    "ENGINE_NAMES",
     "EVICTION_POLICY_NAMES",
     "EXPERIMENTS",
     "Engine",
@@ -249,12 +229,10 @@ __all__ = [
     "get_spec",
     "make_arrival_process",
     "make_eviction_policy",
-    "make_runtime",
     "profile",
     "profile_replay",
     "read_ledger",
     "record_run",
-    "resolve_engine_reason",
     "run_cells",
     "run_conformance",
     "run_experiment",

@@ -60,14 +60,16 @@ def _zoo_cells() -> tuple[tuple[str, str, str], ...]:
 #: policies are tuned.
 ZOO_CELLS: tuple[tuple[str, str, str], ...] = _zoo_cells()
 
-#: Per-engine throughput cells: each spec is replayed once per engine and
-#: recorded as ``<id>@<engine>`` with ``informational: true`` — presence
-#: is gated (the cells must still run), the metrics are not (wall-clock
-#: throughput is machine-dependent).  ``kvhot`` is the hit-dominated
-#: regime the vector engine exists for: a zipf-served KV store whose hot
-#: set is Tier-1 resident, so the stream is long runs of Tier-1 hits.
-#: ``hotspot`` is the opposite (a thrashing, miss-dominated stream) and
-#: documents the vector engine's bounded worst case.
+#: Per-engine throughput cells: each spec is replayed twice, per warp
+#: (``<id>@scalar``, the reference :meth:`GMTRuntime.replay_per_warp`)
+#: and through the batched ``run`` (``<id>@vector``), and recorded with
+#: ``informational: true`` — presence is gated (the cells must still
+#: run), the metrics are not (wall-clock throughput is
+#: machine-dependent).  ``kvhot`` is the hit-dominated regime batching
+#: exists for: a zipf-served KV store whose hot set is Tier-1 resident,
+#: so the stream is long runs of Tier-1 hits.  ``hotspot`` is the
+#: opposite (a thrashing, miss-dominated stream) and documents the batch
+#: loop's bounded worst case.
 ENGINE_CELLS: tuple[dict, ...] = (
     {"id": "hotspot/reuse", "app": "hotspot", "kind": "reuse"},
     {
@@ -79,11 +81,11 @@ ENGINE_CELLS: tuple[dict, ...] = (
     },
     # The same hit-dominated regime with windowed telemetry (snapshots,
     # latency digest, counter tracks) attached: the batch observer
-    # pipeline (repro.obs.batch) keeps the vector engine on its bulk hit
-    # path, so instrumented runs must stay an order of magnitude faster
-    # than scalar (--assert-vector-telemetry-speedup gates it in CI).
-    # The longer trace amortises the GMT-Reuse sampling warmup, which
-    # replays scalar on both engines.
+    # pipeline (repro.obs.batch) keeps run() on its bulk hit path, so
+    # instrumented runs must stay an order of magnitude faster than the
+    # per-warp reference (--assert-vector-telemetry-speedup gates it in
+    # CI).  The longer trace amortises the GMT-Reuse sampling warmup,
+    # which replays per access on both sides.
     {
         "id": "kvhot/reuse+obs",
         "app": "keyvalue",
@@ -129,30 +131,47 @@ def run_cell(
     seed: int,
     tier1_policy: str | None = None,
     tier2_policy: str | None = None,
-    engine: str | None = None,
     oversubscription: float | None = None,
     workload_kwargs: dict | None = None,
     telemetry: bool = False,
 ) -> dict:
-    """Replay one cell and return its metric record (wall_s last).
+    """Replay one cell through ``runtime.run`` and return its metric
+    record (wall_s last).
 
     ``tier1_policy`` / ``tier2_policy`` substitute a policy-zoo eviction
-    policy at the respective tier (see ``EVICTION_POLICY_NAMES``).
-    ``engine`` picks the replay engine (``ENGINE_NAMES``; default scalar
-    via the harness).  For vector replays the workload's flat trace is
-    materialized *before* the clock starts, so ``accesses_per_sec``
-    measures replay throughput, not trace generation.  With ``telemetry``
-    a windowed :class:`~repro.obs.Telemetry` (snapshots + latency digest)
-    is attached before the clock starts, so the cell measures
-    *instrumented* replay throughput; the record then carries the live
-    ``engine_reason`` alongside the resolved engine.
+    policy at the respective tier (see ``EVICTION_POLICY_NAMES``).  The
+    workload's flat trace is materialized *before* the clock starts, so
+    ``accesses_per_sec`` measures replay throughput, not trace
+    generation.  With ``telemetry`` a windowed
+    :class:`~repro.obs.Telemetry` (snapshots + latency digest) is
+    attached before the clock starts, so the cell measures
+    *instrumented* replay throughput; the record then carries the
+    ``engine_reason`` alongside the engine.
 
     Every replay ends with the full conformance audit
     (:func:`repro.check.identities.assert_conformant`): a baseline
     recorded from a run that violates the stats identities would gate
     future runs against garbage, so the bench refuses to produce one.
     """
-    from repro.check.identities import assert_conformant
+    from repro.core.vector import materialize_trace
+
+    runtime, workload = _cell(
+        app, kind, scale, seed, tier1_policy=tier1_policy,
+        tier2_policy=tier2_policy, oversubscription=oversubscription,
+        workload_kwargs=workload_kwargs, telemetry=telemetry,
+    )
+    materialize_trace(workload)
+    engine, engine_reason = runtime.engine_resolution()
+    return {
+        "engine": engine,
+        **({"engine_reason": engine_reason} if telemetry else {}),
+        **_timed_replay(runtime, runtime.run, workload),
+    }
+
+
+def _cell(app, kind, scale, seed, *, tier1_policy=None, tier2_policy=None,
+          oversubscription=None, workload_kwargs=None, telemetry=False):
+    """A cell's runtime (telemetry attached when asked) and workload."""
     from repro.experiments.harness import build_runtime, default_config, get_workload
 
     config = default_config(scale)
@@ -170,24 +189,25 @@ def run_cell(
         workload = get_workload(
             app, config, oversubscription, seed=seed, **(workload_kwargs or {})
         )
-    runtime = build_runtime(kind, config, engine=engine)
+    runtime = build_runtime(kind, config)
     if telemetry:
         from repro.obs import Telemetry
 
         runtime.attach_telemetry(Telemetry())
-    if runtime.engine_name == "vector":
-        from repro.core.vector import materialize_trace
+    return runtime, workload
 
-        materialize_trace(workload)
+
+def _timed_replay(runtime, replay, workload) -> dict:
+    """Time ``replay(workload)``, audit ``runtime``, and return the
+    cell's metrics (wall_s and accesses_per_sec last)."""
+    from repro.check.identities import assert_conformant
+
     start = _clock()
-    result = runtime.run(workload)
+    result = replay(workload)
     wall_s = _clock() - start
     assert_conformant(runtime)
     accesses = result.stats.coalesced_accesses
-    resolved_engine, engine_reason = runtime.engine_resolution()
-    record = {
-        "engine": resolved_engine,
-        **({"engine_reason": engine_reason} if telemetry else {}),
+    return {
         "elapsed_ns": float(result.elapsed_ns),
         "ssd_io_bytes": float(result.ssd_io_bytes),
         "t1_hits": float(result.stats.t1_hits),
@@ -199,7 +219,6 @@ def run_cell(
         # the run ledger's trend trajectory (never strictly gated).
         "accesses_per_sec": accesses / wall_s if wall_s > 0 else 0.0,
     }
-    return record
 
 
 def run_openloop_cell(scale: int, seed: int, spec: dict) -> dict:
@@ -253,7 +272,6 @@ def run_bench(
     seed: int = 0,
     zoo: tuple[tuple[str, str, str], ...] = (),
     engine_cells: tuple[dict, ...] = (),
-    engine: str | None = None,
     openloop_cells: tuple[dict, ...] = (),
 ) -> dict:
     """Replay every cell; returns the baseline document (JSON-ready).
@@ -263,13 +281,9 @@ def run_bench(
     (the CLI passes :data:`ZOO_CELLS`).
 
     ``engine_cells`` specs (the CLI passes :data:`ENGINE_CELLS`) are each
-    replayed once per replay engine and recorded as ``<id>@scalar`` /
-    ``<id>@vector`` informational cells, so the baseline documents both
-    engines' ``accesses_per_sec`` side by side.
-
-    ``engine`` overrides the replay engine of the *gated* cells (default
-    scalar, the reference loop — keeps the wall budgets comparable
-    across baselines).
+    replayed per warp and through ``run``, and recorded as
+    ``<id>@scalar`` / ``<id>@vector`` informational cells, so the
+    baseline documents both replays' ``accesses_per_sec`` side by side.
 
     ``openloop_cells`` specs (the CLI passes ``(OPENLOOP_CELL,)``) are
     open-loop serving runs recorded as informational cells.
@@ -281,28 +295,27 @@ def run_bench(
         "cells": {},
     }
     for app, kind in cells:
-        doc["cells"][f"{app}/{kind}"] = run_cell(
-            app, kind, scale, seed, engine=engine or "scalar"
-        )
+        doc["cells"][f"{app}/{kind}"] = run_cell(app, kind, scale, seed)
     for app, kind, pol in zoo:
-        record = run_cell(
-            app, kind, scale, seed, tier1_policy=pol, tier2_policy=pol,
-            engine=engine or "scalar",
-        )
+        record = run_cell(app, kind, scale, seed, tier1_policy=pol, tier2_policy=pol)
         record["informational"] = True
         doc["cells"][f"{app}/{kind}+{pol}"] = record
     for spec in engine_cells:
-        for eng in ("scalar", "vector"):
-            record = run_cell(
-                spec["app"],
-                spec["kind"],
-                scale,
-                seed,
-                engine=eng,
-                oversubscription=spec.get("oversubscription"),
-                workload_kwargs=spec.get("workload_kwargs"),
-                telemetry=spec.get("telemetry", False),
-            )
+        app, kind = spec["app"], spec["kind"]
+        setup = {
+            "oversubscription": spec.get("oversubscription"),
+            "workload_kwargs": spec.get("workload_kwargs"),
+            "telemetry": spec.get("telemetry", False),
+        }
+        # The per-warp reference generates its warps inside the clock,
+        # as a per-warp replay consumes them.
+        runtime, workload = _cell(app, kind, scale, seed, **setup)
+        reference = _timed_replay(runtime, runtime.replay_per_warp, workload)
+        records = {
+            "scalar": {"engine": "scalar", **reference},
+            "vector": run_cell(app, kind, scale, seed, **setup),
+        }
+        for eng, record in records.items():
             record["informational"] = True
             doc["cells"][f"{spec['id']}@{eng}"] = record
     for spec in openloop_cells:
@@ -427,27 +440,26 @@ def main(argv: list[str] | None = None) -> int:
         help="relative deviation that counts as drift for --trend "
         "(default 0.25)",
     )
-    # --engine steers the gated cells; the per-engine @scalar/@vector
-    # cells always run both.
-    flags.add(parser, "--no-ledger", "--engine")
-    parser.set_defaults(scale=4096, engine="scalar")
+    flags.add(parser, "--no-ledger")
+    parser.set_defaults(scale=4096)
     parser.add_argument(
         "--assert-vector-speedup",
         type=float,
         metavar="FACTOR",
         default=None,
-        help="exit 1 unless the vector engine reaches FACTOR x the "
-        "scalar accesses/sec on the kvhot hit-dominated cell "
-        "(CI smoke: 5; the recorded baselines show 10x+)",
+        help="exit 1 unless the batched replay reaches FACTOR x the "
+        "per-warp reference's accesses/sec on the kvhot hit-dominated "
+        "cell (CI smoke: 5; the recorded baselines show 10x+)",
     )
     parser.add_argument(
         "--assert-vector-telemetry-speedup",
         type=float,
         metavar="FACTOR",
         default=None,
-        help="exit 1 unless the vector engine reaches FACTOR x the "
-        "scalar accesses/sec on the kvhot cell with windowed telemetry "
-        "attached (the batch observer pipeline; CI smoke: 10)",
+        help="exit 1 unless the batched replay reaches FACTOR x the "
+        "per-warp reference's accesses/sec on the kvhot cell with "
+        "windowed telemetry attached (the batch observer pipeline; CI "
+        "smoke: 10)",
     )
     args = parser.parse_args(argv)
 
@@ -490,7 +502,6 @@ def main(argv: list[str] | None = None) -> int:
         seed=args.seed,
         zoo=ZOO_CELLS,
         engine_cells=ENGINE_CELLS,
-        engine=args.engine,
         openloop_cells=(OPENLOOP_CELL,),
     )
     width = max(len(cell) for cell in doc["cells"])
@@ -526,7 +537,7 @@ def main(argv: list[str] | None = None) -> int:
         print(
             f"vector-vs-scalar with telemetry on kvhot/reuse+obs: "
             f"{speedup:.1f}x ({vector_aps / 1e3:.0f} vs "
-            f"{scalar_aps / 1e3:.0f} kacc/s, vector engine: "
+            f"{scalar_aps / 1e3:.0f} kacc/s, batched replay: "
             f"{cells['kvhot/reuse+obs@vector'].get('engine_reason', '-')})"
         )
         if speedup < args.assert_vector_telemetry_speedup:
@@ -576,7 +587,8 @@ def main(argv: list[str] | None = None) -> int:
         record_run(
             "gmt-bench",
             wall_s=wall_s,
-            engine=args.engine,
+            # How the gated cells replayed.
+            engine=cells["{}/{}".format(*DEFAULT_CELLS[0])]["engine"],
             params={"cells": sorted(cells), "scale": args.scale, "seed": args.seed},
             accesses_per_sec=accesses / wall_s if wall_s > 0 else 0.0,
             metrics={

@@ -68,22 +68,18 @@ def _build_parser() -> argparse.ArgumentParser:
         help="execution-time model; 'queueing' adds the link-conservation "
         "identities (default: bottleneck)",
     )
-    # 'vector' audits the batch engine's structures (--inject
-    # vector-desync needs it).
-    flags.add(parser, "--engine")
-    parser.set_defaults(engine="scalar")
     parser.add_argument(
         "--no-engines",
         action="store_true",
-        help="skip the scalar-vs-vector engine differential",
+        help="skip the scalar-vs-vector differential (the batched replay "
+        "against the per-warp reference)",
     )
     parser.add_argument(
         "--no-telemetry",
         action="store_true",
-        help="skip the telemetry-parity differential (instrumented "
-        "scalar-vs-vector: window streams, digest buckets, counter "
-        "tracks, anomaly findings and lifecycle events must be "
-        "byte-equal)",
+        help="skip the telemetry-parity differential (the same pair, "
+        "instrumented: window streams, digest buckets, counter tracks, "
+        "anomaly findings and lifecycle events must be byte-equal)",
     )
     parser.add_argument(
         "--telemetry-window",
@@ -91,7 +87,7 @@ def _build_parser() -> argparse.ArgumentParser:
         metavar="N",
         default=1_997,
         help="snapshot interval for the telemetry-parity replays "
-        "(default 1997 — a prime, so vector batches straddle window "
+        "(default 1997 — a prime, so hit batches straddle window "
         "boundaries)",
     )
     parser.add_argument(
@@ -147,7 +143,6 @@ def main(argv: list[str] | None = None) -> int:
             inject=args.inject,
             tier1_policy=args.tier1_policy,
             tier2_policy=args.tier2_policy,
-            engine=args.engine,
             engines=not args.no_engines,
             telemetry=not args.no_telemetry,
             telemetry_window=args.telemetry_window,

@@ -7,16 +7,16 @@ the cross-runtime and metamorphic checks:
 
 - **cross-runtime-trace** — all runtimes must observe the identical
   coalesced access stream (policies decide placement, never the trace);
-- **scalar-vs-vector** — every runtime kind replayed through both replay
-  engines (the scalar reference loop and the batched vector engine,
-  :mod:`repro.core.vector`) must be counter-identical byte for byte,
-  including the modelled ``elapsed_ns``;
-- **telemetry-parity** — every runtime kind replayed through both
-  engines *with windowed telemetry and the full lifecycle recorder
-  attached* must produce byte-equal windowed-snapshot streams,
-  latency-digest buckets, Perfetto counter tracks, anomaly findings and
-  lifecycle event streams (the batch observer pipeline of
-  :mod:`repro.obs.batch` under audit);
+- **scalar-vs-vector** — every runtime kind's batched replay
+  (``runtime.run``, which retires Tier-1 hit runs in batches) must be
+  counter-identical byte for byte, including the modelled
+  ``elapsed_ns``, to its per-warp reference
+  (:meth:`~repro.core.runtime.GMTRuntime.replay_per_warp`);
+- **telemetry-parity** — the same pair *with windowed telemetry and the
+  full lifecycle recorder attached* must produce byte-equal
+  windowed-snapshot streams, latency-digest buckets, Perfetto counter
+  tracks, anomaly findings and lifecycle event streams (the batch
+  observer pipeline of :mod:`repro.obs.batch` under audit);
 - **metamorphic-degenerate-bam** — GMT with ``tier2_frames=0`` and the
   tier-order policy must be counter-identical to the BaM baseline;
 - **metamorphic-determinism** — a second replay from the same seed must
@@ -92,17 +92,12 @@ def _inject_lost_writeback(runtime: GMTRuntime) -> str:
 
 
 def _inject_vector_desync(runtime: GMTRuntime) -> str:
-    """Set the vector engine's hit-map bit of a page that must miss (the
-    exact failure mode a buggy map would produce: a miss retired as a
-    hit).  The page is a pending prefetch when there is one, whose first
-    demand touch must bill the prefetch path, else a Tier-2 resident."""
-    from repro.core.vector import VectorEngineMixin
+    """Set the hit-map bit of a page that must miss (the exact failure
+    mode a buggy map would produce: a miss retired as a hit).  The page
+    is a pending prefetch when there is one, whose first demand touch
+    must bill the prefetch path, else a Tier-2 resident."""
     from repro.mem.page import PageLocation
 
-    if not isinstance(runtime, VectorEngineMixin):
-        raise ConfigError(
-            "vector-desync corrupts the hit map; run with --engine vector"
-        )
     states = list(runtime.page_table)
     target = next((s for s in states if s.prefetched), None)
     if target is None:
@@ -153,18 +148,18 @@ def _inject_ghost_leak(runtime: GMTRuntime) -> str:
 
 
 def _inject_window_desync(telemetry) -> str:
-    """Shift the vector replay's windowed-snapshot baseline (the exact
+    """Shift the batched replay's windowed-snapshot baseline (the exact
     corruption a buggy batch-splitting path would produce: batches
     retired across a window boundary without cutting the snapshot).
 
     Unlike the other injections this perturbs *telemetry* rather than a
     runtime, so :func:`run_conformance` applies it inside the
-    telemetry-parity check — on the vector side only, between attach and
-    replay — instead of after a replay."""
+    telemetry-parity check — on the batched side only, between attach
+    and replay — instead of after a replay."""
     snap = telemetry.snapshotter
     shift = max(1, snap.interval // 4)
     snap.rebaseline(snap._last_position + shift)
-    return f"vector snapshot baseline shifted by {shift} accesses"
+    return f"batched replay's snapshot baseline shifted by {shift} accesses"
 
 
 INJECTIONS = {
@@ -247,9 +242,8 @@ class CheckReport:
 # ----------------------------------------------------------------------
 # the differential harness
 # ----------------------------------------------------------------------
-def _audited_replay(kind: str, config: GMTConfig, workload, check_every,
-                    engine: str | None = None):
-    runtime = build_runtime(kind, config, engine=engine)
+def _audited_replay(kind: str, config: GMTConfig, workload, check_every):
+    runtime = build_runtime(kind, config)
     if check_every is not None:
         runtime.enable_periodic_checks(check_every)
     result = runtime.run(workload)
@@ -270,7 +264,6 @@ def run_conformance(
     inject: str | None = None,
     tier1_policy: str | None = None,
     tier2_policy: str | None = None,
-    engine: str | None = None,
     engines: bool = True,
     telemetry: bool = True,
     telemetry_window: int = 1_997,
@@ -300,24 +293,19 @@ def run_conformance(
             matrix (None keeps the defaults).  All identities — and the
             metamorphic checks, including degenerate-BaM — must hold for
             every zoo member.
-        engine: replay engine for the audited replays (``ENGINE_NAMES``;
-            None = scalar, the reference loop — pass ``"vector"`` to
-            audit the batch engine's structures directly, which the
-            ``vector-desync`` injection requires).
         engines: run the ``scalar-vs-vector`` differential — every
-            runtime kind replayed through both engines must be
-            counter-identical, byte for byte, including the modelled
-            ``elapsed_ns``.
-        telemetry: run the ``telemetry-parity`` differential — every
-            runtime kind replayed through both engines with windowed
-            telemetry and the full lifecycle recorder attached must
-            produce byte-equal window streams, latency-digest buckets,
-            counter tracks, anomaly findings and lifecycle events.
-            The ``window-desync`` injection perturbs the vector side of
-            this check and must be caught.
+            runtime kind's audited ``run`` must be counter-identical to
+            its per-warp reference replay, byte for byte, including the
+            modelled ``elapsed_ns``.
+        telemetry: run the ``telemetry-parity`` differential — the same
+            pair with windowed telemetry and the full lifecycle recorder
+            attached must produce byte-equal window streams,
+            latency-digest buckets, counter tracks, anomaly findings and
+            lifecycle events.  The ``window-desync`` injection perturbs
+            the batched side of this check and must be caught.
         telemetry_window: snapshot interval for the telemetry-parity
-            replays (a prime by default, so vector hit batches straddle
-            window boundaries rather than aligning with them).
+            replays (a prime by default, so hit batches straddle window
+            boundaries rather than aligning with them).
 
     Periodic checking is disabled for the metamorphic re-runs (the first
     pass already audited the trace; the re-runs only compare outcomes).
@@ -354,7 +342,7 @@ def run_conformance(
     desync_target = None
     if inject == "window-desync":
         # Telemetry injection: applied inside the telemetry-parity check
-        # (vector side, between attach and replay), not after a replay.
+        # (batched side, between attach and replay), not after a replay.
         if not telemetry:
             raise ConfigError(
                 "window-desync perturbs the telemetry-parity check; "
@@ -367,16 +355,10 @@ def run_conformance(
             raise ConfigError("dup-resident needs a 3-tier runtime in --runtimes")
         inject_target = (three_tier or list(runtimes))[0]
 
-    # The audited replays default to the scalar reference loop; an
-    # explicit engine request audits that engine's structures instead.
-    replay_engine = engine if engine is not None else "scalar"
-
     report.checks_run.append("per-runtime-audit")
     results = {}
     for kind in runtimes:
-        runtime, result = _audited_replay(
-            kind, config, workload, check_every, replay_engine
-        )
+        runtime, result = _audited_replay(kind, config, workload, check_every)
         if kind == inject_target:
             report.injected = f"{inject} into {RUNTIME_LABELS[kind]}: " + (
                 INJECTIONS[inject](runtime)
@@ -413,15 +395,12 @@ def run_conformance(
                     ],
                 )
 
-    # -- scalar vs vector: the engines must be byte-identical ------------
+    # -- scalar vs vector: run() must match the per-warp reference -------
     if engines:
         report.checks_run.append("scalar-vs-vector")
         for kind in runtimes:
-            if replay_engine == "scalar":
-                left = results[kind]
-            else:
-                left = build_runtime(kind, config, engine="scalar").run(workload)
-            right = build_runtime(kind, config, engine="vector").run(workload)
+            left = build_runtime(kind, config).replay_per_warp(workload)
+            right = results[kind]
             report.add(
                 "scalar-vs-vector",
                 _diff_counters(
@@ -515,19 +494,20 @@ def check_telemetry_parity(
     window: int = 1_997,
     corrupt=None,
 ) -> tuple[list[Violation], str | None]:
-    """Both engines, instrumented: every telemetry surface must agree.
+    """Per-warp reference and batched replay, instrumented: every
+    telemetry surface must agree.
 
-    Replays ``kind`` through the scalar and vector engines with a
-    :class:`~repro.obs.Telemetry` attached (snapshot interval
-    ``window``, unbounded full lifecycle recorder) and demands
-    byte-equality of the windowed-snapshot stream, the latency-digest
-    buckets, the Perfetto counter tracks derived from the windows, the
-    anomaly-scan findings, the lifecycle event stream, and — as in the
-    plain engine differential — every stats counter plus the modelled
-    ``elapsed_ns``.
+    Replays ``kind`` per warp (``@scalar``) and through ``run``
+    (``@vector``) with a :class:`~repro.obs.Telemetry` attached
+    (snapshot interval ``window``, unbounded full lifecycle recorder)
+    and demands byte-equality of the windowed-snapshot stream, the
+    latency-digest buckets, the Perfetto counter tracks derived from the
+    windows, the anomaly-scan findings, the lifecycle event stream, and
+    — as in the plain differential — every stats counter plus the
+    modelled ``elapsed_ns``.
 
     ``corrupt`` (the ``window-desync`` injection) is applied to the
-    *vector* side's telemetry between attach and replay; returns the
+    batched side's telemetry between attach and replay; returns the
     injection's description as the second element (None when not
     injected).
     """
@@ -538,13 +518,16 @@ def check_telemetry_parity(
     note = None
     runs: dict[str, tuple] = {}
     for eng in ("scalar", "vector"):
-        runtime = build_runtime(kind, config, engine=eng)
+        runtime = build_runtime(kind, config)
         telemetry = Telemetry(window=window)
         telemetry.enable_lifecycle(capacity=None)
         runtime.attach_telemetry(telemetry)
-        if eng == "vector" and corrupt is not None:
-            note = corrupt(telemetry)
-        result = runtime.run(workload)
+        if eng == "scalar":
+            result = runtime.replay_per_warp(workload)
+        else:
+            if corrupt is not None:
+                note = corrupt(telemetry)
+            result = runtime.run(workload)
         runs[eng] = (result, telemetry)
     violations = _diff_counters(
         "telemetry-parity",
@@ -571,7 +554,7 @@ def check_telemetry_parity(
             violations.append(
                 Violation(
                     "telemetry-parity",
-                    f"{label}: {surface} diverges between engines "
+                    f"{label}: {surface} diverges between the replays "
                     f"({_first_divergence(left, right)})",
                 )
             )

@@ -114,7 +114,7 @@ def main_sim(argv: list[str] | None = None) -> int:
         "flight recorder; sampled pages keep their complete journeys, "
         "so the stream stays small without truncating any of them",
     )
-    flags.add(parser, "--engine", "--check-every", *flags.ANOMALY)
+    flags.add(parser, "--check-every", *flags.ANOMALY)
     args = flags.parse(parser, argv)
 
     config = default_config(args.scale, platform=get_platform(args.platform))
@@ -134,7 +134,7 @@ def main_sim(argv: list[str] | None = None) -> int:
     telemetries = []
     results = {}
     for kind in args.runtimes:
-        runtime = build_runtime(kind, config, engine=args.engine)
+        runtime = build_runtime(kind, config)
         if args.check_every is not None:
             runtime.enable_periodic_checks(args.check_every)
         if telemetry_on:
@@ -306,7 +306,6 @@ _CLOSED_LOOP_ONLY = (
     "--no-solo",
     "--trace-out",
     "--metrics-out",
-    "--engine",
     *flags.ANOMALY,
 )
 
@@ -574,7 +573,7 @@ def main_serve(argv: list[str] | None = None) -> int:
         default=None,
         help="per-tenant p99 miss-latency SLO target in ns",
     )
-    flags.add(parser, "--no-ledger", "--engine", "--check-every", *flags.ANOMALY)
+    flags.add(parser, "--no-ledger", "--check-every", *flags.ANOMALY)
     args = flags.parse(parser, argv)
 
     if args.open_loop is None and args.tenants is None:
@@ -618,7 +617,6 @@ def main_serve(argv: list[str] | None = None) -> int:
         tier1_policy=args.tier1_policy,
         tier2_policy=args.tier2_policy,
         governor=governor,
-        engine=args.engine,
         epoch=args.epoch if args.epoch is not None else 1,
     )
     if args.check_every is not None:
@@ -645,11 +643,6 @@ def main_serve(argv: list[str] | None = None) -> int:
     print(outcome.to_table())
     shared_engine, shared_reason = server.engine_resolution()
     print(f"engine={shared_engine} (reason={shared_reason})")
-    if server.solo_resolutions:
-        solo_engine, solo_reason = server.solo_resolutions[
-            min(server.solo_resolutions)
-        ]
-        print(f"solo baselines: engine={solo_engine} (reason={solo_reason})")
 
     if args.trace_out is not None:
         from repro.obs.export import write_chrome_trace
@@ -678,18 +671,12 @@ def main_serve(argv: list[str] | None = None) -> int:
 
         stats = server.runtime.stats
         slowdowns = outcome.slowdowns()
-        solo_engines = sorted(
-            {eng for eng, _ in server.solo_resolutions.values()}
-        )
         record_run(
             "gmt-serve",
             wall_s=wall_s,
             engine=shared_engine,
             params={
                 "engine_reason": shared_reason,
-                **(
-                    {"solo_engines": solo_engines} if solo_engines else {}
-                ),
                 "tenants": sorted(s.workload for s in specs),
                 "discipline": args.discipline,
                 "epoch": args.epoch if args.epoch is not None else 1,

@@ -7,11 +7,12 @@
   heuristic of section 2.2;
 - :mod:`repro.core.policies` — GMT-TierOrder, GMT-Random, GMT-Reuse;
 - :mod:`repro.core.runtime` — :class:`GMTRuntime`, the demand-miss /
-  lookup / eviction pipeline of section 2.
+  lookup / eviction pipeline of section 2, and the replay loop that
+  retires Tier-1 hit runs in batches (:mod:`repro.core.vector` holds
+  the hit map and flattened trace it reads).
 """
 
-from repro.core.config import ENGINE_NAMES, GMTConfig
-from repro.core.factory import make_runtime, resolve_engine_reason
+from repro.core.config import GMTConfig
 from repro.core.placement import PlacementDecision, Tier3BiasHeuristic
 from repro.core.policies import (
     PlacementPolicy,
@@ -24,11 +25,8 @@ from repro.core.runtime import GMTRuntime, RunResult
 from repro.core.stats import RuntimeStats
 
 __all__ = [
-    "ENGINE_NAMES",
     "GMTConfig",
     "GMTRuntime",
-    "make_runtime",
-    "resolve_engine_reason",
     "PlacementDecision",
     "PlacementPolicy",
     "RandomPolicy",

@@ -30,15 +30,6 @@ _POLICY_NAMES = ("tier-order", "random", "reuse", "dueling")
 #: (``GMTConfig.policy``).  CLIs derive their choices from this.
 POLICY_NAMES = _POLICY_NAMES
 
-#: Replay-engine names (``GMTConfig.engine`` / every ``--engine`` flag).
-#: "scalar" is the reference per-access loop, "vector" the batched
-#: hit-run engine (:mod:`repro.core.vector`), and "auto" resolves per
-#: run site: vector unless the Tier-1 structure is a policy-zoo member
-#: with no vector twin.  Every instrument — telemetry, lifecycle recorders,
-#: periodic checks (:mod:`repro.obs.batch`) and the phase profiler —
-#: stays on the vector engine.
-ENGINE_NAMES = ("scalar", "vector", "auto")
-
 
 @dataclass(frozen=True)
 class GMTConfig:
@@ -114,11 +105,6 @@ class GMTConfig:
     #: historical derivation: "clock" when the placement policy is
     #: GMT-TierOrder, plain "fifo" otherwise (paper section 2.2).
     tier2_eviction: str | None = None
-    #: Replay engine: "scalar" | "vector" | "auto" (see
-    #: :data:`ENGINE_NAMES` and :func:`repro.core.factory.make_runtime`).
-    #: Both engines produce byte-identical results; "auto" picks vector
-    #: whenever the Tier-1 eviction structure has a vector twin.
-    engine: str = "auto"
 
     def __post_init__(self) -> None:
         if self.tier1_frames <= 0:
@@ -152,10 +138,6 @@ class GMTConfig:
             raise ConfigError(
                 f"time_model must be 'bottleneck' or 'queueing', got "
                 f"{self.time_model!r}"
-            )
-        if self.engine not in ENGINE_NAMES:
-            raise ConfigError(
-                f"engine must be one of {ENGINE_NAMES}, got {self.engine!r}"
             )
         if self.reuse_predictor not in ("markov", "last"):
             raise ConfigError(

@@ -27,7 +27,7 @@ from collections import defaultdict
 from repro.core.config import GMTConfig
 from repro.core.placement import PlacementDecision, Tier3BiasHeuristic
 from repro.core.policies import PlacementPlan, PlacementPolicy
-from repro.core.runtime import RunResult
+from repro.core.runtime import GMTRuntime, RunResult
 from repro.core.stats import RuntimeStats
 from repro.errors import TraceError
 from repro.mem.page import PageState
@@ -138,19 +138,14 @@ class OraclePolicy(PlacementPolicy):
         return PlacementPlan(decision=decision, predicted_class=actual)
 
 
-def run_with_oracle(
-    config: GMTConfig, workload: Workload, engine: str | None = None
-) -> RunResult:
+def run_with_oracle(config: GMTConfig, workload: Workload) -> RunResult:
     """Replay ``workload`` under oracle placement; returns the run result.
 
     The runtime is a stock :class:`GMTRuntime` — only the policy differs —
-    so results are directly comparable with the online policies.  Engine
-    selection goes through :func:`repro.core.factory.make_runtime` like
-    every other replay (the oracle policy keeps the default silent
-    ``on_access``, so its hits batch).
+    so results are directly comparable with the online policies (the
+    oracle policy keeps the default silent ``on_access``, so its hits
+    batch).
     """
-    from repro.core.factory import make_runtime
-
     index = FutureReuseIndex(workload)
     model = fit_global_vtd_model(workload)
 
@@ -162,7 +157,7 @@ def run_with_oracle(
     ) -> OraclePolicy:
         return OraclePolicy(cfg, stats, vts, index, model)
 
-    runtime = make_runtime(config, engine=engine, policy_factory=factory)
+    runtime = GMTRuntime(config, policy_factory=factory)
     runtime.name = "GMT-oracle"
     result = runtime.run(workload)
     result.runtime_name = "GMT-oracle"

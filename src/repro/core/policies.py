@@ -76,9 +76,9 @@ class PlacementPolicy(abc.ABC):
     def hits_batchable(self) -> bool:
         """Whether Tier-1 hits may currently skip :meth:`on_access`.
 
-        The vectorized engine (:mod:`repro.core.vector`) retires runs of
-        hits without calling ``on_access`` per access, which is only
-        sound while the method is observationally a no-op.  The default
+        :meth:`GMTRuntime.run <repro.core.runtime.GMTRuntime.run>`
+        retires runs of hits without calling ``on_access`` per access,
+        which is only sound while the method is observationally a no-op.  The default
         answers True exactly when the policy inherits the base no-op;
         policies whose ``on_access`` does work override this (GMT-Reuse:
         batchable once its sampling window closes).  May flip False->True

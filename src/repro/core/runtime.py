@@ -17,6 +17,12 @@ through the hierarchy:
 All orchestration costs are charged to the GPU-side cost model with the
 GPU's fault-level parallelism — that is what "GPU-orchestrated" means for
 performance, and what the HMM baseline lacks.
+
+:meth:`GMTRuntime.run` replays a trace in one loop that retires each
+run of Tier-1 hits as a batch and sends every other access through
+:meth:`GMTRuntime.access`, the per-access pipeline above.  Results are
+byte-identical to the per-warp reference,
+:meth:`GMTRuntime.replay_per_warp`.
 """
 
 from __future__ import annotations
@@ -25,15 +31,20 @@ import random
 from dataclasses import dataclass, replace
 from typing import Iterable
 
+import numpy as np
+
+from repro.core import vector
 from repro.core.config import GMTConfig
 from repro.core.placement import PlacementDecision
 from repro.core.policies import PlacementPolicy, make_policy
 from repro.core.stats import RuntimeStats
 from repro.errors import SimulationError
+from repro.mem.clock_replacement import ClockReplacement
 from repro.mem.page import PageLocation, PageState
 from repro.mem.page_table import PageTable
 from repro.mem.tier import Tier
 from repro.mem.tier2_order import Tier2Fifo
+from repro.obs.batch import AuditBatchObserver, BatchObserverChain
 from repro.obs.lifecycle import LifecycleKind
 from repro.policyzoo.registry import make_eviction_policy
 from repro.reuse.vtd import VirtualTimestampClock
@@ -42,6 +53,23 @@ from repro.sim.gpu import WarpAccess, coalesce
 from repro.sim.nvme import NvmeSSD
 from repro.sim.pcie import PCIeLink
 from repro.sim.transfer import make_engine
+from repro.workloads.trace import Workload
+
+#: Adaptive hit-window bounds of :meth:`GMTRuntime.run` (batch sizes;
+#: tuning only, never semantics).
+_WINDOW_MIN = 64
+_WINDOW_INIT = 1024
+_WINDOW_MAX = 8192
+#: Accesses per scalar burst of :meth:`GMTRuntime.run`.  Between bursts
+#: the loop re-checks ``hits_batchable``, so batches resume the moment
+#: e.g. GMT-Reuse's sampling window closes.
+_SCALAR_STRIDE = 256
+#: Consecutive probes that end at a miss before the loop stops probing
+#: and bursts scalar for a stride.  Only a hit run that fills its probe
+#: window resets the count, so both runs of misses and short hit runs
+#: between misses cost ~1 probe and batch per ``_SCALAR_STRIDE``
+#: accesses.
+_MISS_STREAK_LIMIT = 4
 
 
 @dataclass
@@ -84,15 +112,6 @@ class GMTRuntime:
     """
 
     name = "GMT"
-    #: Replay engine identity ("scalar" here; the batched hit-run engine,
-    #: :mod:`repro.core.vector`, overrides with "vector").  Distinct from
-    #: :attr:`engine`, which is the Tier-1<->Tier-2 *transfer* engine.
-    engine_name = "scalar"
-    #: Why this engine was selected.  The factory
-    #: (:func:`repro.core.factory.make_runtime`) stamps the resolution
-    #: reason on each instance; this class default covers direct
-    #: construction.
-    engine_reason = "scalar reference loop (constructed directly)"
     #: Who services faults — exported as a telemetry label; the
     #: CPU-orchestrated baselines override this with ``"host"``.
     orchestration = "gpu"
@@ -103,7 +122,13 @@ class GMTRuntime:
         self.config = config
         platform = config.platform
         self.stats = RuntimeStats()
-        self.page_table = PageTable()
+        #: One bit per page, Tier-1 resident and not a pending prefetch,
+        #: written by the page table's rows; :meth:`run` probes it for
+        #: hit runs.
+        self._hit_map: vector.HitMap | None = vector.HitMap()
+        self.page_table = PageTable(self._hit_map.row)
+        #: Probe window of :meth:`run`, adapted as it replays.
+        self._window = _WINDOW_INIT
         self.vts = VirtualTimestampClock()
         self.rng = random.Random(config.seed)
 
@@ -183,15 +208,12 @@ class GMTRuntime:
         self.name = f"GMT-{self.policy.name}"
 
     def engine_resolution(self) -> tuple[str, str]:
-        """The replay engine the next ``run`` will use, with the reason.
-
-        The scalar runtime always runs scalar; the vector mixin
-        overrides this with its fallback check (a Tier-1 structure with
-        no vector twin replays on the scalar loop).  This is the surface
-        the CLIs print (``engine=... (reason=...)``), the exporters embed
-        in headers and every profile records.
+        """How :meth:`run` replays, with the reason: ``"vector"`` for a
+        runtime that batches its hit runs.  This is the surface the CLIs
+        print (``engine=... (reason=...)``), the exporters embed in
+        headers and every profile records.
         """
-        return self.engine_name, self.engine_reason
+        return "vector", "Tier-1 hit runs retire in batches"
 
     # ------------------------------------------------------------------
     # queueing time model (optional, config.time_model == "queueing")
@@ -312,14 +334,207 @@ class GMTRuntime:
     # access path
     # ------------------------------------------------------------------
     def run(self, trace: Iterable[WarpAccess]) -> RunResult:
-        """Replay a trace of warp accesses and return the run's result."""
+        """Replay a trace of warp accesses and return the run's result.
+
+        Runs of Tier-1 hits retire in batches (:meth:`_batch_hits`) and
+        every other access goes through :meth:`access`, so the result,
+        the final state and what attached telemetry and audits observe
+        are byte-identical to :meth:`replay_per_warp`.  A
+        :class:`Workload` is flattened once and cached
+        (:func:`repro.core.vector.materialize_trace`); any other
+        iterable streams in bounded chunks.
+        """
+        chain = self._batch_observers()
+        if isinstance(trace, Workload):
+            # Looked up through the module at call time, so a caller
+            # can wrap trace generation.
+            trace = vector.materialize_trace(trace)
+        if isinstance(trace, vector.TraceArrays):
+            chunks = [(trace.n_warps, trace.pages, trace.writes, trace.warps)]
+        else:
+            # One-shot iterable (e.g. a tenant stream): bounded chunks.
+            chunks = vector._iter_trace_chunks(trace, vector._STREAM_CHUNK_WARPS)
+        for n_warps, pages, writes, warps in chunks:
+            self._replay_flat(pages, writes, warps, n_warps, chain)
+        return self._finish_run()
+
+    def replay_per_warp(self, trace: Iterable[WarpAccess]) -> RunResult:
+        """The reference replay: :meth:`access_warp` for each warp, then
+        the result.  :meth:`run` must match it byte for byte, and
+        ``gmt-check``, ``gmt-bench`` and the property suites compare the
+        two."""
         for warp in trace:
             self.access_warp(warp)
+        return self._finish_run()
+
+    def _finish_run(self) -> RunResult:
         if self._obs is not None:
             # Flush the final partial snapshot window; without this the
             # tail of the replay drops out of telemetry.windows().
             self._obs.finish()
         return self.result()
+
+    def _batch_observers(self) -> BatchObserverChain | None:
+        """The per-batch observers of what is attached (None: nothing
+        observes mid-run state, so hit runs retire uncapped)."""
+        observers = []
+        if self._obs is not None:
+            observers.append(self._obs.batch_observer())
+        if self._check_every is not None:
+            observers.append(AuditBatchObserver(self._check_every))
+        return BatchObserverChain(observers) if observers else None
+
+    def _replay_flat(
+        self,
+        pages: np.ndarray,
+        writes: np.ndarray,
+        warps: np.ndarray,
+        n_warps: int,
+        chain: BatchObserverChain | None,
+    ) -> None:
+        """Replay one flat coalesced-access chunk of ``n_warps`` warps.
+
+        The loop probes a window of upcoming accesses in the hit map and
+        retires the maximal hit prefix as one batch; the access that
+        ends it (a miss, or a prefetched page's first demand touch) goes
+        through :meth:`access`, so the miss pipeline is *the* per-access
+        pipeline.  While the policy observes every access, or after
+        :data:`_MISS_STREAK_LIMIT` probes in a row ended at a miss, it
+        replays a :data:`_SCALAR_STRIDE` burst through :meth:`access`
+        instead.  Which stretch takes which path is a speed decision,
+        never a semantic one.
+
+        ``chain`` (None when nothing is attached) caps each batch to end
+        just before the next access an observer must see on the scalar
+        path — a windowed-snapshot boundary or a periodic audit — and is
+        notified after each retired run.  Under a chain,
+        ``stats.warp_instructions`` is restored from ``warps`` (the
+        chunk's cumulative warp count per access) around every
+        scalar-replayed access and every retired batch, so a window cut
+        or an audit observes exactly the value the per-warp loop would
+        have accumulated by that access.
+        """
+        stats = self.stats
+        warp_base = stats.warp_instructions
+        if chain is None:
+            # Nothing observes the mid-run warp count: add it up front.
+            warps = None
+            stats.warp_instructions += n_warps
+        n = pages.shape[0]
+        if n == 0:
+            stats.warp_instructions = warp_base + n_warps
+            return
+        # Headroom covers sequential prefetch candidates past the chunk
+        # maximum, so the map does not grow while the chunk replays.
+        self._hit_map.ensure(int(pages.max()) + 1 + self.config.prefetch_degree)
+        bits = self._hit_map.bits
+        access = self.access
+        window = self._window
+        miss_streak = 0
+        i = 0
+        while i < n:
+            if not self.policy.hits_batchable or miss_streak >= _MISS_STREAK_LIMIT:
+                # Scalar burst: either the policy observes every access,
+                # or probes keep ending at misses and cost more than
+                # they retire.
+                end = min(i + _SCALAR_STRIDE, n)
+                if warps is None:
+                    for page, write in zip(
+                        pages[i:end].tolist(), writes[i:end].tolist()
+                    ):
+                        access(page, write=write)
+                else:
+                    for k in range(i, end):
+                        stats.warp_instructions = warp_base + int(warps[k])
+                        access(int(pages[k]), write=bool(writes[k]))
+                i = end
+                miss_streak = 0
+                continue
+            w = min(window, n - i)
+            if chain is not None:
+                room = chain.limit(stats.coalesced_accesses)
+                if room <= 0:
+                    # The next access is one an observer must see on the
+                    # scalar path (a window cut captures it half-applied;
+                    # an audit runs just before it), so replay it there.
+                    stats.warp_instructions = warp_base + int(warps[i])
+                    access(int(pages[i]), write=bool(writes[i]))
+                    i += 1
+                    continue
+                if room < w:
+                    w = room
+            chunk = pages[i : i + w]
+            hits = bits[chunk]
+            if hits.all():
+                run_len = w
+            else:
+                run_len = int(np.argmax(~hits))
+            if run_len:
+                self._batch_hits(chunk[:run_len], writes[i : i + run_len])
+                i += run_len
+                if chain is not None:
+                    stats.warp_instructions = warp_base + int(warps[i - 1])
+                    chain.on_hits(run_len, stats.coalesced_accesses)
+                if run_len == w:
+                    miss_streak = 0
+                    window = min(window * 2, _WINDOW_MAX)
+                    continue
+            miss_streak += 1
+            window = max(_WINDOW_MIN, window // 2)
+            # The blocking access — a miss, or a prefetched page's first
+            # demand touch — replays scalar.
+            if warps is not None:
+                stats.warp_instructions = warp_base + int(warps[i])
+            access(int(pages[i]), write=bool(writes[i]))
+            i += 1
+        self._window = window
+        # Trailing warps with no coalesced accesses still count.
+        stats.warp_instructions = warp_base + n_warps
+
+    def _batch_hits(self, chunk: np.ndarray, writes: np.ndarray) -> None:
+        """Retire ``k`` consecutive Tier-1 hits.
+
+        Leaves the state ``k`` calls to :meth:`access` would: the VTD
+        clock ``k`` ticks on, each page stamped with the tick of its
+        last occurrence, stats, sequentially-rounded compute cost,
+        queueing-model arrivals, dirty marks for writes, Tier-1
+        structure touches.  A hit run holds at most Tier-1-capacity
+        distinct pages, and the per-page work runs once for each.
+        """
+        k = chunk.shape[0]
+        base = self.vts.now
+        self.vts.advance(k)
+        # ``np.maximum.at`` is unbuffered, so a page repeated in the run
+        # keeps its last tick; the scratch entries it overwrites are
+        # earlier ticks, never newer than the batch base.
+        stamps = self._hit_map.stamps
+        ticks = np.arange(base + 1, base + k + 1, dtype=np.int64)
+        np.maximum.at(stamps, chunk, ticks)
+        distinct = np.sort(chunk)
+        distinct = distinct[np.diff(distinct, prepend=-1) != 0]
+        row = self.page_table.peek
+        touch = self.t1_clock.touch
+        # The clock's touch only sets a reference bit, so one per
+        # distinct page leaves the same state.  The policy-zoo
+        # structures count, age or reorder on every touch, so they get
+        # one per access, in trace order.
+        per_page = type(self.t1_clock) is ClockReplacement
+        for page, stamp in zip(distinct.tolist(), stamps[distinct].tolist()):
+            row(page).last_access_ts = stamp
+            if per_page:
+                touch(page)
+        if not per_page:
+            for page in chunk.tolist():
+                touch(page)
+        if writes.any():
+            for page in set(chunk[writes].tolist()):
+                row(page).dirty = True
+        self.stats.coalesced_accesses += k
+        self.stats.t1_hits += k
+        self.cost.add_compute_batch(self.config.platform.gpu_access_ns, k)
+        queueing = self._queueing_model()
+        if queueing is not None:
+            queueing.on_hits(k)
 
     def access_warp(self, warp: WarpAccess) -> None:
         """Issue one warp memory instruction (coalesced per 64 KB page)."""
@@ -761,7 +976,8 @@ class GMTRuntime:
 
     # ------------------------------------------------------------------
     def check_invariants(self) -> None:
-        """Structural invariants; used by tests and property checks."""
+        """Structural invariants, including the hit map's agreement with
+        the page table; used by audits, tests and property checks."""
         if len(self.tier1) > self.tier1.capacity:
             raise SimulationError("Tier-1 over capacity")
         if len(self.tier2) > self.tier2.capacity:
@@ -792,6 +1008,28 @@ class GMTRuntime:
                     f"page {state.page}: location {state.location} but "
                     f"membership says {expected}"
                 )
+        if self._hit_map is not None:
+            self._check_hit_map()
+
+    def _check_hit_map(self) -> None:
+        """The hit map's set bits are exactly the pages the page table
+        holds in Tier-1 and not as pending prefetches.  A bit set for
+        any other page would retire a miss as a hit."""
+        hits = [
+            state.page
+            for state in self.page_table
+            if state.location is PageLocation.TIER1 and not state.prefetched
+        ]
+        bits = self._hit_map.bits
+        expected = np.zeros(bits.shape[0], dtype=bool)
+        expected[hits] = True
+        wrong = np.flatnonzero(bits != expected)
+        if wrong.size:
+            page = int(wrong[0])
+            raise SimulationError(
+                f"hit map bit {bool(bits[page])} for page {page} disagrees "
+                "with its page-table state"
+            )
 
 
 def _force_tier2(plan):

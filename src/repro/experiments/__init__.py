@@ -17,7 +17,7 @@ CLI's content-addressed on-disk cache, across processes too, which
 makes interrupted ``all`` runs resumable.  Run one experiment with
 :func:`~repro.experiments.spec.run_spec`; an ``Engine(options=...)``
 :class:`~repro.experiments.harness.RunOptions` value sets how its
-replays run (engine, in-run audits, telemetry, anomaly scan).
+replays run (in-run audits, telemetry, anomaly scan).
 """
 
 from repro.experiments.engine import Cell, Engine, EngineStats, ResultCache, run_cells

@@ -15,8 +15,7 @@ from dataclasses import dataclass, field, replace
 from repro.analysis.report import render_table
 from repro.baselines.bam import BamRuntime
 from repro.baselines.hmm import HmmRuntime
-from repro.core.config import DEFAULT_SCALE, ENGINE_NAMES, GMTConfig, PAPER_OVERSUBSCRIPTION
-from repro.core.factory import make_runtime
+from repro.core.config import DEFAULT_SCALE, GMTConfig, PAPER_OVERSUBSCRIPTION
 from repro.core.runtime import GMTRuntime, RunResult
 from repro.errors import ConfigError
 from repro.workloads.registry import make_workload, normalize_name
@@ -40,18 +39,16 @@ _workload_cache: dict[tuple, Workload] = {}
 
 @dataclass(frozen=True)
 class RunOptions:
-    """How replays run: engine, in-run audits, telemetry export, anomaly scan.
+    """How replays run: in-run audits, telemetry export, anomaly scan.
 
     An :class:`~repro.experiments.engine.Engine` installs its options for
-    the cells it executes and restores the previous ones afterwards;
-    :func:`build_runtime` and the cell bodies read the installed value.
-    None of these settings changes a result: they steer the engine and
-    what each replay records.  Cached cells are reused as-is, so only
-    replays that actually execute export telemetry or findings.
+    the cells it executes and restores the previous ones afterwards; the
+    cell bodies read the installed value.  None of these settings
+    changes a result: they steer what each replay records.  Cached cells
+    are reused as-is, so only replays that actually execute export
+    telemetry or findings.
 
     Attributes:
-        engine: replay engine of every runtime :func:`build_runtime`
-            makes (None: each config's own ``engine``).
         check_every: audit each replay every N coalesced accesses with
             :func:`repro.check.identities.assert_conformant`; a violation
             aborts the replay with
@@ -70,7 +67,6 @@ class RunOptions:
             share one directory (None: off).
     """
 
-    engine: str | None = None
     check_every: int | None = None
     telemetry_dir: str | None = None
     telemetry_lifecycle: bool = False
@@ -81,10 +77,6 @@ class RunOptions:
     anomaly_spike: float = 3.0
 
     def __post_init__(self) -> None:
-        if self.engine is not None and self.engine not in ENGINE_NAMES:
-            raise ConfigError(
-                f"engine must be one of {ENGINE_NAMES}, got {self.engine!r}"
-            )
         if self.check_every is not None and self.check_every < 1:
             raise ConfigError(f"check_every must be >= 1, got {self.check_every}")
         if self.telemetry_lifecycle and self.telemetry_dir is None:
@@ -262,18 +254,8 @@ def default_config(scale: int = DEFAULT_SCALE, **overrides) -> GMTConfig:
     )
 
 
-def build_runtime(
-    kind: str, config: GMTConfig, engine: str | None = None
-) -> GMTRuntime:
-    """Instantiate one of the comparison runtimes over ``config``.
-
-    The replay engine resolves ``engine`` (explicit argument) over the
-    installed :class:`RunOptions` over ``config.engine``.  What the
-    options attach (audits, telemetry export, the lifecycle recorder,
-    the anomaly scan) never changes the engine.
-    """
-    if engine is None:
-        engine = _options.engine
+def build_runtime(kind: str, config: GMTConfig) -> GMTRuntime:
+    """Instantiate one of the comparison runtimes over ``config``."""
     if kind == "bam":
         runtime_cls: type[GMTRuntime] = BamRuntime
     elif kind == "hmm":
@@ -289,7 +271,7 @@ def build_runtime(
         raise ConfigError(
             f"unknown runtime kind {kind!r}; expected one of {RUNTIME_KINDS}"
         )
-    return make_runtime(config, runtime_cls=runtime_cls, engine=engine)
+    return runtime_cls(config)
 
 
 def get_workload(

@@ -25,7 +25,7 @@ import time
 
 from repro import flags
 from repro.experiments.engine import Engine, ResultCache
-from repro.experiments.harness import RunOptions, default_config
+from repro.experiments.harness import RunOptions, build_runtime, default_config
 from repro.experiments.spec import ExperimentSpec, run_spec
 
 #: Registry of experiment names — each maps to a module exporting SPEC.
@@ -135,13 +135,12 @@ def main(argv: list[str] | None = None) -> int:
         "flight recorder per replay and export <app>-<kind>.lifecycle.jsonl "
         "(query with gmt-why --from)",
     )
-    flags.add(parser, "--check-every", *flags.ANOMALY, "--engine", "--no-ledger")
+    flags.add(parser, "--check-every", *flags.ANOMALY, "--no-ledger")
     parser.set_defaults(anomaly_window=10_000)
     args = flags.parse(parser, argv)
     if args.telemetry_lifecycle and args.telemetry_dir is None:
         parser.error("--telemetry-lifecycle needs --telemetry-dir")
     options = RunOptions(
-        engine=args.engine,
         check_every=args.check_every,
         telemetry_dir=args.telemetry_dir,
         telemetry_lifecycle=args.telemetry_lifecycle,
@@ -197,14 +196,12 @@ def main(argv: list[str] | None = None) -> int:
 
     print(f"[engine] {engine.stats.summary()}")
     if not args.no_ledger:
-        from repro.core.factory import resolve_engine_reason
         from repro.obs.ledger import record_run
 
-        # The resolution every GMT replay cell sees under these options
-        # (baseline runtimes follow the same rule).
-        resolved, reason = resolve_engine_reason(
-            options.engine, default_config(args.scale)
-        )
+        # How every replay cell runs (the baselines share the loop).
+        resolved, reason = build_runtime(
+            "reuse", default_config(args.scale)
+        ).engine_resolution()
         record_run(
             "gmt-experiments",
             wall_s=time.time() - run_start,

@@ -7,8 +7,8 @@ they stay right.  Values are validated while parsing, so bad input is a
 usage error (exit status 2) before any replay starts::
 
     parser = argparse.ArgumentParser(prog="gmt-bench")
-    flags.add(parser, "--scale", "--seed", "--engine", "--no-ledger")
-    parser.set_defaults(scale=4096, engine="scalar")
+    flags.add(parser, "--scale", "--seed", "--no-ledger")
+    parser.set_defaults(scale=4096)
     args = flags.parse(parser, argv)
 """
 
@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import argparse
 
-from repro.core.config import DEFAULT_SCALE, ENGINE_NAMES
+from repro.core.config import DEFAULT_SCALE
 from repro.errors import ConfigError
 from repro.policyzoo.registry import EVICTION_POLICY_NAMES
 
@@ -62,16 +62,6 @@ _FLAGS: dict[str, dict] = {
         help="working set / (Tier-1 + Tier-2) capacity (default %(default)s)",
     ),
     "--seed": dict(type=int, default=0, help="trace RNG seed (default %(default)s)"),
-    "--engine": dict(
-        default=None,
-        choices=list(ENGINE_NAMES),
-        help="replay engine: 'scalar' (reference loop), 'vector' "
-        "(byte-identical, retires Tier-1 hit runs in batches) or 'auto' "
-        "(vector unless the Tier-1 policy has no vector twin; telemetry, "
-        "lifecycle recording and --check-every all stay on the vector "
-        "engine).  Default: %(default)s, where None defers to the config's "
-        "engine ('auto')",
-    ),
     "--check-every": dict(
         type=positive_int,
         metavar="N",

@@ -15,8 +15,9 @@ from repro.mem.page import PageLocation, PageState
 class PageTable:
     """Sparse mapping from page id to per-page state.
 
-    ``row`` builds the state of a page seen for the first time (the
-    vector engine passes one whose rows keep its hit map current).
+    ``row`` builds the state of a page seen for the first time
+    (:class:`~repro.core.runtime.GMTRuntime` passes one whose rows keep
+    its hit map current).
     """
 
     def __init__(self, row: Callable[[int], PageState] = PageState) -> None:

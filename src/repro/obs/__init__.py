@@ -13,7 +13,7 @@ Three pillars (see docs/observability.md for the catalog and formats):
 - :mod:`repro.obs.anomaly` — thrash / bypass-storm / latency-spike
   detection over windowed snapshots;
 - :mod:`repro.obs.batch` — the batch-aware instrumentation pipeline:
-  the per-batch observer chain the vector engine drives, and the
+  the per-batch observer chain the replay loop drives, and the
   sampled lifecycle recorder;
 - :mod:`repro.obs.digest` — bounded-memory streaming quantile digests
   (:class:`LatencyDigest`) behind the latency-percentile gauges;

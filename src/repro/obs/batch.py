@@ -1,11 +1,11 @@
-"""Batch-aware instrumentation — observability that survives the vector
-engine.
+"""Batch-aware instrumentation — observability that survives batched
+replay.
 
-The vector replay engine (:mod:`repro.core.vector`) retires runs of
-Tier-1 hits in batches.  Per-access observer callbacks
-would undo exactly the win being bought (HM-Keeper's argument in
-PAPERS.md: profiling a tiered memory system must be cheap enough to stay
-on).  Instead, the engine composes one :class:`BatchObserverChain` from
+:meth:`GMTRuntime.run <repro.core.runtime.GMTRuntime.run>` retires runs
+of Tier-1 hits in batches.  Per-access observer callbacks would undo
+exactly the win being bought (HM-Keeper's argument in PAPERS.md:
+profiling a tiered memory system must be cheap enough to stay on).
+Instead, the replay loop composes one :class:`BatchObserverChain` from
 what is attached to the runtime, out of two per-batch observers:
 
 - :class:`WindowBatchObserver` (attached telemetry) splits batches at
@@ -13,34 +13,32 @@ what is attached to the runtime, out of two per-batch observers:
 - :class:`AuditBatchObserver` (``enable_periodic_checks``) splits them
   at periodic-audit positions.
 
-The engine consults ``chain.limit(position)`` before probing a hit run
+The loop consults ``chain.limit(position)`` before probing a hit run
 and calls ``chain.on_hits(count, position)`` after retiring one.
 
-**Why this yields byte-identical telemetry and audits.**  On the scalar
-path the window clock ticks *after* an access's
+**Why this yields byte-identical telemetry and audits.**  On the
+per-access path the window clock ticks *after* an access's
 ``coalesced_accesses``/compute contributions but *before* its hit-branch
 counters (``t1_hits``, clock touch), so a window cut at boundary
 position ``b`` must capture the ``b``-th access half-applied.  A
 bulk-retired batch cannot reproduce that intermediate state — so no
 batch ever reaches a boundary: batches are capped to end at ``b - 1``
-and the boundary access itself replays through the inherited scalar
-``access``, inheriting the scalar tick ordering exactly.  A periodic
-audit runs inside ``access`` just before the access at a non-zero
-multiple of its interval, so capping batches there makes the audit run
-at the same position over the same state.  Every other instrument is
-already scalar-side: spans, latency histograms, the
+and the boundary access itself replays through ``access``, inheriting
+the per-access tick ordering exactly.  A periodic audit runs inside
+``access`` just before the access at a non-zero multiple of its
+interval, so capping batches there makes the audit run at the same
+position over the same state.  Every other instrument already observes
+only per-access work: spans, latency histograms, the
 :class:`~repro.obs.digest.LatencyDigest` and every lifecycle event
 (full or sampled ring) observe only misses, evictions, writebacks,
-prefetches and policy resolutions, and those always take the scalar
-pipeline inside the vector engine.  Counter tracks and anomaly findings
-are pure functions of the window stream, so their parity follows from
-window parity.  The ``gmt-check`` telemetry-parity column asserts all
-five surfaces.
+prefetches and policy resolutions, and those always go through
+``access``.  Counter tracks and anomaly findings are pure functions of
+the window stream, so their parity follows from window parity.  The
+``gmt-check`` telemetry-parity column asserts all five surfaces
+against the per-warp reference replay.
 
-No instrument forces the scalar loop; the phase profiler only samples
-frames.  The one run-wide fallback is a Tier-1 structure with no
-vector twin (see
-:meth:`~repro.core.vector.VectorEngineMixin._fallback_reason`).
+No instrument changes how a replay runs; the phase profiler only
+samples frames.
 """
 
 from __future__ import annotations
@@ -62,10 +60,11 @@ class WindowBatchObserver:
 
     ``limit`` caps a prospective batch so it ends just *before* the next
     window boundary on the coalesced-access clock (the boundary access
-    replays scalar — see the module docstring); ``on_hits`` advances the
-    window clock through :meth:`WindowedSnapshotter.add_batch`, which in
-    this regime never cuts (the cap guarantees no boundary is crossed)
-    but keeps the bulk path honest if intervals shrink mid-run.
+    goes through ``access`` — see the module docstring); ``on_hits``
+    advances the window clock through
+    :meth:`WindowedSnapshotter.add_batch`, which in this regime never
+    cuts (the cap guarantees no boundary is crossed) but keeps the bulk
+    path honest if intervals shrink mid-run.
     """
 
     def __init__(self, snapshotter: WindowedSnapshotter) -> None:
@@ -74,7 +73,7 @@ class WindowBatchObserver:
     def limit(self, position: int) -> int:
         """Max accesses retirable in bulk from ``position`` before the
         next window boundary (<= 0 means the very next access is the
-        boundary access and must replay scalar)."""
+        boundary access and must go through ``access``)."""
         snap = self._snap
         return snap._last_position + snap.interval - 1 - position
 
@@ -89,7 +88,7 @@ class AuditBatchObserver:
     ``GMTRuntime.access`` audits just before the access at position
     ``p`` (the coalesced-access count before it) when ``p`` is a
     non-zero multiple of ``every``; ``limit`` stops each batch short of
-    that access so it replays scalar and the audit runs there.
+    that access so it goes through ``access`` and the audit runs there.
     """
 
     def __init__(self, every: int) -> None:
@@ -104,13 +103,13 @@ class AuditBatchObserver:
         return self.every - offset
 
     def on_hits(self, count: int, position: int) -> None:
-        """Audits run on the scalar path only; nothing to advance."""
+        """Audits run inside ``access`` only; nothing to advance."""
 
 
 class BatchObserverChain:
-    """The engine-facing composition of per-batch observers.
+    """The replay-facing composition of per-batch observers.
 
-    The vector engine holds exactly one of these per instrumented run:
+    The replay loop holds exactly one of these per instrumented run:
     ``limit`` is the min over all observers (most restrictive boundary
     wins), ``on_hits`` fans out in attach order.
     """
@@ -135,10 +134,10 @@ class SampledLifecycleRecorder(LifecycleRecorder):
     a sampled page's journey is complete, which is what ``gmt-why``'s
     causal queries need), so a long replay's bounded stream still holds
     whole journeys.  Like the full ring, the sampled stream is identical
-    under either replay engine.
+    under batched and per-warp replay.
 
     Sampling is a splitmix64-style hash of ``(page, seed)`` against
-    ``sample_rate``: engine-independent, replay-stable, and unbiased
+    ``sample_rate``: replay-independent, replay-stable, and unbiased
     across page-id patterns (unlike ``page % k``).
     """
 

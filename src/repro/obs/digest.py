@@ -103,7 +103,7 @@ class LatencyDigest:
         ``observe`` call per access.  Semantics are *defined* as identical
         to ``for v in values: self.observe(v)`` — same sequential ``_sum``
         rounding, same bucket keys, same collapse points — because digest
-        bucket equality between the scalar and vector engines is asserted
+        bucket equality between batched and per-warp replay is asserted
         by the ``gmt-check`` telemetry-parity column.
         """
         observe = self.observe

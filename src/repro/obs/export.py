@@ -162,7 +162,7 @@ def write_chrome_trace(
     ``metadata`` lands under the payload's top-level ``"metadata"`` key
     (the Trace Event Format's free-form side channel — Perfetto shows it
     in the trace-info page).  The CLIs use it to stamp each trace with
-    the resolved replay engine and the reason behind the resolution.
+    the runtime's ``engine_resolution()``: how it replayed, and why.
     """
     events = chrome_trace_events(tracers, windows=windows)
     payload: dict = {"traceEvents": events, "displayTimeUnit": "ns"}
@@ -263,7 +263,7 @@ def write_prometheus(
 
     ``header`` lines are emitted first as ``#`` comments (the exposition
     format ignores comment lines that are not HELP/TYPE), so snapshots
-    can carry run provenance — the CLIs stamp the resolved replay engine
+    can carry run provenance — the CLIs stamp how the runtime replayed
     here — without perturbing any scraper.
     """
     text = prometheus_text(registries)

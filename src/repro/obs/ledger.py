@@ -74,10 +74,11 @@ def make_entry(
 ) -> dict:
     """Build one ledger entry (JSON-ready, not yet written).
 
-    ``engine`` records which replay engine produced the run's wall-clock
-    numbers (``repro.core.ENGINE_NAMES`` minus ``"auto"``) — trend
-    analysis over mixed-engine histories would otherwise flag the
-    vector engine's speedup as a drift.
+    ``engine`` records how the run's replays ran, the first element of
+    ``engine_resolution()``: ``"vector"`` when hit runs retire in
+    batches, ``"scalar"`` for the serving runtimes that replay per warp
+    — trend analysis over mixed histories would otherwise flag the
+    batching speedup as a drift.
     """
     if not tool:
         raise ConfigError("ledger entries need a tool name")

@@ -238,9 +238,6 @@ class LifecycleRecorder:
             and (tenant is None or e.tenant == tenant)
         ]
 
-    def to_dicts(self) -> list[dict]:
-        return [e.to_dict() for e in self._events]
-
     def clear(self) -> None:
         self._events.clear()
         self._emitted = 0
@@ -502,11 +499,6 @@ def _describe(event: LifecycleEvent) -> str:
     if event.tenant is not None:
         bits.append(f"tenant={event.tenant}")
     return " ".join(bits)
-
-
-def render_journey(events: Iterable[LifecycleEvent]) -> str:
-    """Multi-line rendering of a journey (CLI/debug helper)."""
-    return "\n".join(_describe(e) for e in events)
 
 
 # ----------------------------------------------------------------------

@@ -65,18 +65,18 @@ class WindowedSnapshotter:
     def add_batch(self, position: int) -> list[dict]:
         """Advance the window clock past a bulk-retired access batch.
 
-        The vector engine calls this once per retired hit run instead of
+        The replay loop calls this once per retired hit run instead of
         one :meth:`maybe_snapshot` per access.  Cuts one window per
         interval boundary the batch crossed, each stamped at the exact
         boundary position — so the window *positions* always match a
-        scalar replay.  Returns the windows cut.
+        per-warp replay.  Returns the windows cut.
 
         Byte-identical window *contents* additionally require that no
         batch crosses a boundary (counters would capture post-batch
         values): :class:`repro.obs.batch.WindowBatchObserver` caps each
-        batch to end just before the next boundary, so in the engine's
-        use this method cuts nothing and the boundary access itself
-        replays through the scalar path.  Crossing boundaries here is
+        batch to end just before the next boundary, so in the replay
+        loop's use this method cuts nothing and the boundary access
+        itself goes through ``access``.  Crossing boundaries here is
         still well-defined (positions exact, contents end-of-batch) for
         callers that feed coarser aggregates.
         """

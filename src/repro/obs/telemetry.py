@@ -167,10 +167,10 @@ class Telemetry:
     # batch-aware pipeline (see repro.obs.batch)
     # ------------------------------------------------------------------
     def batch_observer(self):
-        """The per-batch observer the vector engine adds to its chain.
+        """The per-batch observer the replay loop adds to its chain.
 
         Digests, histograms, spans and lifecycle events observe only
-        scalar-side events (misses, evictions, writebacks, prefetches),
+        per-access events (misses, evictions, writebacks, prefetches),
         so window cuts are the one thing a hit batch must not cross."""
         from repro.obs.batch import WindowBatchObserver
 

@@ -242,8 +242,8 @@ class Dashboard:
 
         First flushes the telemetry's final partial window — everything
         after the last full interval boundary — so it renders as a
-        frame/line too.  ``GMTRuntime.run`` (both engines) already
-        flushes at end-of-run, in which case this is a no-op; the
+        frame/line too.  ``GMTRuntime.run`` (like its per-warp
+        reference) already flushes at end-of-run, in which case this is a no-op; the
         explicit flush covers drivers that iterate access-by-access and
         never call ``run`` (``Telemetry.finish`` is idempotent).
         """

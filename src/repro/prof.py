@@ -7,12 +7,12 @@ time to the runtime's named phases:
 ==================  ====================================================
 phase               what it covers
 ==================  ====================================================
-``trace-gen``       generating the workload's warp stream, and the
-                    vector engine's flattening of it
+``trace-gen``       generating the workload's warp stream, and its
+                    flattening for the batched replay
 ``dispatch``        warp decomposition (:meth:`GMTRuntime.access_warp`)
-                    and the vector engine's batch replay loop
+                    and the batched replay loop
 ``access``          the coalesced access path's own bookkeeping, and
-                    the vector engine's batched hit retirement
+                    batched hit retirement
 ``page-table``      :meth:`PageTable.lookup`
 ``reuse-policy``    VTD clock, policy ``on_access``/``choose``/fills
 ``victim-select``   Tier-1 clock sweep / Tier-2 order victim nomination
@@ -35,13 +35,13 @@ boundary, maps the interrupted stack's code objects to phases via a
 table built at attach time, and charges the wall since the previous
 sample to the innermost phase.  (A sampler *thread* would only see the
 replay when it released the GIL, which numpy calls do voluntarily, so
-it would charge most of a vector replay to the numpy-calling batch
+it would charge most of a batched replay to the numpy-calling batch
 loop.)  The handler only reads frames: nothing on the runtime is
-wrapped or replaced, so a profiled replay runs on whichever engine the
-runtime resolves, produces the same results as an unprofiled one, and
-costs a few percent.  Each profile records the engine it measured
-(``engine`` / ``engine_reason``).  Profile from the main thread: only
-it runs signal handlers.
+wrapped or replaced, so a profiled replay runs the way an unprofiled
+one does, produces the same results, and costs a few percent.  Each
+profile records how the runtime replayed (``engine`` /
+``engine_reason``, from ``runtime.engine_resolution()``).  Profile from
+the main thread: only it runs signal handlers.
 
 Profiling is **off by default and costs nothing when off**: a
 non-profiled runtime has no timer and executes with zero extra
@@ -121,8 +121,8 @@ class PhaseProfiler:
         self.wall_s = 0.0
         #: Coalesced accesses replayed under :meth:`run`.
         self.accesses = 0
-        #: The replay engine the profiled runtime resolved, and why
-        #: (None until a profiled run ends).
+        #: How the profiled runtime replayed, and why (None until a
+        #: profiled run ends).
         self.engine: str | None = None
         self.engine_reason: str | None = None
         self._runtime = None
@@ -210,7 +210,7 @@ class PhaseProfiler:
     @contextmanager
     def _measure(self, runtime) -> Iterator["PhaseProfiler"]:
         """Attach for the body, then add its wall time and accesses and
-        record the engine ``runtime`` resolved."""
+        record how ``runtime`` replayed."""
         self.attach(runtime)
         accesses0 = runtime.stats.coalesced_accesses
         t0 = time.perf_counter()
@@ -226,8 +226,8 @@ class PhaseProfiler:
         """Replay ``trace`` through ``runtime.run`` under the profiler;
         returns the runtime's :class:`RunResult`."""
         with self._measure(runtime):
-            # A scalar replay pulls warps from the trace's generator in
-            # the runtime's own loop; tag the generator's code so that
+            # A replay pulls warps from the trace's generator (per warp,
+            # or while flattening it); tag the generator's code so that
             # time lands in "trace-gen" instead of going unattributed.
             code = getattr(trace, "gi_code", None) or getattr(
                 getattr(trace, "generate", None), "__code__", None
@@ -296,8 +296,7 @@ class PhaseProfiler:
 def _phase_sites(runtime):
     """Yield ``(obj, attr, phase)`` phase-boundary sites of ``runtime``.
 
-    A site whose attribute ``obj`` lacks is skipped, so the vector
-    engine's sites cost a scalar runtime nothing.
+    A site whose attribute ``obj`` lacks is skipped.
     """
     from repro.core import vector
 
@@ -348,8 +347,8 @@ def profile(runtime) -> Iterator[PhaseProfiler]:
     >>> print(prof.format_top())
 
     Unlike :func:`profile_replay` the profiler never sees the trace, so
-    a scalar replay's warp generation shows up as unattributed wall;
-    prefer :func:`profile_replay` for full replays.
+    warp generation outside the trace flattener shows up as
+    unattributed wall; prefer :func:`profile_replay` for full replays.
     """
     prof = PhaseProfiler()
     with prof._measure(runtime):

@@ -36,10 +36,10 @@ class VirtualTimestampClock:
     def advance(self, count: int) -> None:
         """Advance virtual time by ``count`` coalesced accesses at once.
 
-        Used by the vectorized replay engine to retire a batch of hits:
+        Used by the batched replay to retire a run of hits:
         ``advance(k)`` leaves the clock exactly where ``k`` calls to
         :meth:`tick` would (per-page timestamps for the batch are stamped
-        separately, see :mod:`repro.core.vector`).
+        separately, see ``GMTRuntime._batch_hits``).
         """
         if count < 0:
             raise ValueError(f"cannot advance virtual time by {count}")

@@ -34,6 +34,7 @@ from repro.core.runtime import GMTRuntime
 from repro.core.stats import RuntimeStats
 from repro.errors import ConfigError
 from repro.mem.page import PageState
+from repro.mem.page_table import PageTable
 from repro.obs.digest import LatencyDigest
 from repro.policyzoo.governor import GovernorConfig, MigrationGovernor
 from repro.policyzoo.partition import PartitionedPolicy
@@ -119,7 +120,6 @@ class TenantAwareRuntime(GMTRuntime):
     """
 
     orchestration = "gpu"
-    engine_reason = "shared multi-tenant hierarchy switches tenant context per access"
 
     def __init__(
         self,
@@ -143,6 +143,11 @@ class TenantAwareRuntime(GMTRuntime):
             if policies is not None and len(policies) != len(tenant_names):
                 raise ConfigError(f"{label} must name every tenant")
         super().__init__(config, policy_factory)
+        # Plain rows and no hit map: namespaced page ids (tenant << 32)
+        # exceed HitMap.MAX_PAGES, and the servers drive the per-warp
+        # path, which mapped rows only slow down.
+        self.page_table = PageTable()
+        self._hit_map = None
         self.tenant_names = list(tenant_names)
         # Swap in owner-aware tiers (both are empty at this point).
         self.tier1 = OwnedTier("Tier-1", config.tier1_frames, owner_of_page)
@@ -206,6 +211,17 @@ class TenantAwareRuntime(GMTRuntime):
         self._charged_confusion: dict[tuple[str, str], int] = {}
         self.obs_extra_labels = dict(self.obs_extra_labels)
         self.obs_extra_labels["tenants"] = str(len(tenant_names))
+
+    def engine_resolution(self) -> tuple[str, str]:
+        return (
+            "scalar",
+            "shared multi-tenant hierarchy switches tenant context per access",
+        )
+
+    def run(self, trace):
+        """Replay one stream per warp (there is no hit map to batch
+        against)."""
+        return self.replay_per_warp(trace)
 
     # -- tenant switching (driven by the server, per warp) --------------
     def begin_tenant(self, index: int | None) -> None:

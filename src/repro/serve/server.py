@@ -29,7 +29,7 @@ from dataclasses import dataclass, field, replace
 from repro.analysis.metrics import jain_index
 from repro.analysis.report import render_table
 from repro.core.config import GMTConfig, PAPER_OVERSUBSCRIPTION
-from repro.core.runtime import RunResult
+from repro.core.runtime import GMTRuntime, RunResult
 from repro.core.stats import RuntimeStats
 from repro.errors import ConfigError, SimulationError
 from repro.serve.quota import QuotaConfig
@@ -272,9 +272,6 @@ class TenantServer:
             tier — the pre-zoo behaviour, byte-identical.
         governor: :class:`~repro.policyzoo.governor.GovernorConfig`
             enabling per-tenant migration admission control.
-        engine: replay-engine request (``repro.core.ENGINE_NAMES``) for
-            the *solo* baseline replays; the shared multiplexed runtime
-            always replays scalar.  Defaults to ``config.engine``.
     """
 
     def __init__(
@@ -287,7 +284,6 @@ class TenantServer:
         tier1_policy: str | None = None,
         tier2_policy: str | None = None,
         governor=None,
-        engine: str | None = None,
         epoch: int = 1,
     ) -> None:
         if not streams:
@@ -315,16 +311,6 @@ class TenantServer:
         self.quota = quota or QuotaConfig()
         self._policy_factory = policy_factory
         self.governor = governor
-        # Engine request for the *solo* baseline replays.  The shared
-        # multiplexed runtime always replays scalar: per-tenant eviction
-        # structures, quotas and the governor observe every access, and
-        # namespaced page ids (tenant << 32) exceed the vector store's
-        # dense capacity anyway.
-        self.engine = engine
-        #: Live engine resolution of each solo baseline replay, keyed by
-        #: tenant index (filled by :meth:`solo_run`) — the surface
-        #: ``gmt-serve`` prints and the ledger records.
-        self.solo_resolutions: dict[int, tuple[str, str]] = {}
         # Per-tenant policy resolution: the tenant's spec wins, then the
         # server-wide default.  All-None at a tier keeps that tier's
         # single shared structure (exact pre-zoo replay).
@@ -349,10 +335,8 @@ class TenantServer:
         return self.runtime.attach_telemetry(telemetry)
 
     def engine_resolution(self) -> tuple[str, str]:
-        """Resolved engine of the *shared* multiplexed runtime, so CLIs
-        and the ledger treat served and solo runs uniformly.  Solo
-        replays resolve per stream — see :attr:`solo_resolutions`.
-        """
+        """How the *shared* multiplexed runtime replays, so CLIs and the
+        ledger treat served and solo runs uniformly."""
         return self.runtime.engine_resolution()
 
     def tenant_registries(self, prefix: str = "gmt_") -> list:
@@ -517,19 +501,11 @@ class TenantServer:
 
         On an empty machine the tenant namespace's constant page-id shift
         changes nothing, so the solo replays ``stream.workload``'s own
-        page ids, and engine selection honours :attr:`engine` (then
-        ``config.engine``) via :func:`repro.core.factory.make_runtime`
-        for every tenant.  ``telemetry`` (a :class:`~repro.obs.Telemetry`)
-        is attached before the replay.  The live resolution lands in
-        :attr:`solo_resolutions`.
+        page ids, and its hit runs batch like any single-stream replay.
+        ``telemetry`` (a :class:`~repro.obs.Telemetry`) is attached
+        before the replay.
         """
-        from repro.core.factory import make_runtime
-
-        runtime = make_runtime(
-            self.config, engine=self.engine, policy_factory=self._policy_factory
-        )
+        runtime = GMTRuntime(self.config, policy_factory=self._policy_factory)
         if telemetry is not None:
             runtime.attach_telemetry(telemetry)
-        result = runtime.run(stream.workload)
-        self.solo_resolutions[stream.index] = runtime.engine_resolution()
-        return result
+        return runtime.run(stream.workload)

@@ -36,9 +36,9 @@ def sequential_float_sum(base: float, step: float, count: int) -> float:
     defined as the sequential recurrence ``r[i] = r[i-1] + a[i]``, so its
     last element carries the exact same intermediate roundings.  (Do NOT
     substitute ``np.add.reduce``/``np.sum`` here — those use pairwise
-    summation, which rounds differently.)  The vectorized replay engine
-    relies on this to keep float accumulators byte-identical to the
-    scalar engine's.
+    summation, which rounds differently.)  The batched replay relies on
+    this to keep float accumulators byte-identical to the per-access
+    path's.
     """
     if count <= 0:
         return base

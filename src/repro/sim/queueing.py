@@ -57,10 +57,6 @@ class SlotPool:
     def release(self, finish_ns: float) -> None:
         heapq.heappush(self._free_at, finish_ns)
 
-    @property
-    def earliest_free_ns(self) -> float:
-        return self._free_at[0]
-
 
 class FluidLink:
     """A shared link/device under the fluid (processor-sharing) model.

@@ -99,12 +99,6 @@ class GraphWorkload(Workload):
             )
         return self._page_map
 
-    @property
-    def actual_footprint_pages(self) -> int:
-        """Pages the graph actually occupies (power-of-two vertex counts
-        make this approximate the requested footprint, not match it)."""
-        return self.page_map.total_pages
-
     def highest_degree_vertex(self) -> int:
         """BFS/SSSP source: the biggest hub reaches most of the graph."""
         g = self.graph

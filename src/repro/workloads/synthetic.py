@@ -9,7 +9,6 @@ pages)" (Figure 6(b)).
 
 from __future__ import annotations
 
-import random
 from collections.abc import Iterator
 
 import numpy as np
@@ -166,21 +165,3 @@ def sweep(start: int, count: int, reverse: bool = False) -> Iterator[int]:
         raise TraceError(f"negative sweep length: {count}")
     pages = range(start + count - 1, start - 1, -1) if reverse else range(start, start + count)
     yield from pages
-
-
-def strided_sample(
-    start: int, count: int, fraction: float, rng: random.Random
-) -> list[int]:
-    """A reproducible pseudo-random subset of a page range.
-
-    Used by frontier-driven workloads (SSSP) where each round touches a
-    data-dependent subset of the vertex/edge space.
-    """
-    if not 0.0 <= fraction <= 1.0:
-        raise TraceError(f"fraction must be in [0, 1]: {fraction}")
-    take = int(count * fraction)
-    if take <= 0:
-        return []
-    picks = rng.sample(range(start, start + count), take)
-    picks.sort()
-    return picks

@@ -44,8 +44,8 @@ class TestRunConformance:
         assert report.ok
 
     def test_audited_vector_replays_run_on_vector(self, monkeypatch):
-        # gmt-check --engine vector --check-every N: the in-run audits
-        # fire on the vector engine instead of demoting it.
+        # gmt-check --check-every N: the audited replays batch their
+        # hit runs, and the in-run audits fire on the batch loop.
         from repro.check import differential
 
         built, audits = [], []
@@ -65,7 +65,7 @@ class TestRunConformance:
 
         monkeypatch.setattr(differential, "build_runtime", capture)
         report = run_conformance(
-            "hotspot", scale=SCALE, check_every=500, engine="vector",
+            "hotspot", scale=SCALE, check_every=500,
             engines=False, telemetry=False, metamorphic=False, serve=False,
         )
         assert report.ok
@@ -92,11 +92,8 @@ class TestInjections:
     @pytest.mark.parametrize("fault", sorted(INJECTIONS))
     def test_every_injection_detected(self, fault):
         # ghost-leak corrupts the S3-FIFO ghost queue, so one has to be
-        # in the matrix for that fault; vector-desync corrupts the hit map,
-        # so the replay has to run on the vector engine.
+        # in the matrix for that fault.
         extra = {"tier1_policy": "s3fifo"} if fault == "ghost-leak" else {}
-        if fault == "vector-desync":
-            extra = {"engine": "vector"}
         report = run_conformance(
             "hotspot",
             scale=SCALE,

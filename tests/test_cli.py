@@ -204,7 +204,6 @@ class TestGmtServe:
         ["--no-solo"],
         ["--trace-out", "{tmp}/x.json"],
         ["--metrics-out", "{tmp}/x.prom"],
-        ["--engine", "vector"],
         ["--anomaly-scan"],
         ["--anomaly-window", "500"],
         ["--anomaly-thrash", "0.9"],
@@ -267,7 +266,7 @@ class TestGmtWhy:
         rc = main_why(["hotspot", *self.SCALE, "top"])
         assert rc == 0
         assert capsys.readouterr().out.splitlines()[0] == (
-            "engine=vector (reason=no per-access consumers attached)"
+            "engine=vector (reason=Tier-1 hit runs retire in batches)"
         )
 
     def test_page_journey_reconstructed_with_causes(self, capsys):

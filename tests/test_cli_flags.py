@@ -74,9 +74,19 @@ def test_help(tool, capsys):
         ("gmt-prof", "byte-scale divisor vs the paper's platform (default 4096)"),
         ("gmt-experiments", "windows (default 10000)"),
         ("gmt-sim", "windows (default 2000)"),
-        ("gmt-check", "Default: scalar"),
     ],
 )
 def test_help_shows_the_tools_own_default(tool, default, capsys):
     _, captured = _run(tool, ["--help"], capsys)
     assert default in " ".join(captured.out.split())
+
+
+@pytest.mark.parametrize(
+    "tool", ["gmt-sim", "gmt-serve", "gmt-bench", "gmt-check", "gmt-experiments"]
+)
+def test_engine_flag_is_gone(tool, capsys):
+    # Every replay batches its hit runs, so no tool selects an engine.
+    argv = ENTRY_POINTS[tool][1] + ["--engine", "vector"]
+    status, captured = _run(tool, argv, capsys)
+    assert status == 2
+    assert "unrecognized arguments: --engine vector" in captured.err

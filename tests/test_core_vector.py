@@ -1,13 +1,15 @@
-"""Vector replay engine: byte-identity with the scalar runtime.
+"""Batched replay: byte-identity with the per-warp reference.
 
-The contract under test (docs/performance.md): ``engine="vector"`` is a
-pure speed choice — every counter, the elapsed time, the confusion
-matrix, and the final page-table state must match the scalar runtime
-bit for bit, on any trace, under any policy, and the vector runtime's
-hit map must agree with its page table after every replay.  The
-property tests drive randomized warp streams through both engines; the
-unit tests pin the factory surface, the shared scalar structures, the
-float-accumulation identity, in-run audits on the batch path, the
+The contract under test (docs/performance.md): ``GMTRuntime.run``, which
+retires Tier-1 hit runs in batches, is a pure speed choice — every
+counter, the elapsed time, the confusion matrix, and the final
+page-table state must match the per-warp reference
+(``replay_per_warp``) bit for bit, on any trace, under any policy and
+any Tier-1 structure, and the hit map must agree with the page table
+after every replay.  The property tests drive randomized warp streams
+through both replays; the unit tests pin the one-engine surface, the
+shared scalar structures, the float-accumulation identity, in-run audits
+on the batch path, the scalar bursts between short hit runs, the
 hit-map desync injection, and the dense-page-id capacity guard.
 """
 
@@ -18,24 +20,27 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core import ENGINE_NAMES, GMTConfig, make_runtime, resolve_engine_reason
-from repro.core.runtime import GMTRuntime
+from repro.core import GMTConfig
+from repro.core.runtime import _SCALAR_STRIDE, GMTRuntime
 from repro.core.vector import (
     _FLATTEN_BLOCK,
     _STREAM_CHUNK_WARPS,
     HitMap,
-    VectorEngineMixin,
-    VectorReplayEngine,
     _iter_trace_chunks,
     clear_trace_cache,
     materialize_trace,
-    vector_variant,
 )
 from repro.errors import ConfigError, SimulationError
-from repro.experiments.harness import build_runtime, default_config
+from repro.experiments.harness import (
+    RUNTIME_KINDS,
+    RunOptions,
+    build_runtime,
+    default_config,
+)
 from repro.mem.clock_replacement import ClockReplacement
 from repro.mem.page import PageState
 from repro.obs import Telemetry
+from repro.policyzoo.registry import EVICTION_POLICY_NAMES, ZOO_POLICY_NAMES
 from repro.sim.cost import sequential_float_sum
 from repro.sim.gpu import WarpAccess, coalesce
 
@@ -51,17 +56,37 @@ def make_trace(warps):
     return [WarpAccess(pages=tuple(pages), write=write) for pages, write in warps]
 
 
+def record_batches(runtime):
+    """Wrap ``runtime._batch_hits``; returns the list of run lengths it
+    retires."""
+    batches = []
+    batch_hits = runtime._batch_hits
+
+    def recording_batch(chunk, writes):
+        batches.append(len(chunk))
+        batch_hits(chunk, writes)
+
+    runtime._batch_hits = recording_batch
+    return batches
+
+
 def run_pair(config, trace):
-    scalar = make_runtime(config, engine="scalar")
-    vector = make_runtime(config, engine="vector")
-    return scalar, scalar.run(trace), vector, vector.run(trace)
+    """The per-warp reference and the batched replay of ``trace``."""
+    reference = GMTRuntime(config)
+    batched = GMTRuntime(config)
+    return (
+        reference,
+        reference.replay_per_warp(trace),
+        batched,
+        batched.run(trace),
+    )
 
 
 def assert_results_identical(r_s, r_v):
     for counter in type(r_s.stats).counter_names():
         lhs = getattr(r_s.stats, counter)
         rhs = getattr(r_v.stats, counter)
-        assert lhs == rhs, f"{counter}: scalar={lhs} vector={rhs}"
+        assert lhs == rhs, f"{counter}: per-warp={lhs} batched={rhs}"
     assert r_s.elapsed_ns == r_v.elapsed_ns
     assert r_s.stats.confusion == r_v.stats.confusion
 
@@ -85,23 +110,23 @@ def page_table_snapshot(runtime, n_pages):
     return rows
 
 
-def assert_engines_agree(config, trace):
-    scalar, r_s, vector, r_v = run_pair(config, trace)
+def assert_replays_agree(config, trace):
+    reference, r_s, batched, r_v = run_pair(config, trace)
     assert_results_identical(r_s, r_v)
-    assert page_table_snapshot(scalar, N_PAGES) == page_table_snapshot(
-        vector, N_PAGES
+    assert page_table_snapshot(reference, N_PAGES) == page_table_snapshot(
+        batched, N_PAGES
     )
     # The hit map must equal {Tier-1 and not a pending prefetch}.
-    vector.check_invariants()
+    batched.check_invariants()
 
 
-def audited_run(config, trace, engine, every):
-    """Replay with periodic audits; returns (runtime, result, audits,
-    batches): the counters each audit saw and the hit runs retired in
-    bulk."""
-    runtime = make_runtime(config, engine=engine)
+def audited_run(config, trace, every, per_warp=False):
+    """Replay with periodic audits, batched or (``per_warp``) through the
+    reference; returns (runtime, result, audits, batches): the counters
+    each audit saw and the hit runs retired in bulk."""
+    runtime = GMTRuntime(config)
     runtime.enable_periodic_checks(every=every)
-    audits, batches = [], []
+    audits = []
     check = runtime._periodic_check
 
     def recording_check():
@@ -112,20 +137,14 @@ def audited_run(config, trace, engine, every):
         check()
 
     runtime._periodic_check = recording_check
-    if engine == "vector":
-        batch_hits = runtime._batch_hits
-
-        def recording_batch(chunk, writes):
-            batches.append(len(chunk))
-            batch_hits(chunk, writes)
-
-        runtime._batch_hits = recording_batch
-    result = runtime.run(trace)
+    batches = record_batches(runtime)
+    replay = runtime.replay_per_warp if per_warp else runtime.run
+    result = replay(trace)
     return runtime, result, audits, batches
 
 
 # ----------------------------------------------------------------------
-# property: random traces, both engines, identical everything
+# property: random traces, both replays, identical everything
 # ----------------------------------------------------------------------
 warp_st = st.tuples(
     st.lists(st.integers(0, N_PAGES - 1), min_size=1, max_size=4),
@@ -139,13 +158,13 @@ class TestEngineParityProperties:
     @given(warps=trace_st, policy=st.sampled_from(["reuse", "tier-order", "random"]))
     def test_random_traces_are_byte_identical(self, warps, policy):
         config = small_config(policy=policy)
-        assert_engines_agree(config, make_trace(warps))
+        assert_replays_agree(config, make_trace(warps))
 
     @settings(max_examples=15, deadline=None)
     @given(warps=trace_st, degree=st.sampled_from([1, 4]))
     def test_prefetch_traces_are_byte_identical(self, warps, degree):
         config = small_config(prefetch_degree=degree)
-        assert_engines_agree(config, make_trace(warps))
+        assert_replays_agree(config, make_trace(warps))
 
     @settings(max_examples=15, deadline=None)
     @given(
@@ -155,26 +174,69 @@ class TestEngineParityProperties:
         degree=st.sampled_from([0, 2]),
     )
     def test_audited_traces_are_byte_identical(self, warps, policy, every, degree):
-        # In-run audits stay on the vector engine: same counters, and
-        # every audit fires at the same position over the same state.
-        # A 12-page hot set against 8 Tier-1 frames mixes hit runs with
+        # In-run audits stay on the batch loop: same counters, and every
+        # audit fires at the same position over the same state.  A
+        # 12-page hot set against 8 Tier-1 frames mixes hit runs with
         # misses.
         config = small_config(policy=policy, prefetch_degree=degree)
         trace = make_trace(
             [([p % 12 for p in pages], write) for pages, write in warps]
         )
-        _, r_s, audits_s, _ = audited_run(config, trace, "scalar", every)
-        _, r_v, audits_v, _ = audited_run(config, trace, "vector", every)
+        _, r_s, audits_s, _ = audited_run(config, trace, every, per_warp=True)
+        _, r_v, audits_v, _ = audited_run(config, trace, every)
         assert_results_identical(r_s, r_v)
         assert audits_s == audits_v
 
-    @settings(max_examples=10, deadline=None)
-    @given(warps=trace_st)
-    def test_zoo_policy_falls_back_but_stays_identical(self, warps):
-        # No vector twin for s3fifo: the vector runtime must silently
-        # replay scalar and still match.
-        config = small_config(tier1_eviction="s3fifo")
-        assert_engines_agree(config, make_trace(warps))
+    @settings(max_examples=20, deadline=None)
+    @given(
+        warps=trace_st,
+        tier1=st.sampled_from(ZOO_POLICY_NAMES),
+        policy=st.sampled_from(["tier-order", "random"]),
+        degree=st.sampled_from([0, 2]),
+        hit_heavy=st.booleans(),
+    )
+    def test_zoo_tier1_policies_batch_and_stay_identical(
+        self, warps, tier1, policy, degree, hit_heavy
+    ):
+        # A zoo Tier-1 structure counts, ages or reorders on every touch,
+        # so the batch loop touches it once per access, in trace order.
+        # Mixed: a 12-page hot set against 8 frames.  Hit-heavy: 16
+        # pages against 64 frames.  The leading pair of page-0 warps
+        # makes the second one a hit the loop must retire as a batch.
+        if hit_heavy:
+            config = GMTConfig(tier1_frames=64, tier2_frames=64)
+            fold = 16
+        else:
+            config = small_config()
+            fold = 12
+        config = GMTConfig(
+            tier1_frames=config.tier1_frames,
+            tier2_frames=config.tier2_frames,
+            tier1_eviction=tier1,
+            policy=policy,
+            prefetch_degree=degree,
+        )
+        trace = make_trace(
+            [((0,), False), ((0,), True)]
+            + [([p % fold for p in pages], write) for pages, write in warps]
+        )
+        reference = GMTRuntime(config)
+        r_s = reference.replay_per_warp(trace)
+        batched = GMTRuntime(config)
+        batches = record_batches(batched)
+        r_v = batched.run(trace)
+        assert_results_identical(r_s, r_v)
+        assert page_table_snapshot(reference, N_PAGES) == page_table_snapshot(
+            batched, N_PAGES
+        )
+        batched.check_invariants()
+        assert batches, "no hit run was retired as a batch"
+        # The structures agree beyond their residents: the same victims
+        # come out in the same order.
+        victims = min(3, len(reference.tier1))
+        assert [reference.t1_clock.select_victim() for _ in range(victims)] == [
+            batched.t1_clock.select_victim() for _ in range(victims)
+        ]
 
     @settings(max_examples=10, deadline=None)
     @given(warps=trace_st)
@@ -186,7 +248,7 @@ class TestEngineParityProperties:
             WarpAccess(pages=tuple(p % 16 for p in pages), write=write)
             for pages, write in [(w[0], w[1]) for w in warps]
         ]
-        assert_engines_agree(config, trace)
+        assert_replays_agree(config, trace)
 
 
 # ----------------------------------------------------------------------
@@ -207,73 +269,77 @@ class TestSequentialFloatSum:
 
 
 # ----------------------------------------------------------------------
-# factory / engine-selection surface
+# one engine: no selection surface, every runtime batches
 # ----------------------------------------------------------------------
 class TestEngineSelection:
     def test_engine_names(self):
-        assert set(ENGINE_NAMES) == {"scalar", "vector", "auto"}
+        # The two resolutions a runtime reports: batched single-stream
+        # replay and the per-warp serving runtime.  There is no "auto".
+        from repro.serve.runtime import TenantAwareRuntime
+
+        names = {
+            GMTRuntime(small_config()).engine_resolution()[0],
+            TenantAwareRuntime(small_config(), ["a"]).engine_resolution()[0],
+        }
+        assert names == {"scalar", "vector"}
 
     def test_bad_engine_rejected(self):
-        with pytest.raises(ConfigError):
-            resolve_engine_reason("simd", small_config())
-        with pytest.raises(ConfigError):
-            small_config(engine="simd")
+        # The engine is not a setting any more: nothing takes one.
+        with pytest.raises(TypeError):
+            small_config(engine="vector")
+        with pytest.raises(TypeError):
+            RunOptions(engine="vector")
+        with pytest.raises(TypeError):
+            build_runtime("reuse", small_config(), engine="vector")
 
-    def test_explicit_engine_wins(self):
-        config = small_config(engine="scalar")
-        assert resolve_engine_reason("vector", config)[0] == "vector"
-        assert resolve_engine_reason(None, config)[0] == "scalar"
+    def test_every_kind_and_tier1_policy_batches(self):
+        # No fallback trigger is left: every runtime kind batches under
+        # every Tier-1 structure, audited and instrumented included.
+        # Only the shared serving runtime replays per warp.
+        from repro.serve.runtime import TenantAwareRuntime
 
-    def test_auto_picks_vector_when_uninstrumented(self):
-        assert resolve_engine_reason("auto", small_config())[0] == "vector"
-
-    def test_auto_demotes_only_on_zoo_policies(self):
-        zoo = small_config(tier1_eviction="mglru")
-        assert resolve_engine_reason("auto", zoo)[0] == "scalar"
-        # Audits, telemetry and the full flight recorder keep the vector
-        # engine.
-        runtime = make_runtime(small_config(), engine="auto")
+        for kind in RUNTIME_KINDS:
+            for tier1 in EVICTION_POLICY_NAMES:
+                runtime = build_runtime(kind, small_config(tier1_eviction=tier1))
+                assert runtime.engine_resolution()[0] == "vector", (kind, tier1)
+        runtime = build_runtime("reuse", small_config())
         runtime.enable_periodic_checks(every=50)
         runtime.attach_telemetry(Telemetry(window=7, lifecycle=True))
         assert runtime.engine_resolution()[0] == "vector"
-
-    def test_make_runtime_engine_classes(self):
-        scalar = make_runtime(small_config(), engine="scalar")
-        vector = make_runtime(small_config(), engine="vector")
-        assert type(scalar) is GMTRuntime
-        assert scalar.engine_name == "scalar"
-        assert isinstance(vector, VectorReplayEngine)
-        assert vector.engine_name == "vector"
-
-    def test_vector_runtime_keeps_the_scalar_structures(self):
-        # One page table and one clock: the vector engine's rows are the
-        # scalar PageState rows and its Tier-1 clock is ClockReplacement.
-        vector = make_runtime(small_config(), engine="vector")
-        vector.run(make_trace([((p % 12,), p % 3 == 0) for p in range(100)]))
-        assert type(vector.t1_clock) is ClockReplacement
-        assert len(vector.page_table) == 12
-        assert all(isinstance(state, PageState) for state in vector.page_table)
-        resident = sorted(vector.tier1)
-        assert np.flatnonzero(vector._hit_map.bits).tolist() == resident
-
-    def test_vector_variant_is_memoized(self):
-        from repro.baselines.bam import BamRuntime
-
-        assert vector_variant(GMTRuntime) is VectorReplayEngine
-        assert vector_variant(VectorReplayEngine) is VectorReplayEngine
-        variant = vector_variant(BamRuntime)
-        assert variant is vector_variant(BamRuntime)
-        assert issubclass(variant, VectorEngineMixin)
-        assert issubclass(variant, BamRuntime)
+        served = TenantAwareRuntime(small_config(), ["a", "b"])
+        engine, reason = served.engine_resolution()
+        assert engine == "scalar" and "tenant" in reason
+        assert served._hit_map is None
+        assert all(type(state) is PageState for state in served.page_table)
 
     def test_harness_build_runtime_routes_engine(self):
+        # build_runtime(kind, config) builds the kind's own class, not a
+        # per-engine variant, and that class batches.
+        from repro.baselines.bam import BamRuntime
+        from repro.baselines.dragon import DragonRuntime
+        from repro.baselines.hmm import HmmRuntime
+
         config = default_config(scale=8192)
-        runtime = build_runtime("reuse", config, engine="vector")
-        assert runtime.engine_name == "vector"
+        classes = {"bam": BamRuntime, "hmm": HmmRuntime, "dragon": DragonRuntime}
+        for kind in RUNTIME_KINDS:
+            runtime = build_runtime(kind, config)
+            assert type(runtime) is classes.get(kind, GMTRuntime)
+            assert runtime.engine_resolution()[0] == "vector"
+
+    def test_vector_runtime_keeps_the_scalar_structures(self):
+        # One page table and one clock: the batched replay's rows are the
+        # scalar PageState rows and its Tier-1 clock is ClockReplacement.
+        runtime = GMTRuntime(small_config())
+        runtime.run(make_trace([((p % 12,), p % 3 == 0) for p in range(100)]))
+        assert type(runtime.t1_clock) is ClockReplacement
+        assert len(runtime.page_table) == 12
+        assert all(isinstance(state, PageState) for state in runtime.page_table)
+        resident = sorted(runtime.tier1)
+        assert np.flatnonzero(runtime._hit_map.bits).tolist() == resident
 
 
 # ----------------------------------------------------------------------
-# in-run audits, trace cache, capacity guard
+# in-run audits, scalar bursts, trace cache, capacity guard
 # ----------------------------------------------------------------------
 class TestFallbacksAndGuards:
     def test_audited_vector_runtime_stays_vector_and_matches(self):
@@ -284,15 +350,34 @@ class TestFallbacksAndGuards:
               p % 3 == 0) for p in range(400)]
         )
         config = small_config(policy="tier-order")
-        _, r_s, audits_s, _ = audited_run(config, trace, "scalar", every=7)
-        vector, r_v, audits_v, batches = audited_run(config, trace, "vector", every=7)
-        assert vector.engine_resolution()[0] == "vector"
+        _, r_s, audits_s, _ = audited_run(config, trace, 7, per_warp=True)
+        batched, r_v, audits_v, batches = audited_run(config, trace, 7)
+        assert batched.engine_resolution()[0] == "vector"
         assert batches and max(batches) <= 7
         assert_results_identical(r_s, r_v)
         assert audits_v == audits_s
         assert [a[0] for a in audits_s] == list(
             range(7, r_s.stats.coalesced_accesses, 7)
         )
+
+    def test_short_hit_runs_burst_scalar(self):
+        # One Tier-1 hit between compulsory misses, under a policy whose
+        # hits batch: probing every run would pay a probe and a batch
+        # per hit.  Probes that end at a miss count toward the scalar
+        # burst whether or not they retired a hit first.
+        config = small_config(policy="tier-order")
+        trace = make_trace(
+            [w for k in range(2_000) for w in (((0,), False), ((100 + k,), False))]
+        )
+        reference = GMTRuntime(config)
+        r_s = reference.replay_per_warp(trace)
+        batched = GMTRuntime(config)
+        batches = record_batches(batched)
+        r_v = batched.run(trace)
+        assert_results_identical(r_s, r_v)
+        accesses = r_v.stats.coalesced_accesses
+        assert r_v.stats.t1_hits > accesses // 4
+        assert 0 < len(batches) <= 8 * accesses // _SCALAR_STRIDE
 
     def test_trace_cache_materializes_once(self):
         from repro.workloads import make_workload
@@ -309,7 +394,7 @@ class TestFallbacksAndGuards:
         hit_map = HitMap()
         with pytest.raises(SimulationError):
             hit_map.ensure(HitMap.MAX_PAGES + 1)
-        with pytest.raises(SimulationError):
+        with pytest.raises(SimulationError, match="dense page-id capacity"):
             hit_map.row(HitMap.MAX_PAGES)
 
     @staticmethod
@@ -328,7 +413,6 @@ class TestFallbacksAndGuards:
             "hotspot",
             scale=8192,
             inject="vector-desync",
-            engine="vector",
             metamorphic=False,
             serve=False,
         )
@@ -344,21 +428,22 @@ class TestFallbacksAndGuards:
             scale=8192,
             prefetch_degree=2,
             inject="vector-desync",
-            engine="vector",
             metamorphic=False,
             serve=False,
         )
         self.assert_hit_map_desync_caught(report, "pending prefetch")
 
-    def test_vector_desync_injection_needs_vector_engine(self):
+    def test_vector_desync_injection_needs_a_target(self):
+        # BaM without prefetch has neither a Tier-2 page nor a pending
+        # prefetch whose bit the injection could set.
         from repro.check.differential import run_conformance
 
         with pytest.raises(ConfigError):
             run_conformance(
                 "hotspot",
                 scale=8192,
+                runtimes=("bam",),
                 inject="vector-desync",
-                engine="scalar",
                 metamorphic=False,
                 serve=False,
             )

@@ -297,7 +297,7 @@ class TestRunnerFailures:
         monkeypatch.setattr(runner, "get_spec", lambda name: specs[name])
         rc = runner.main(
             ["good", "--no-cache", "--no-ledger", "--scale", str(SCALE),
-             "--engine", "scalar", "--check-every", "5000", "--anomaly-scan",
+             "--check-every", "5000", "--anomaly-scan",
              "--telemetry-dir", str(tmp_path)]
         )
         assert rc == 0
@@ -312,7 +312,7 @@ class TestRunnerFailures:
         telemetry = tmp_path / "telemetry"
         rc = runner.main(
             ["fig9", "--scale", "16384", "--jobs", "2", "--no-cache",
-             "--no-ledger", "--engine", "vector", "--anomaly-scan",
+             "--no-ledger", "--anomaly-scan",
              "--telemetry-dir", str(telemetry)]
         )
         out = capsys.readouterr().out

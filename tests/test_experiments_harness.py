@@ -102,7 +102,7 @@ class TestRunOptions:
     @pytest.mark.parametrize(
         "kwargs",
         [
-            {"engine": "turbo"},
+            {"anomaly_spool": "spool", "anomaly_bypass": 0.0},
             {"check_every": 0},
             {"telemetry_lifecycle": True},
             {"anomaly_spool": "spool", "anomaly_window": 0},
@@ -118,7 +118,7 @@ class TestRunOptions:
     def test_instruments(self, tiny_config, tmp_path, monkeypatch):
         # What the options attach to a replay (audits, telemetry export
         # with the lifecycle recorder, the anomaly scan) never changes
-        # the engine it runs on.
+        # how it runs: its hit runs still batch.
         built = []
         build = harness.build_runtime
 
@@ -128,7 +128,7 @@ class TestRunOptions:
 
         monkeypatch.setattr(harness, "build_runtime", capture)
         options = RunOptions(
-            engine="auto", check_every=100, telemetry_dir=str(tmp_path),
+            check_every=100, telemetry_dir=str(tmp_path),
             telemetry_lifecycle=True, anomaly_spool=str(tmp_path),
         )
         previous = harness.install_options(options)
@@ -142,7 +142,7 @@ class TestRunOptions:
         assert runtime.engine_resolution()[0] == "vector"
 
     def test_engine_installs_options_only_for_its_cells(self):
-        options = RunOptions(engine="scalar", check_every=500)
+        options = RunOptions(check_every=500)
         cell = Cell.make("repro.experiments.harness:run_options")
         assert Engine(memo={}, options=options).run_cells([cell])[cell] == options
         assert harness.run_options() == RunOptions()
@@ -152,22 +152,8 @@ class TestRunOptions:
             "repro.experiments.harness:build_runtime", kind="belady", config=tiny_config
         )
         with pytest.raises(ConfigError):
-            Engine(memo={}, options=RunOptions(engine="vector")).run_cells([cell])
+            Engine(memo={}, options=RunOptions(check_every=7)).run_cells([cell])
         assert harness.run_options() == RunOptions()
-
-    def test_installed_engine_reaches_build_runtime(self, tiny_config, monkeypatch):
-        built = []
-        build = harness.build_runtime
-
-        def spy(*args, **kwargs):
-            built.append(build(*args, **kwargs))
-            return built[-1]
-
-        monkeypatch.setattr(harness, "build_runtime", spy)
-        for engine in ("scalar", "vector"):
-            cell = replay("hotspot", "reuse", tiny_config)
-            Engine(memo={}, options=RunOptions(engine=engine)).run_cells([cell])
-            assert built[-1].engine_name == engine
 
 
 class TestExperimentResult:

@@ -1,13 +1,14 @@
-"""Batch-aware telemetry: byte-identity of instrumented runs across engines.
+"""Batch-aware telemetry: byte-identity of instrumented replays.
 
 The contract under test (docs/observability.md): windowed snapshots,
 latency-digest state, Perfetto counter tracks, anomaly findings and the
-full and sampled lifecycle streams are byte-identical between the scalar
-reference loop and the vector engine — on any trace, under any policy,
-with batches deliberately straddling window boundaries (small prime
-intervals).  The unit tests pin the batch observers' caps, bulk digest
-observation, sampled-lifecycle admission, engine resolution reasons and
-the ``window-desync`` and lifecycle-corruption self-tests.
+full and sampled lifecycle streams are byte-identical between the
+per-warp reference replay and the batched ``run`` — on any trace, under
+any policy, with batches deliberately straddling window boundaries
+(small prime intervals).  The unit tests pin the batch observers' caps,
+bulk digest observation, sampled-lifecycle admission, the reported
+engine resolutions and the ``window-desync`` and lifecycle-corruption
+self-tests.
 """
 
 import pytest
@@ -15,7 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.config import GMTConfig
-from repro.core.factory import make_runtime, resolve_engine_reason
+from repro.core.runtime import GMTRuntime
 from repro.errors import ConfigError
 from repro.obs import Telemetry
 from repro.obs.anomaly import AnomalyDetector
@@ -43,16 +44,17 @@ def make_trace(warps):
     return [WarpAccess(pages=tuple(pages), write=write) for pages, write in warps]
 
 
-def instrumented_run(config, trace, engine, window, sample_rate=None,
+def instrumented_run(config, trace, per_warp, window, sample_rate=None,
                      full_lifecycle=False):
-    runtime = make_runtime(config, engine=engine)
+    """Replay ``trace`` with telemetry attached, through the per-warp
+    reference or (``per_warp`` false) the batched ``run``."""
+    runtime = GMTRuntime(config)
     telemetry = Telemetry(window=window, lifecycle_sample_rate=sample_rate)
     if full_lifecycle:
         telemetry.enable_lifecycle(capacity=None)
     runtime.attach_telemetry(telemetry)
-    result = runtime.run(trace)
-    assert runtime.engine_resolution()[0] == engine
-    return result, telemetry
+    replay = runtime.replay_per_warp if per_warp else runtime.run
+    return replay(trace), telemetry
 
 
 def telemetry_surfaces(telemetry):
@@ -94,8 +96,8 @@ class TestEngineTelemetryParity:
         config = small_config(
             prefetch_degree=prefetch, footprint_pages=N_PAGES
         ).with_policy(policy)
-        r_s, t_s = instrumented_run(config, trace, "scalar", window)
-        r_v, t_v = instrumented_run(config, trace, "vector", window)
+        r_s, t_s = instrumented_run(config, trace, True, window)
+        r_v, t_v = instrumented_run(config, trace, False, window)
         assert r_s.elapsed_ns == r_v.elapsed_ns
         for counter in type(r_s.stats).counter_names():
             assert getattr(r_s.stats, counter) == getattr(r_v.stats, counter), counter
@@ -108,8 +110,8 @@ class TestEngineTelemetryParity:
     def test_sampled_lifecycle_stream_engine_independent(self, warps, window):
         trace = make_trace(warps)
         config = small_config()
-        _, t_s = instrumented_run(config, trace, "scalar", window, sample_rate=0.5)
-        _, t_v = instrumented_run(config, trace, "vector", window, sample_rate=0.5)
+        _, t_s = instrumented_run(config, trace, True, window, sample_rate=0.5)
+        _, t_v = instrumented_run(config, trace, False, window, sample_rate=0.5)
         assert list(t_s.lifecycle.events()) == list(t_v.lifecycle.events())
 
     @settings(max_examples=15, deadline=None)
@@ -122,26 +124,26 @@ class TestEngineTelemetryParity:
     def test_full_lifecycle_stream_engine_independent(
         self, warps, policy, window, prefetch
     ):
-        # The unbounded, unsampled flight recorder rides the vector
-        # engine: every event is emitted on the scalar side of the batch
-        # path, so the streams match event for event.
+        # The unbounded, unsampled flight recorder rides the batch loop:
+        # every event is emitted inside ``access``, so the streams match
+        # event for event.
         trace = make_trace(warps)
         config = small_config(
             prefetch_degree=prefetch, footprint_pages=N_PAGES
         ).with_policy(policy)
-        _, t_s = instrumented_run(config, trace, "scalar", window,
+        _, t_s = instrumented_run(config, trace, True, window,
                                   full_lifecycle=True)
-        _, t_v = instrumented_run(config, trace, "vector", window,
+        _, t_v = instrumented_run(config, trace, False, window,
                                   full_lifecycle=True)
         assert t_s.lifecycle.dropped == t_v.lifecycle.dropped == 0
         assert list(t_s.lifecycle.events()) == list(t_v.lifecycle.events())
 
     def test_vector_flushes_final_partial_window(self):
         # 25 coalesced accesses at interval 10: windows at 10 and 20 plus
-        # the flushed tail at 25, identically under both engines.
+        # the flushed tail at 25, identically under both replays.
         trace = make_trace([((i % N_PAGES,), False) for i in range(25)])
-        _, t_s = instrumented_run(small_config(), trace, "scalar", 10)
-        _, t_v = instrumented_run(small_config(), trace, "vector", 10)
+        _, t_s = instrumented_run(small_config(), trace, True, 10)
+        _, t_v = instrumented_run(small_config(), trace, False, 10)
         assert [w["position"] for w in t_v.windows()] == [10, 20, 25]
         assert t_s.windows() == t_v.windows()
 
@@ -221,7 +223,7 @@ class TestCapabilityNegotiation:
             Telemetry(window=10, lifecycle_sample_rate=0.25),
             Telemetry(window=10, lifecycle=True),
         ):
-            runtime = make_runtime(small_config(), engine="vector")
+            runtime = GMTRuntime(small_config())
             runtime.attach_telemetry(telemetry)
             runtime.run(trace)
             assert runtime.engine_resolution()[0] == "vector"
@@ -243,43 +245,45 @@ class TestCapabilityNegotiation:
 
 class TestEngineResolution:
     def test_reasons(self):
-        config = small_config()
-        assert resolve_engine_reason("scalar", config) == (
-            "scalar", "engine='scalar' requested explicitly"
-        )
-        assert resolve_engine_reason(None, config) == (
-            "vector", "auto: no per-access consumers"
-        )
+        # Every single-stream runtime batches, whatever its Tier-1
+        # structure; the shared serving runtime says why it does not.
+        from repro.serve.runtime import TenantAwareRuntime
+
+        batched = ("vector", "Tier-1 hit runs retire in batches")
+        assert GMTRuntime(small_config()).engine_resolution() == batched
         zoo = small_config(tier1_eviction="s3fifo")
-        engine, reason = resolve_engine_reason(None, zoo)
-        assert engine == "scalar" and "s3fifo" in reason
+        assert GMTRuntime(zoo).engine_resolution() == batched
+        assert TenantAwareRuntime(small_config(), ["a"]).engine_resolution() == (
+            "scalar",
+            "shared multi-tenant hierarchy switches tenant context per access",
+        )
 
     def test_runtime_reports_live_resolution(self):
         trace = make_trace([((i % N_PAGES,), False) for i in range(40)])
-        runtime = make_runtime(small_config(), engine="vector")
+        runtime = GMTRuntime(small_config())
         runtime.attach_telemetry(Telemetry(window=10, lifecycle=True))
         runtime.enable_periodic_checks(every=7)
         runtime.run(trace)
         assert runtime.engine_resolution() == (
-            "vector", "no per-access consumers attached"
+            "vector", "Tier-1 hit runs retire in batches"
         )
 
     def test_attached_profiler_keeps_the_vector_engine(self):
         trace = make_trace(
             [((i % N_PAGES, (i * 5) % N_PAGES), i % 4 == 0) for i in range(200)]
         )
-        scalar = make_runtime(small_config(), engine="scalar").run(trace)
-        profiled = make_runtime(small_config(), engine="vector")
+        reference = GMTRuntime(small_config()).replay_per_warp(trace)
+        profiled = GMTRuntime(small_config())
         profiled.attach_profiler(PhaseProfiler())
         try:
             result = profiled.run(trace)
             resolution = profiled.engine_resolution()
         finally:
             profiled.detach_profiler()
-        assert resolution == ("vector", "no per-access consumers attached")
-        assert result.stats.as_dict() == scalar.stats.as_dict()
-        assert result.stats.confusion == scalar.stats.confusion
-        assert result.elapsed_ns == scalar.elapsed_ns
+        assert resolution == ("vector", "Tier-1 hit runs retire in batches")
+        assert result.stats.as_dict() == reference.stats.as_dict()
+        assert result.stats.confusion == reference.stats.confusion
+        assert result.elapsed_ns == reference.elapsed_ns
 
 
 class TestWindowDesyncSelfTest:

@@ -13,7 +13,6 @@ import pytest
 
 import repro.prof
 from repro.core.config import GMTConfig
-from repro.core.factory import make_runtime
 from repro.core.runtime import GMTRuntime
 from repro.errors import ConfigError, SimulationError
 from repro.experiments.harness import build_runtime, default_config, get_workload
@@ -220,7 +219,7 @@ class TestReplayProfiling:
         prof, _result = profile_replay(runtime, self._workload(8000), profiler=prof)
         doc = prof.report()
         assert doc["mode"] == "sampled"
-        assert doc["engine"] == "scalar"
+        assert doc["engine"] == "vector"
         assert prof.accesses == 8000
         # Statistical: every matched sample charges its interval, so on a
         # replay this long attribution should dominate the wall.
@@ -236,7 +235,7 @@ class TestReplayProfiling:
         assert runtime._prof is None
         assert prof.wall_s > 0
         assert prof.accesses == 500
-        assert prof.engine == "scalar"
+        assert prof.engine == "vector"
 
     def test_vector_replay_stays_vector_and_matches_unprofiled(self):
         config = dataclasses.replace(default_config(8192), prefetch_degree=2)
@@ -249,17 +248,19 @@ class TestReplayProfiling:
         assert result.stats.prefetch_hits > 0
         doc = prof.report()
         assert (doc["engine"], doc["engine_reason"]) == (
-            "vector", "no per-access consumers attached"
+            "vector", "Tier-1 hit runs retire in batches"
         )
 
-    def test_zoo_tier1_profile_says_scalar(self):
+    def test_zoo_tier1_profile_says_vector(self):
+        # A policy-zoo Tier-1 structure rides the batch loop too, and the
+        # profiled replay still matches the per-warp reference.
         config = dataclasses.replace(default_config(8192), tier1_eviction="s3fifo")
-        prof, _result = profile_replay(
-            make_runtime(config), get_workload("hotspot", config)
-        )
-        doc = prof.report()
-        assert doc["engine"] == "scalar"
-        assert "s3fifo" in doc["engine_reason"]
+        workload = get_workload("pagerank", config)
+        reference = build_runtime("reuse", config).replay_per_warp(workload)
+        prof, result = profile_replay(build_runtime("reuse", config), workload)
+        assert result.stats.as_dict() == reference.stats.as_dict()
+        assert result.elapsed_ns == reference.elapsed_ns
+        assert prof.report()["engine"] == "vector"
 
 
 class TestZeroCostWhenDisabled:
