@@ -497,6 +497,15 @@ def main(argv: list[str] | None = None) -> int:
         print("PASS: no sustained drift on the ledger")
         return 0
 
+    if args.check:
+        # Read the baseline before replaying: a bad path fails fast.
+        try:
+            with open(args.baseline, encoding="utf-8") as fh:
+                baseline = json.load(fh)
+        except FileNotFoundError:
+            print(f"gmt-bench: baseline not found: {args.baseline}", file=sys.stderr)
+            return 2
+
     doc = run_bench(
         scale=args.scale,
         seed=args.seed,
@@ -548,12 +557,6 @@ def main(argv: list[str] | None = None) -> int:
             return 1
 
     if args.check:
-        try:
-            with open(args.baseline, encoding="utf-8") as fh:
-                baseline = json.load(fh)
-        except FileNotFoundError:
-            print(f"gmt-bench: baseline not found: {args.baseline}", file=sys.stderr)
-            return 2
         problems = compare(
             baseline,
             doc,

@@ -82,22 +82,10 @@ def main_sim(argv: list[str] | None = None) -> int:
         choices=sorted(PLATFORM_PRESETS),
         help="hardware preset (default: the paper's Table 1 testbed)",
     )
-    parser.add_argument(
-        "--trace-out",
-        metavar="PATH",
-        default=None,
-        help="write a merged Chrome/Perfetto trace of all runtimes to PATH "
-        "(open via ui.perfetto.dev)",
-    )
-    parser.add_argument(
-        "--metrics-out",
-        metavar="PATH",
-        default=None,
-        help="write a Prometheus text-format metrics snapshot of all "
-        "runtimes to PATH",
-    )
+    flags.add(parser, "--trace-out", "--metrics-out")
     parser.add_argument(
         "--lifecycle-out",
+        type=flags.output_path,
         metavar="PATH",
         default=None,
         help="record page-lifecycle events (flight recorder) and write "
@@ -546,18 +534,7 @@ def main_serve(argv: list[str] | None = None) -> int:
         action="store_true",
         help="skip the solo baseline replays (no slowdown/fairness columns)",
     )
-    parser.add_argument(
-        "--trace-out",
-        metavar="PATH",
-        default=None,
-        help="write a Perfetto trace with per-tenant lanes to PATH",
-    )
-    parser.add_argument(
-        "--metrics-out",
-        metavar="PATH",
-        default=None,
-        help="write a Prometheus snapshot with tenant-labelled series to PATH",
-    )
+    flags.add(parser, "--trace-out", "--metrics-out")
     parser.add_argument(
         "--slo-p50",
         type=float,
@@ -782,6 +759,7 @@ def main_why(argv: list[str] | None = None) -> int:
     )
     parser.add_argument(
         "--record-out",
+        type=flags.output_path,
         metavar="PATH",
         default=None,
         help="also export the recorded lifecycle events to PATH as JSONL",

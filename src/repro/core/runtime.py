@@ -122,11 +122,13 @@ class GMTRuntime:
         self.config = config
         platform = config.platform
         self.stats = RuntimeStats()
-        #: One bit per page, Tier-1 resident and not a pending prefetch,
-        #: written by the page table's rows; :meth:`run` probes it for
-        #: hit runs.
+        self.page_table = PageTable()
+        #: One bit per page, Tier-1 resident and not a pending prefetch;
+        #: :meth:`run` probes it for hit runs.  Written only where that
+        #: can change: a demand fill and a pending prefetch's first
+        #: demand touch (:meth:`access`) set it, a Tier-1 eviction
+        #: (:meth:`_ensure_tier1_frame`) clears it.
         self._hit_map: vector.HitMap | None = vector.HitMap()
-        self.page_table = PageTable(self._hit_map.row)
         #: Probe window of :meth:`run`, adapted as it replays.
         self._window = _WINDOW_INIT
         self.vts = VirtualTimestampClock()
@@ -576,6 +578,8 @@ class GMTRuntime:
                 # hit and run the deferred fill bookkeeping (Markov
                 # resolution happens at demand time, not prefetch time).
                 state.prefetched = False
+                if self._hit_map is not None:
+                    self._hit_map.bits[page] = True
                 self.stats.prefetch_hits += 1
                 self.policy.on_tier1_fill(state, from_tier2=False)
             return
@@ -664,6 +668,11 @@ class GMTRuntime:
         self.t1_clock.insert(page, referenced=True)
         state.location = PageLocation.TIER1
         state.prefetched = False
+        hit_map = self._hit_map
+        if hit_map is not None:
+            # Cover this page and the prefetches its miss triggers.
+            hit_map.ensure(page + 1 + self.config.prefetch_degree)
+            hit_map.bits[page] = True
         if write:
             state.dirty = True
         self.policy.on_tier1_fill(state, from_tier2=from_tier2)
@@ -789,6 +798,8 @@ class GMTRuntime:
 
         self.tier1.remove(victim)
         vstate.location = PageLocation.TIER3  # provisional; updated below
+        if self._hit_map is not None:
+            self._hit_map.bits[victim] = False
         self.stats.t1_evictions += 1
         if vstate.prefetched:
             vstate.prefetched = False

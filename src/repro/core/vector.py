@@ -5,8 +5,8 @@ Tier-1 hit runs in batches.  It needs two things the per-access path
 does not:
 
 - :class:`HitMap`, one dense bit per page (Tier-1 resident and not a
-  pending prefetch), which the page table's rows keep current, so one
-  fancy-indexed probe finds a maximal hit prefix;
+  pending prefetch), which the runtime writes where Tier-1 changes, so
+  one fancy-indexed probe finds a maximal hit prefix;
 - :class:`TraceArrays`, the workload's coalesced access stream as flat
   numpy arrays (:func:`materialize_trace`, cached per workload), so the
   loop can slice and probe it.
@@ -26,7 +26,6 @@ from typing import Iterable, Iterator
 import numpy as np
 
 from repro.errors import SimulationError
-from repro.mem.page import PageLocation, PageState
 from repro.sim.gpu import WarpAccess, coalesce
 from repro.workloads.trace import Workload
 
@@ -37,8 +36,6 @@ __all__ = [
     "materialize_trace",
 ]
 
-_TIER1 = PageLocation.TIER1
-
 #: Warps gathered per chunk when streaming a generic iterable trace.
 _STREAM_CHUNK_WARPS = 4096
 
@@ -47,15 +44,15 @@ class HitMap:
     """One bit per page id, set iff the page is Tier-1 resident and not a
     pending prefetch: all the batch path reads of the page table.
 
-    A runtime's page-table rows are :class:`_MappedPageState` objects,
-    whose ``location`` and ``prefetched`` setters write their page's
-    bit, so the map follows every change the scalar pipeline makes.
-    The arrays grow geometrically on demand; page ids are assumed
-    reasonably dense (they are: workloads number pages
-    ``0..footprint``).  Sparse gigantic ids, e.g. the serve layer's
-    namespaced ``tenant << 32`` pages, exceed :data:`MAX_PAGES` and
-    raise, which is why the serve multiplexer keeps plain rows and no
-    hit map.
+    The bit's meaning changes in three places, all in
+    :class:`~repro.core.runtime.GMTRuntime`: a demand fill sets it, a
+    pending prefetch's first demand touch sets it, a Tier-1 eviction
+    clears it (a prefetch fill leaves it clear).  The arrays grow
+    geometrically on demand; page ids are assumed reasonably dense
+    (they are: workloads number pages ``0..footprint``).  Sparse
+    gigantic ids, e.g. the serve layer's namespaced ``tenant << 32``
+    pages, exceed :data:`MAX_PAGES` and raise, which is why the serve
+    multiplexer keeps no hit map.
     """
 
     #: Hard cap on the dense page-id space (64 Mi pages, 9 bytes each).
@@ -83,42 +80,6 @@ class HitMap:
         grow = min(max(n, size * 2), self.MAX_PAGES) - size
         self.bits = np.pad(self.bits, (0, grow))
         self.stamps = np.pad(self.stamps, (0, grow))
-
-    def row(self, page: int) -> PageState:
-        """The page-table row of a page seen for the first time."""
-        self.ensure(page + 1)
-        return _MappedPageState(page, self)
-
-
-class _MappedPageState(PageState):
-    """A :class:`PageState` whose ``location`` and ``prefetched`` setters
-    write the page's :class:`HitMap` bit; every other field is a plain
-    slot."""
-
-    __slots__ = ("_map", "_location", "_prefetched")
-
-    def __init__(self, page: int, hit_map: HitMap) -> None:
-        self._map = hit_map
-        self._prefetched = False
-        super().__init__(page)
-
-    @property
-    def location(self) -> PageLocation:
-        return self._location
-
-    @location.setter
-    def location(self, value: PageLocation) -> None:
-        self._location = value
-        self._map.bits[self.page] = value is _TIER1 and not self._prefetched
-
-    @property
-    def prefetched(self) -> bool:
-        return self._prefetched
-
-    @prefetched.setter
-    def prefetched(self, value: bool) -> None:
-        self._prefetched = value
-        self._map.bits[self.page] = self._location is _TIER1 and not value
 
 
 # ----------------------------------------------------------------------

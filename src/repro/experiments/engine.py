@@ -20,8 +20,8 @@ combination — and this module executes them:
 - :class:`Engine` runs the missing cells — serially or on a
   ``ProcessPoolExecutor`` (``jobs > 1``) with deterministic seeding (all
   randomness flows from the seeds already inside each cell's params) —
-  and emits per-cell progress plus cache hit/miss counters through a
-  :class:`repro.obs.MetricsRegistry`.
+  and emits per-cell progress lines and counts cache hits and misses in
+  :class:`EngineStats`.
 
 The parallel path is bit-equal to the serial path: cells are pure
 functions of their parameters, and reduction order is fixed by the cell
@@ -222,32 +222,6 @@ class ResultCache:
         return removed
 
 
-# ----------------------------------------------------------------------
-# Metrics
-# ----------------------------------------------------------------------
-_registry = None
-
-
-def engine_registry():
-    """The engine's :class:`~repro.obs.MetricsRegistry` (process-wide).
-
-    Counters: ``engine_cells_total``, ``engine_memo_hits_total``,
-    ``engine_disk_hits_total``, ``engine_cells_executed_total``,
-    ``engine_cell_failures_total``.
-    """
-    global _registry
-    if _registry is None:
-        from repro.obs import MetricsRegistry
-
-        _registry = MetricsRegistry(const_labels={"component": "experiment-engine"})
-        _registry.counter("engine_cells_total", "cells requested across all runs")
-        _registry.counter("engine_memo_hits_total", "cells served from the in-process memo")
-        _registry.counter("engine_disk_hits_total", "cells served from the on-disk cache")
-        _registry.counter("engine_cells_executed_total", "cells actually executed")
-        _registry.counter("engine_cell_failures_total", "cell executions that raised")
-    return _registry
-
-
 @dataclass
 class EngineStats:
     """Hit/miss accounting for one :class:`Engine` (cumulative)."""
@@ -338,7 +312,6 @@ class Engine:
         the rest run serially or on the process pool.  The mapping
         preserves first-seen cell order.
         """
-        registry = engine_registry()
         salt = code_salt()
         unique: dict[Cell, str] = {}
         for cell in cells:
@@ -349,12 +322,10 @@ class Engine:
         pending: list[Cell] = []
         for cell, key in unique.items():
             self.stats.cells += 1
-            registry.get("engine_cells_total").inc()
             if not self.force:
                 if key in self.memo:
                     results[cell] = self.memo[key]
                     self.stats.memo_hits += 1
-                    registry.get("engine_memo_hits_total").inc()
                     continue
                 if self.cache is not None:
                     value = self.cache.get(key)
@@ -362,7 +333,6 @@ class Engine:
                         self.memo[key] = value
                         results[cell] = value
                         self.stats.disk_hits += 1
-                        registry.get("engine_disk_hits_total").inc()
                         continue
             pending.append(cell)
 
@@ -383,7 +353,6 @@ class Engine:
                         self.cache.put(key, value)
                     results[cell] = value
                     self.stats.executed += 1
-                    registry.get("engine_cells_executed_total").inc()
                     self._emit(
                         f"[{tag}{index}/{len(pending)}] ran {cell.label or cell.fn}"
                     )
@@ -420,7 +389,6 @@ class Engine:
                 raise
             except Exception:
                 self.stats.failures += 1
-                engine_registry().get("engine_cell_failures_total").inc()
                 raise
             yield cell, value
 

@@ -15,6 +15,7 @@ usage error (exit status 2) before any replay starts::
 from __future__ import annotations
 
 import argparse
+import os
 
 from repro.core.config import DEFAULT_SCALE
 from repro.errors import ConfigError
@@ -39,6 +40,18 @@ def _positive(convert):
 positive_int = _positive(int)
 positive_float = _positive(float)
 
+
+def output_path(text: str) -> str:
+    """A file to write once the run ends: its directory must exist now,
+    so a typo fails before the replay rather than after it."""
+    directory = os.path.dirname(text) or "."
+    if not os.path.isdir(directory):
+        raise argparse.ArgumentTypeError(
+            f"directory {directory!r} of {text!r} does not exist"
+        )
+    return text
+
+
 #: The anomaly-scan flags, always taken together.
 ANOMALY = (
     "--anomaly-scan",
@@ -62,6 +75,20 @@ _FLAGS: dict[str, dict] = {
         help="working set / (Tier-1 + Tier-2) capacity (default %(default)s)",
     ),
     "--seed": dict(type=int, default=0, help="trace RNG seed (default %(default)s)"),
+    "--trace-out": dict(
+        type=output_path,
+        metavar="PATH",
+        default=None,
+        help="write a Chrome/Perfetto trace of the replay to PATH (open "
+        "via ui.perfetto.dev; runtimes or tenants get their own lanes)",
+    ),
+    "--metrics-out": dict(
+        type=output_path,
+        metavar="PATH",
+        default=None,
+        help="write a Prometheus text-format metrics snapshot to PATH "
+        "(series labelled by runtime or tenant)",
+    ),
     "--check-every": dict(
         type=positive_int,
         metavar="N",

@@ -7,22 +7,16 @@ the whole dataset starts on the SSD.
 
 from __future__ import annotations
 
-from collections.abc import Callable, Iterator
+from collections.abc import Iterator
 
 from repro.mem.page import PageLocation, PageState
 
 
 class PageTable:
-    """Sparse mapping from page id to per-page state.
+    """Sparse mapping from page id to plain :class:`PageState` rows."""
 
-    ``row`` builds the state of a page seen for the first time
-    (:class:`~repro.core.runtime.GMTRuntime` passes one whose rows keep
-    its hit map current).
-    """
-
-    def __init__(self, row: Callable[[int], PageState] = PageState) -> None:
+    def __init__(self) -> None:
         self._entries: dict[int, PageState] = {}
-        self._row = row
 
     def __len__(self) -> int:
         return len(self._entries)
@@ -39,7 +33,7 @@ class PageTable:
             raise ValueError(f"page ids must be non-negative, got {page}")
         state = self._entries.get(page)
         if state is None:
-            state = self._row(page)
+            state = PageState(page)
             self._entries[page] = state
         return state
 

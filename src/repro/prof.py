@@ -493,11 +493,11 @@ def main(argv: list[str] | None = None) -> int:
         help="show only the N most expensive phases",
     )
     parser.add_argument(
-        "--json-out", metavar="PATH", default=None,
+        "--json-out", type=flags.output_path, metavar="PATH", default=None,
         help="write the profile document (feeds --compare)",
     )
     parser.add_argument(
-        "--collapsed-out", metavar="PATH", default=None,
+        "--collapsed-out", type=flags.output_path, metavar="PATH", default=None,
         help="write collapsed stacks (flamegraph.pl / speedscope input)",
     )
     parser.add_argument(

@@ -34,7 +34,6 @@ from repro.core.runtime import GMTRuntime
 from repro.core.stats import RuntimeStats
 from repro.errors import ConfigError
 from repro.mem.page import PageState
-from repro.mem.page_table import PageTable
 from repro.obs.digest import LatencyDigest
 from repro.policyzoo.governor import GovernorConfig, MigrationGovernor
 from repro.policyzoo.partition import PartitionedPolicy
@@ -143,10 +142,8 @@ class TenantAwareRuntime(GMTRuntime):
             if policies is not None and len(policies) != len(tenant_names):
                 raise ConfigError(f"{label} must name every tenant")
         super().__init__(config, policy_factory)
-        # Plain rows and no hit map: namespaced page ids (tenant << 32)
-        # exceed HitMap.MAX_PAGES, and the servers drive the per-warp
-        # path, which mapped rows only slow down.
-        self.page_table = PageTable()
+        # No hit map: namespaced page ids (tenant << 32) exceed
+        # HitMap.MAX_PAGES.
         self._hit_map = None
         self.tenant_names = list(tenant_names)
         # Swap in owner-aware tiers (both are empty at this point).

@@ -36,6 +36,9 @@ class GraphWorkload(Workload):
     EDGES_PER_PAGE = 32
     EDGE_FACTOR = 16
     PROPERTY_ARRAYS = 2
+    #: Share of the trace's distinct pages that are one-time cold pages,
+    #: laid out after the graph's own pages (see :attr:`cold_pages`).
+    cold_fraction = 0.0
 
     def __init__(
         self,
@@ -70,6 +73,26 @@ class GraphWorkload(Workload):
         self.scale = scale
         self._graph = None
         self._page_map: GraphPageMap | None = None
+
+    @property
+    def footprint_pages(self) -> int:
+        """A bound on every page id the trace emits: the requested
+        footprint, raised to the graph's pages plus the cold pages after
+        them where the layout came out larger (the vertex count rounds
+        to a power of two, and an injected graph brings its own size).
+        The prefetcher and the footprint-bound audit rely on it."""
+        extent = self.page_map.total_pages + self.cold_pages
+        return max(self._requested_pages, extent)
+
+    @footprint_pages.setter
+    def footprint_pages(self, requested: int) -> None:
+        self._requested_pages = requested
+
+    @property
+    def cold_pages(self) -> int:
+        """One-time cold pages, ids ``total_pages`` onwards."""
+        total = self.page_map.total_pages
+        return int(total * self.cold_fraction / (1 - self.cold_fraction))
 
     @classmethod
     def _scale_for_footprint(cls, footprint_pages: int) -> int:

@@ -68,9 +68,8 @@ class PageRankWorkload(GraphWorkload):
         # One-time graph-loading metadata (degrees, offsets construction):
         # read once and never again, matching Table 2's ~90 % page reuse.
         cold_base = pages.total_pages
-        cold_pages = int(pages.total_pages * self.cold_fraction / (1 - self.cold_fraction))
         yield from stream_warps(
-            range(cold_base, cold_base + cold_pages), pages_per_warp=2
+            range(cold_base, cold_base + self.cold_pages), pages_per_warp=2
         )
 
         for iteration in range(self.iterations):

@@ -58,8 +58,9 @@ class SSSPWorkload(GraphWorkload):
         # One-time loading/preprocessing data (weights parsing, query log):
         # read once, never reused (Table 2: ~80 % page reuse, not 100 %).
         cold_base = pages.total_pages
-        cold = int(pages.total_pages * self.cold_fraction / (1 - self.cold_fraction))
-        yield from stream_warps(range(cold_base, cold_base + cold), pages_per_warp=2)
+        yield from stream_warps(
+            range(cold_base, cold_base + self.cold_pages), pages_per_warp=2
+        )
         degrees = np.diff(graph.offsets)
         sources = np.argsort(degrees)[::-1][: self.num_sources]
         for query, source in enumerate(sources):

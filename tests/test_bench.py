@@ -10,10 +10,29 @@ import repro.bench as bench
 
 CELLS = (("bfs", "reuse"),)  # one small cell keeps these tests quick
 
+#: A 4-tenant stand-in for the 1k-tenant open-loop cell.
+TINY_OPENLOOP = {
+    "id": "serve/openloop-tiny",
+    "tenants": 4,
+    "requests": 16,
+    "arrival_rate_per_s": 256.0,
+    "max_backlog": 256,
+}
+
 
 @pytest.fixture
 def baseline():
     return bench.run_bench(cells=CELLS, scale=4096, seed=0)
+
+
+@pytest.fixture
+def small_matrix(monkeypatch):
+    """gmt-bench's CLI over one gated cell: no zoo or engine cells and a
+    tiny open-loop cell, which these tests never read."""
+    monkeypatch.setattr(bench, "DEFAULT_CELLS", CELLS)
+    monkeypatch.setattr(bench, "ZOO_CELLS", ())
+    monkeypatch.setattr(bench, "ENGINE_CELLS", ())
+    monkeypatch.setattr(bench, "OPENLOOP_CELL", TINY_OPENLOOP)
 
 
 class TestRecord:
@@ -137,9 +156,8 @@ class TestOpenLoopCell:
 
 
 class TestCLI:
-    def test_record_then_check_passes(self, tmp_path, monkeypatch, capsys):
-        monkeypatch.setattr(bench, "DEFAULT_CELLS", CELLS)
-        monkeypatch.setattr(bench, "ZOO_CELLS", ())
+    @pytest.mark.usefixtures("small_matrix")
+    def test_record_then_check_passes(self, tmp_path, capsys):
         path = tmp_path / "BENCH_baseline.json"
         assert bench.main(["--out", str(path)]) == 0
         doc = json.loads(path.read_text())
@@ -147,9 +165,8 @@ class TestCLI:
         assert bench.main(["--check", "--baseline", str(path)]) == 0
         assert "PASS" in capsys.readouterr().out
 
+    @pytest.mark.usefixtures("small_matrix")
     def test_injected_slowdown_fails_the_gate(self, tmp_path, monkeypatch, capsys):
-        monkeypatch.setattr(bench, "DEFAULT_CELLS", CELLS)
-        monkeypatch.setattr(bench, "ZOO_CELLS", ())
         path = tmp_path / "BENCH_baseline.json"
         assert bench.main(["--out", str(path)]) == 0
 
@@ -169,11 +186,8 @@ class TestCLI:
         out = capsys.readouterr().out
         assert "FAIL" in out and "wall_s" in out
 
-    def test_injected_behaviour_change_fails_the_gate(
-        self, tmp_path, monkeypatch, capsys
-    ):
-        monkeypatch.setattr(bench, "DEFAULT_CELLS", CELLS)
-        monkeypatch.setattr(bench, "ZOO_CELLS", ())
+    @pytest.mark.usefixtures("small_matrix")
+    def test_injected_behaviour_change_fails_the_gate(self, tmp_path, capsys):
         path = tmp_path / "BENCH_baseline.json"
         assert bench.main(["--out", str(path)]) == 0
         doc = json.loads(path.read_text())
@@ -183,11 +197,21 @@ class TestCLI:
         assert rc == 1
         assert "ssd_page_reads" in capsys.readouterr().out
 
-    def test_missing_baseline_is_a_distinct_error(self, tmp_path, monkeypatch, capsys):
-        monkeypatch.setattr(bench, "DEFAULT_CELLS", CELLS)
-        monkeypatch.setattr(bench, "ZOO_CELLS", ())
+    @pytest.mark.usefixtures("small_matrix")
+    def test_missing_baseline_is_a_distinct_error(self, tmp_path, capsys):
         rc = bench.main(["--check", "--baseline", str(tmp_path / "nope.json")])
         assert rc == 2
+
+    def test_missing_baseline_fails_before_replaying(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        def replayed(*args, **kwargs):
+            raise AssertionError("replayed before reading the baseline")
+
+        monkeypatch.setattr(bench, "run_bench", replayed)
+        rc = bench.main(["--check", "--baseline", str(tmp_path / "nope.json")])
+        assert rc == 2
+        assert "baseline not found" in capsys.readouterr().err
 
     def test_committed_baseline_matches_current_behaviour(self, capsys):
         # The repo's committed baseline must stay in sync with the

@@ -90,3 +90,37 @@ def test_engine_flag_is_gone(tool, capsys):
     status, captured = _run(tool, argv, capsys)
     assert status == 2
     assert "unrecognized arguments: --engine vector" in captured.err
+
+
+OUTPUT_FLAGS = [
+    ("gmt-sim", "--trace-out"),
+    ("gmt-sim", "--metrics-out"),
+    ("gmt-sim", "--lifecycle-out"),
+    ("gmt-serve", "--trace-out"),
+    ("gmt-serve", "--metrics-out"),
+    ("gmt-why", "--record-out"),
+    ("gmt-prof", "--json-out"),
+    ("gmt-prof", "--collapsed-out"),
+]
+
+
+@pytest.mark.parametrize(
+    "tool, flag", OUTPUT_FLAGS, ids=[f"{t} {f}" for t, f in OUTPUT_FLAGS]
+)
+def test_output_path_in_a_missing_directory_is_a_usage_error(
+    tool, flag, tmp_path, monkeypatch, capsys
+):
+    # Rejected while parsing, before the replay that would have been
+    # thrown away when the write failed.
+    from repro.core.runtime import GMTRuntime
+
+    def replayed(*args, **kwargs):
+        raise AssertionError("replayed before checking the output path")
+
+    monkeypatch.setattr(GMTRuntime, "access", replayed)
+    path = tmp_path / "no" / "such" / "dir" / "out"
+    argv = ENTRY_POINTS[tool][1] + ["--scale", "16384", flag, str(path)]
+    status, captured = _run(tool, argv, capsys)
+    assert status == 2
+    assert "does not exist" in captured.err
+    assert "Traceback" not in captured.err

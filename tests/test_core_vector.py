@@ -116,7 +116,9 @@ def assert_replays_agree(config, trace):
     assert page_table_snapshot(reference, N_PAGES) == page_table_snapshot(
         batched, N_PAGES
     )
-    # The hit map must equal {Tier-1 and not a pending prefetch}.
+    # The hit map must equal {Tier-1 and not a pending prefetch}, on
+    # the per-warp path's writes as on the batched path's.
+    reference.check_invariants()
     batched.check_invariants()
 
 
@@ -327,15 +329,18 @@ class TestEngineSelection:
             assert runtime.engine_resolution()[0] == "vector"
 
     def test_vector_runtime_keeps_the_scalar_structures(self):
-        # One page table and one clock: the batched replay's rows are the
-        # scalar PageState rows and its Tier-1 clock is ClockReplacement.
-        runtime = GMTRuntime(small_config())
-        runtime.run(make_trace([((p % 12,), p % 3 == 0) for p in range(100)]))
-        assert type(runtime.t1_clock) is ClockReplacement
-        assert len(runtime.page_table) == 12
-        assert all(isinstance(state, PageState) for state in runtime.page_table)
-        resident = sorted(runtime.tier1)
-        assert np.flatnonzero(runtime._hit_map.bits).tolist() == resident
+        # One page table, one row type and one clock: every runtime
+        # kind's rows are plain PageState rows (the runtime writes the
+        # hit map itself) and its Tier-1 clock is ClockReplacement.
+        trace = make_trace([((p % 12,), p % 3 == 0) for p in range(100)])
+        for kind in RUNTIME_KINDS:
+            runtime = build_runtime(kind, small_config())
+            runtime.run(trace)
+            assert type(runtime.t1_clock) is ClockReplacement, kind
+            assert len(runtime.page_table) == 12, kind
+            assert all(type(state) is PageState for state in runtime.page_table)
+            resident = sorted(runtime.tier1)
+            assert np.flatnonzero(runtime._hit_map.bits).tolist() == resident
 
 
 # ----------------------------------------------------------------------
@@ -391,11 +396,16 @@ class TestFallbacksAndGuards:
         clear_trace_cache()
 
     def test_dense_capacity_guard(self):
-        hit_map = HitMap()
+        # A page id past the dense cap raises on both replays: run()
+        # sizes the map for each chunk, the per-warp reference grows it
+        # at the page's demand fill.
         with pytest.raises(SimulationError):
-            hit_map.ensure(HitMap.MAX_PAGES + 1)
-        with pytest.raises(SimulationError, match="dense page-id capacity"):
-            hit_map.row(HitMap.MAX_PAGES)
+            HitMap().ensure(HitMap.MAX_PAGES + 1)
+        trace = make_trace([((0,), False), ((HitMap.MAX_PAGES,), False)])
+        for replay in ("run", "replay_per_warp"):
+            runtime = GMTRuntime(small_config())
+            with pytest.raises(SimulationError, match="dense page-id capacity"):
+                getattr(runtime, replay)(trace)
 
     @staticmethod
     def assert_hit_map_desync_caught(report, kind):

@@ -11,7 +11,6 @@ from repro.experiments.engine import (
     Engine,
     ResultCache,
     cell_key,
-    engine_registry,
     run_cells,
 )
 from repro.experiments.harness import (
@@ -165,13 +164,13 @@ class TestEngine:
             assert pickle.loads(pickle.dumps(value)).elapsed_ns == value.elapsed_ns
 
     def test_metrics_counters_advance(self):
-        registry = engine_registry()
-        executed = registry.get("engine_cells_executed_total").value
-        total = registry.get("engine_cells_total").value
         engine = Engine(memo={})
         engine.run_cells(self.cells()[:2])
-        assert registry.get("engine_cells_executed_total").value == executed + 2
-        assert registry.get("engine_cells_total").value == total + 2
+        stats = engine.stats
+        assert (stats.cells, stats.memo_hits, stats.executed) == (2, 0, 2)
+        engine.run_cells(self.cells()[:2])
+        assert (stats.cells, stats.memo_hits, stats.executed) == (4, 2, 2)
+        assert "hit_rate=0.50" in stats.summary()
 
     def test_progress_lines_emitted(self):
         lines = []

@@ -222,9 +222,21 @@ class TestBenchTrendCLI:
         assert main(["--trend"]) == 0
         assert "8 run(s)" in capsys.readouterr().out
 
-    def test_bench_records_ledger_entry(self):
+    @staticmethod
+    def skip_unread_cells(monkeypatch):
+        """Drop the engine cells and shrink the open-loop cell: these
+        tests read the ledger, not what those cells measure."""
         from repro import bench
 
+        monkeypatch.setattr(bench, "ENGINE_CELLS", ())
+        monkeypatch.setattr(
+            bench, "OPENLOOP_CELL", {**bench.OPENLOOP_CELL, "tenants": 4, "requests": 16}
+        )
+
+    def test_bench_records_ledger_entry(self, monkeypatch):
+        from repro import bench
+
+        self.skip_unread_cells(monkeypatch)
         assert bench.main(["--scale", "32768"]) == 0
         entries = read_ledger(tool="gmt-bench")
         assert len(entries) == 1
@@ -234,9 +246,10 @@ class TestBenchTrendCLI:
         assert bench.main(["--scale", "32768"]) == 0
         assert bench.main(["--scale", "32768", "--trend"]) == 0
 
-    def test_no_ledger_opt_out(self):
+    def test_no_ledger_opt_out(self, monkeypatch):
         from repro import bench
 
+        self.skip_unread_cells(monkeypatch)
         assert bench.main(["--scale", "32768", "--no-ledger"]) == 0
         assert read_ledger() == []
 

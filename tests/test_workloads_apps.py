@@ -10,6 +10,7 @@ from repro.analysis.characterize import characterize_workload, collect_access_rd
 from repro.errors import ConfigError
 from repro.reuse.classifier import ReuseClass
 from repro.workloads.registry import (
+    EXTRA_WORKLOAD_NAMES,
     GRAPH_WORKLOADS,
     WORKLOAD_NAMES,
     make_workload,
@@ -83,6 +84,24 @@ class TestTraceValidity:
     @pytest.mark.parametrize("name", WORKLOAD_NAMES)
     def test_has_writes(self, suite, name):
         assert suite[name]["chars"].write_accesses > 0
+
+    @pytest.mark.parametrize("scale", [8192, 4096])
+    @pytest.mark.parametrize("name", WORKLOAD_NAMES + EXTRA_WORKLOAD_NAMES)
+    def test_page_ids_below_footprint(self, name, scale):
+        # footprint_pages bounds every page id the trace emits: the
+        # prefetcher stops there and the footprint-bound audit checks it.
+        from repro.experiments.harness import default_config
+
+        w = make_workload(name, default_config(scale))
+        assert max(w.coalesced_pages()) < w.footprint_pages
+
+    def test_injected_graph_page_ids_below_footprint(self):
+        from repro.workloads.kron import rmat_csr
+
+        graph = rmat_csr(8, 16, seed=1)
+        for name in sorted(GRAPH_WORKLOADS):
+            w = workload_class(name)(footprint_pages=0, graph=graph)
+            assert max(w.coalesced_pages()) < w.footprint_pages, name
 
 
 class TestTable2Shapes:

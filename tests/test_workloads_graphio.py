@@ -94,8 +94,12 @@ class TestGraphInjection:
         return load_csr(path, num_vertices=256)
 
     def test_footprint_follows_graph(self, csr):
+        # The graph's pages plus PageRank's one-time cold pages after
+        # them, so the footprint bounds every page id the trace emits.
         w = PageRankWorkload(footprint_pages=0, graph=csr)
-        assert w.footprint_pages == w.page_map.total_pages
+        assert w.cold_pages > 0
+        assert w.footprint_pages == w.page_map.total_pages + w.cold_pages
+        assert max(w.coalesced_pages()) == w.footprint_pages - 1
         assert w.graph is csr
 
     def test_workload_runs_on_injected_graph(self, csr):
