@@ -61,16 +61,17 @@ DEFAULT_RUNTIMES: tuple[str, ...] = ("bam", "tier-order", "random", "reuse", "hm
 # seeded corruptions (self-test: the net must catch these)
 # ----------------------------------------------------------------------
 def _inject_dup_resident(runtime: GMTRuntime) -> str:
-    """Make one page resident in both tiers (migration-state corruption)."""
-    t2_page = next(iter(runtime.tier2), None)
+    """Make one page resident in both tiers (migration-state corruption):
+    a Tier-2 page takes a Tier-1 page's place in the Tier-1 structure."""
+    t2_page = next(iter(runtime._t2_order.pages()), None)
     if t2_page is None:
         raise ConfigError(
             "dup-resident needs a Tier-2 resident page; run a 3-tier "
             "runtime (not bam) with enough trace to populate Tier-2"
         )
-    t1_page = next(iter(runtime.tier1))
-    runtime.tier1.remove(t1_page)
-    runtime.tier1.insert(t2_page)
+    t1_page = next(iter(runtime.t1_clock.pages()))
+    runtime.t1_clock.remove(t1_page)
+    runtime.t1_clock.insert(t2_page)
     return f"page {t2_page} now resident in Tier-1 and Tier-2"
 
 

@@ -42,7 +42,6 @@ from repro.errors import SimulationError
 from repro.mem.clock_replacement import ClockReplacement
 from repro.mem.page import PageLocation, PageState
 from repro.mem.page_table import PageTable
-from repro.mem.tier import Tier
 from repro.mem.tier2_order import Tier2Fifo
 from repro.obs.batch import AuditBatchObserver, BatchObserverChain
 from repro.obs.lifecycle import LifecycleKind
@@ -134,8 +133,8 @@ class GMTRuntime:
         self.vts = VirtualTimestampClock()
         self.rng = random.Random(config.seed)
 
-        self.tier1 = Tier("Tier-1", config.tier1_frames)
-        self.tier2 = Tier("Tier-2", config.tier2_frames)
+        #: Each tier's eviction structure is its one membership record;
+        #: ``config.tier1_frames``/``tier2_frames`` hold the capacities.
         self.t1_clock = make_eviction_policy(
             config.tier1_eviction, config.tier1_frames
         )
@@ -207,6 +206,11 @@ class GMTRuntime:
         #: this many coalesced accesses (None = never, the hot-path
         #: default — one attribute check per access, like telemetry).
         self._check_every: int | None = None
+        #: Per-tenant residency counts (the serving layer's
+        #: :class:`~repro.serve.quota.TierQuotas`), or None.  Same
+        #: discipline as telemetry: each of the six places a page enters
+        #: or leaves a tier costs one attribute check when unset.
+        self._tier_counts = None
         self.name = f"GMT-{self.policy.name}"
 
     def engine_resolution(self) -> tuple[str, str]:
@@ -247,7 +251,7 @@ class GMTRuntime:
             "runtime": self.name,
             "policy": self.policy.name,
             "orchestration": self.orchestration,
-            "tiers": "3" if self.tier2.capacity > 0 else "2",
+            "tiers": "3" if self.config.tier2_frames > 0 else "2",
         }
         labels.update(self.obs_extra_labels)
         return labels
@@ -588,7 +592,7 @@ class GMTRuntime:
         self.stats.t1_misses += 1
         fault_ns = self._extra_fault_ns
         from_tier2 = False
-        if self.tier2.capacity > 0:
+        if self.config.tier2_frames > 0:
             self.stats.t2_lookups += 1
             fault_ns += platform.tier2_lookup_ns
             if state.location is PageLocation.TIER2:
@@ -602,8 +606,9 @@ class GMTRuntime:
         if from_tier2:
             self.stats.t2_hits += 1
             self.stats.t2_fetches += 1
-            self.tier2.remove(page)
             self._t2_order.remove(page)
+            if self._tier_counts is not None:
+                self._tier_counts.left(2, page)
             self.pcie.record_h2d(self.config.page_size)
             stall_ns = self._promotion_stall_ns(page)
             if stall_ns > 0.0:
@@ -657,15 +662,16 @@ class GMTRuntime:
                 sync_place = self._fx_t2_place
                 sync_evict = self._fx_t2_evict
             queueing.on_miss(
-                tier2_lookup=self.tier2.capacity > 0,
+                tier2_lookup=self.config.tier2_frames > 0,
                 tier2_hit=from_tier2,
                 writeback=sync_writeback,
                 tier2_place=sync_place,
                 tier2_evict=sync_evict,
             )
 
-        self.tier1.insert(page)
         self.t1_clock.insert(page, referenced=True)
+        if self._tier_counts is not None:
+            self._tier_counts.entered(1, page)
         state.location = PageLocation.TIER1
         state.prefetched = False
         hit_map = self._hit_map
@@ -730,8 +736,9 @@ class GMTRuntime:
                     queueing.on_background_io(self.config.page_size, write=True)
                 if self._fx_t2_place:
                     queueing.on_background_pcie(self.config.page_size)
-            self.tier1.insert(candidate)
             self.t1_clock.insert(candidate, referenced=False)
+            if self._tier_counts is not None:
+                self._tier_counts.entered(1, candidate)
             state.location = PageLocation.TIER1
             state.dirty = False
             state.prefetched = True
@@ -746,7 +753,7 @@ class GMTRuntime:
         the serving layer also evicts when the filling tenant has reached
         its Tier-1 frame quota.
         """
-        return self.tier1.full
+        return len(self.t1_clock) >= self.config.tier1_frames
 
     def _next_tier1_victim(self) -> int:
         """Nominate the next Tier-1 eviction candidate (clock sweep).
@@ -796,7 +803,10 @@ class GMTRuntime:
             self.t1_clock.insert(victim, referenced=True)
             retries += 1
 
-        self.tier1.remove(victim)
+        # The victim leaves Tier-1 (a retained one went back into the
+        # clock above and stayed resident, so it needs no count).
+        if self._tier_counts is not None:
+            self._tier_counts.left(1, victim)
         vstate.location = PageLocation.TIER3  # provisional; updated below
         if self._hit_map is not None:
             self._hit_map.bits[victim] = False
@@ -823,7 +833,10 @@ class GMTRuntime:
         else:
             self._fx_cause = "policy-static"
 
-        if plan.decision is PlacementDecision.PLACE_TIER2 and self.tier2.capacity > 0:
+        if (
+            plan.decision is PlacementDecision.PLACE_TIER2
+            and self.config.tier2_frames > 0
+        ):
             allow_eviction = self.policy.tier2_evicts_on_full and not plan.forced_tier2
             ns = self._place_in_tier2(vstate, allow_eviction)
         else:
@@ -857,7 +870,7 @@ class GMTRuntime:
             self._fx_cause = "migration-throttled"
             return self._bypass_to_tier3(state)
         ns = 0.0
-        if self.tier2.full:
+        if len(self._t2_order) >= self.config.tier2_frames:
             if not allow_eviction:
                 self.stats.t2_full_bypasses += 1
                 self._fx_cause = "t2-full-bypass"
@@ -865,9 +878,10 @@ class GMTRuntime:
             ns += self._evict_from_tier2()
 
         self._fx_t2_place = True
-        self.tier2.insert(state.page)
         # Demoted pages arrive cold regardless of the policy's default.
         self._t2_order.insert(state.page, referenced=False)
+        if self._tier_counts is not None:
+            self._tier_counts.entered(2, state.page)
         state.location = PageLocation.TIER2
         self.stats.t2_placements += 1
         self.pcie.record_d2h(self.config.page_size)
@@ -914,7 +928,8 @@ class GMTRuntime:
         """Make room in Tier-2 (FIFO, or clock under GMT-TierOrder)."""
         victim = self._select_tier2_victim()
         self._fx_t2_evict = True
-        self.tier2.remove(victim)
+        if self._tier_counts is not None:
+            self._tier_counts.left(2, victim)
         vstate = self.page_table.lookup(victim)
         vstate.location = PageLocation.TIER3
         self.stats.t2_evictions += 1
@@ -987,14 +1002,16 @@ class GMTRuntime:
 
     # ------------------------------------------------------------------
     def check_invariants(self) -> None:
-        """Structural invariants, including the hit map's agreement with
-        the page table; used by audits, tests and property checks."""
-        if len(self.tier1) > self.tier1.capacity:
+        """Structural invariants: each tier's eviction structure within
+        the configured frames, no page in both, page-table locations
+        against that membership, and the hit map against the page
+        table; used by audits, tests and property checks."""
+        if len(self.t1_clock) > self.config.tier1_frames:
             raise SimulationError("Tier-1 over capacity")
-        if len(self.tier2) > self.tier2.capacity:
+        if len(self._t2_order) > self.config.tier2_frames:
             raise SimulationError("Tier-2 over capacity")
-        t1_pages = set(self.tier1)
-        t2_pages = set(self.tier2)
+        t1_pages = set(self.t1_clock.pages())
+        t2_pages = set(self._t2_order.pages())
         if t1_pages & t2_pages:
             raise SimulationError(
                 f"pages duplicated across tiers: {sorted(t1_pages & t2_pages)[:5]}"

@@ -21,9 +21,9 @@ from repro.errors import CapacityError, PageStateError
 class ClockReplacement:
     """Clock replacement over a fixed number of frames.
 
-    This structure tracks *membership and recency* only; the owning runtime
-    is responsible for keeping it consistent with the :class:`~repro.mem.tier.Tier`
-    it shadows.
+    This structure tracks *membership and recency*, and its membership is
+    the tier's: the runtime keeps no other record of which pages a tier
+    holds, and tests fullness as ``len()`` against the configured frames.
     """
 
     def __init__(self, capacity: int) -> None:

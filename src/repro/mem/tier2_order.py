@@ -23,7 +23,9 @@ class Tier2Fifo:
     FIFO mechanism in Tier-2."  Pages also leave out of order — a Tier-2
     hit promotes the page to Tier-1 — so removal works anywhere.  Backed
     by a dict, whose insertion order is the FIFO order and which gives
-    O(1) membership, append and deletion.
+    O(1) membership, append and deletion.  The queue itself is unbounded:
+    the runtime evicts before it places once ``len()`` reaches the
+    configured Tier-2 frames, and audits check that bound.
     """
 
     def __init__(self) -> None:

@@ -219,9 +219,9 @@ class Telemetry:
                   help="NVMe queue-pair depth the runtime sustains",
                   fn=lambda s=ssd: s.queue_depth)
         reg.gauge("gmt_tier1_occupancy", help="Resident Tier-1 pages",
-                  fn=lambda t=runtime.tier1: len(t))
+                  fn=lambda r=runtime: len(r.t1_clock))
         reg.gauge("gmt_tier2_occupancy", help="Resident Tier-2 pages",
-                  fn=lambda t=runtime.tier2: len(t))
+                  fn=lambda r=runtime: len(r._t2_order))
         reg.gauge("gmt_t1_access_ns",
                   help="Modelled GPU-memory access latency (per-tier latency floor)",
                   fn=lambda p=runtime.config.platform: p.gpu_access_ns)

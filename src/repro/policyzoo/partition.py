@@ -23,7 +23,9 @@ class PartitionedPolicy(EvictionPolicy):
 
     Each sub-policy is built with the FULL tier capacity: budgets are
     the quota layer's job, and a tenant may legitimately hold more than
-    an equal share when its peers are idle.
+    an equal share when its peers are idle.  So no partition bounds the
+    total; the runtime's fullness test reads ``len()``, which a running
+    size keeps O(1) whatever the tenant count.
     """
 
     def __init__(
@@ -37,6 +39,7 @@ class PartitionedPolicy(EvictionPolicy):
             type(p).__name__ for p in self.policies
         )
         self._owner_of = owner_of
+        self._size = sum(len(p) for p in self.policies)
 
     def _sub(self, page: int):
         owner = self._owner_of(page)
@@ -50,15 +53,17 @@ class PartitionedPolicy(EvictionPolicy):
     # -- delegation ---------------------------------------------------
     def insert(self, page: int, referenced: bool = True) -> None:
         self._sub(page).insert(page, referenced=referenced)
+        self._size += 1
 
     def touch(self, page: int) -> None:
         self._sub(page).touch(page)
 
     def remove(self, page: int) -> None:
         self._sub(page).remove(page)
+        self._size -= 1
 
     def __len__(self) -> int:
-        return sum(len(p) for p in self.policies)
+        return self._size
 
     def __contains__(self, page: int) -> bool:
         return page in self._sub(page)
@@ -83,7 +88,9 @@ class PartitionedPolicy(EvictionPolicy):
             raise PageStateError(
                 "cannot select a victim: every partition is empty"
             )
-        return self.policies[best_index].select_victim()
+        victim = self.policies[best_index].select_victim()
+        self._size -= 1
+        return victim
 
     def select_victim_where(
         self, predicate: Callable[[int], bool]
@@ -91,11 +98,18 @@ class PartitionedPolicy(EvictionPolicy):
         for policy in self.policies:
             victim = policy.select_victim_where(predicate)
             if victim is not None:
+                self._size -= 1
                 return victim
         return None
 
     # -- audit hook ---------------------------------------------------
     def check_integrity(self) -> None:
+        total = sum(len(p) for p in self.policies)
+        if self._size != total:
+            raise SimulationError(
+                f"partition size {self._size} disagrees with its "
+                f"partitions' total {total}"
+            )
         for index, policy in enumerate(self.policies):
             check = getattr(policy, "check_integrity", None)
             if check is not None:

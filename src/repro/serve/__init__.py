@@ -57,7 +57,7 @@ from repro.serve.openloop import (
     OpenLoopResult,
     OpenLoopServer,
 )
-from repro.serve.quota import QUOTA_MODES, OwnedTier, QuotaConfig, TierQuotas, split_frames
+from repro.serve.quota import QUOTA_MODES, QuotaConfig, TierQuotas, split_frames
 from repro.serve.runtime import TenantAwareRuntime
 from repro.serve.scheduler import (
     SCHEDULER_NAMES,
@@ -99,7 +99,6 @@ __all__ = [
     "OpenLoopConfig",
     "OpenLoopResult",
     "OpenLoopServer",
-    "OwnedTier",
     "PartitionedPolicy",
     "PoissonArrivals",
     "QuotaConfig",

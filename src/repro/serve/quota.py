@@ -1,9 +1,12 @@
-"""Per-tenant tier frame quotas: budgets, residency accounting, reclaim.
+"""Per-tenant tier frame quotas: budgets, residency counts, reclaim.
 
 The serving layer's resource-isolation mechanism, mirroring TierBPF-style
 migration admission control: each tenant holds a *frame budget* in Tier-1
 and Tier-2, and the runtime's victim selection / placement admission is
-steered so no tenant can flood a tier at its peers' expense.
+steered so no tenant can flood a tier at its peers' expense.  The
+per-tenant residency counts and peaks the budgets are held against live
+here too: the runtime reports each page that enters or leaves a tier
+(:meth:`TierQuotas.entered` / :meth:`TierQuotas.left`), in every mode.
 
 Two enforcement modes (plus ``"none"``):
 
@@ -24,10 +27,10 @@ Two enforcement modes (plus ``"none"``):
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Sequence
 
 from repro.errors import ConfigError
-from repro.mem.tier import Tier
+from repro.serve.stream import owner_of_page
 
 #: Quota modes accepted by :class:`QuotaConfig` and the CLI.
 QUOTA_MODES = ("none", "static", "dynamic")
@@ -99,54 +102,17 @@ def split_frames(capacity: int, shares: Sequence[float]) -> list[int]:
     return budgets
 
 
-class OwnedTier(Tier):
-    """A :class:`~repro.mem.tier.Tier` that also tracks per-owner residency.
-
-    ``owner_of`` maps a page id to its tenant index (a single shift for
-    namespaced pages).  Peak residency per owner is recorded so quota
-    invariants ("residency never exceeded the budget") are checkable
-    after the fact without per-access assertions.
-    """
-
-    def __init__(self, name: str, capacity: int, owner_of: Callable[[int], int]) -> None:
-        super().__init__(name, capacity)
-        self._owner_of = owner_of
-        self._counts: dict[int, int] = {}
-        self._peaks: dict[int, int] = {}
-
-    def insert(self, page: int) -> None:
-        super().insert(page)
-        owner = self._owner_of(page)
-        count = self._counts.get(owner, 0) + 1
-        self._counts[owner] = count
-        if count > self._peaks.get(owner, 0):
-            self._peaks[owner] = count
-
-    def remove(self, page: int) -> None:
-        super().remove(page)
-        owner = self._owner_of(page)
-        self._counts[owner] -= 1
-
-    def owner_count(self, owner: int) -> int:
-        """Pages of ``owner`` currently resident in this tier."""
-        return self._counts.get(owner, 0)
-
-    def peak_owner_count(self, owner: int) -> int:
-        """Highest residency ``owner`` ever reached in this tier."""
-        return self._peaks.get(owner, 0)
-
-    def owner_counts(self) -> dict[int, int]:
-        """Snapshot ``{owner: resident pages}`` (zero entries pruned)."""
-        return {o: c for o, c in self._counts.items() if c}
-
-
 class TierQuotas:
-    """Budget arithmetic + activity tracking for one served run.
+    """Budget arithmetic, residency counts and activity tracking for one
+    served run.
 
     One instance serves both tiers; the runtime asks for
     :meth:`tier1_budget` / :meth:`tier2_budget` of the tenant it is about
     to charge and for :meth:`over_budget_tier1` / ``_tier2`` sets when
-    hunting eviction victims.
+    hunting eviction victims.  Tiers are numbered 1 and 2.  Peak
+    residency per tenant is recorded so quota invariants ("residency
+    never exceeded the budget") are checkable after the fact without
+    per-access assertions.
     """
 
     def __init__(
@@ -177,6 +143,9 @@ class TierQuotas:
         self._now = 0
         #: Tenants whose streams have drained — permanent budget donors.
         self._finished: set[int] = set()
+        #: Per tier: ``{tenant: resident pages}`` and ``{tenant: peak}``.
+        self._counts: dict[int, dict[int, int]] = {1: {}, 2: {}}
+        self._peaks: dict[int, dict[int, int]] = {1: {}, 2: {}}
 
     @property
     def enabled(self) -> bool:
@@ -185,6 +154,34 @@ class TierQuotas:
     @property
     def mode(self) -> str:
         return self.config.mode
+
+    # -- residency -------------------------------------------------------
+    def entered(self, tier: int, page: int) -> None:
+        """``page`` now occupies a frame of ``tier``."""
+        owner = owner_of_page(page)
+        counts = self._counts[tier]
+        count = counts.get(owner, 0) + 1
+        counts[owner] = count
+        peaks = self._peaks[tier]
+        if count > peaks.get(owner, 0):
+            peaks[owner] = count
+
+    def left(self, tier: int, page: int) -> None:
+        """``page`` released its frame of ``tier``."""
+        self._counts[tier][owner_of_page(page)] -= 1
+
+    def resident(self, tier: int, tenant: int) -> int:
+        """Pages of ``tenant`` resident in ``tier`` now."""
+        return self._counts[tier].get(tenant, 0)
+
+    def peak(self, tier: int, tenant: int) -> int:
+        """Highest residency ``tenant`` ever reached in ``tier``."""
+        return self._peaks[tier].get(tenant, 0)
+
+    def residents(self, tier: int) -> dict[int, int]:
+        """Snapshot ``{tenant: resident pages}`` of ``tier`` (zero entries
+        pruned)."""
+        return {t: c for t, c in self._counts[tier].items() if c}
 
     # -- activity --------------------------------------------------------
     def note_active(self, tenant: int, position: int) -> None:
@@ -249,22 +246,22 @@ class TierQuotas:
         return self._t2_static[tenant] if self.enabled else self._tier2_capacity
 
     # -- victim-hunting helpers -----------------------------------------
-    def over_budget_tier1(self, tier: OwnedTier) -> set[int]:
+    def over_budget_tier1(self) -> set[int]:
         """Tenants holding more Tier-1 frames than their current budget."""
         if not self.enabled:
             return set()
         return {
             t
-            for t, count in tier.owner_counts().items()
-            if count > self.tier1_budget(t)
+            for t, count in self._counts[1].items()
+            if count and count > self.tier1_budget(t)
         }
 
-    def over_budget_tier2(self, tier: OwnedTier) -> set[int]:
+    def over_budget_tier2(self) -> set[int]:
         """Tenants holding more Tier-2 frames than their current budget."""
         if not self.enabled:
             return set()
         return {
             t
-            for t, count in tier.owner_counts().items()
-            if count > self.tier2_budget(t)
+            for t, count in self._counts[2].items()
+            if count and count > self.tier2_budget(t)
         }

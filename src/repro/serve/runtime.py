@@ -28,17 +28,18 @@ exactly (asserted in tests).
 from __future__ import annotations
 
 import operator
+from collections import Counter
 
 from repro.core.config import GMTConfig
 from repro.core.runtime import GMTRuntime
 from repro.core.stats import RuntimeStats
-from repro.errors import ConfigError
+from repro.errors import ConfigError, SimulationError
 from repro.mem.page import PageState
 from repro.obs.digest import LatencyDigest
 from repro.policyzoo.governor import GovernorConfig, MigrationGovernor
 from repro.policyzoo.partition import PartitionedPolicy
 from repro.policyzoo.registry import make_eviction_policy
-from repro.serve.quota import OwnedTier, QuotaConfig, TierQuotas
+from repro.serve.quota import QuotaConfig, TierQuotas
 from repro.serve.stream import owner_of_page
 
 _COUNTERS = RuntimeStats.counter_names()
@@ -146,9 +147,6 @@ class TenantAwareRuntime(GMTRuntime):
         # HitMap.MAX_PAGES.
         self._hit_map = None
         self.tenant_names = list(tenant_names)
-        # Swap in owner-aware tiers (both are empty at this point).
-        self.tier1 = OwnedTier("Tier-1", config.tier1_frames, owner_of_page)
-        self.tier2 = OwnedTier("Tier-2", config.tier2_frames, owner_of_page)
         # Per-tenant eviction policies: replace the shared replacement
         # structures (still empty here) with one-partition-per-tenant
         # composites.  Each sub-policy gets the full tier capacity —
@@ -196,6 +194,9 @@ class TenantAwareRuntime(GMTRuntime):
             tier2_capacity=config.tier2_frames,
             weights=weights or [1.0] * len(tenant_names),
         )
+        # The quotas keep each tenant's residency per tier: the base
+        # runtime reports every page that enters or leaves a tier.
+        self._tier_counts = self.quotas
         self.tenant_stats = [RuntimeStats() for _ in tenant_names]
         #: Per-tenant streaming latency digests, fed by the telemetry
         #: shim on every serviced miss (empty until telemetry attaches —
@@ -272,15 +273,13 @@ class TenantAwareRuntime(GMTRuntime):
 
     # -- quota-aware eviction hooks -------------------------------------
     def _tier1_needs_eviction(self) -> bool:
-        if self.tier1.full:
+        if len(self.t1_clock) >= self.config.tier1_frames:
             return True
         tenant = self._current
         if tenant is None or not self.quotas.enabled:
             return False
-        if (
-            self.tier1.owner_count(tenant) >= self.quotas.tier1_budget(tenant)
-            and self.tier1.owner_count(tenant) > 0
-        ):
+        held = self.quotas.resident(1, tenant)
+        if held >= self.quotas.tier1_budget(tenant) and held > 0:
             # The filling tenant is at its frame budget: it must free one
             # of its own frames even though the tier has physical room.
             self.stats.quota_evictions += 1
@@ -290,17 +289,15 @@ class TenantAwareRuntime(GMTRuntime):
     def _next_tier1_victim(self) -> int:
         tenant = self._current
         if tenant is not None and self.quotas.enabled:
-            if (
-                self.tier1.owner_count(tenant) >= self.quotas.tier1_budget(tenant)
-                and self.tier1.owner_count(tenant) > 0
-            ):
+            held = self.quotas.resident(1, tenant)
+            if held >= self.quotas.tier1_budget(tenant) and held > 0:
                 victim = self.t1_clock.select_victim_where(
                     lambda p: owner_of_page(p) == tenant
                 )
                 if victim is not None:
                     return victim
-            if self.tier1.full:
-                over = self.quotas.over_budget_tier1(self.tier1)
+            if len(self.t1_clock) >= self.config.tier1_frames:
+                over = self.quotas.over_budget_tier1()
                 over.discard(tenant)
                 if over:
                     victim = self.t1_clock.select_victim_where(
@@ -311,10 +308,10 @@ class TenantAwareRuntime(GMTRuntime):
         return self.t1_clock.select_victim()
 
     def _admit_tier2(self, state: PageState) -> bool:
-        if not self.quotas.enabled or self.tier2.capacity == 0:
+        if not self.quotas.enabled or self.config.tier2_frames == 0:
             return True
         owner = owner_of_page(state.page)
-        return self.tier2.owner_count(owner) < self.quotas.tier2_budget(owner)
+        return self.quotas.resident(2, owner) < self.quotas.tier2_budget(owner)
 
     # -- migration governor (TierBPF-style admission control) ------------
     def _admit_demotion(self, state: PageState) -> bool:
@@ -338,7 +335,7 @@ class TenantAwareRuntime(GMTRuntime):
 
     def _select_tier2_victim(self) -> int:
         if self.quotas.enabled:
-            over = self.quotas.over_budget_tier2(self.tier2)
+            over = self.quotas.over_budget_tier2()
             if over:
                 victim = self._t2_order.select_victim_where(
                     lambda p: owner_of_page(p) in over
@@ -346,6 +343,20 @@ class TenantAwareRuntime(GMTRuntime):
                 if victim is not None:
                     return victim
         return self._t2_order.select_victim()
+
+    # -- audit -----------------------------------------------------------
+    def check_invariants(self) -> None:
+        """The base structural checks, then each tenant's quota counts
+        per tier against a recount of the tier's eviction structure."""
+        super().check_invariants()
+        for tier, structure in ((1, self.t1_clock), (2, self._t2_order)):
+            recount = dict(Counter(owner_of_page(p) for p in structure.pages()))
+            counted = self.quotas.residents(tier)
+            if recount != counted:
+                raise SimulationError(
+                    f"Tier-{tier} per-tenant counts {counted} disagree with "
+                    f"the tier's eviction structure {recount}"
+                )
 
     # -- telemetry -------------------------------------------------------
     def attach_telemetry(self, telemetry=None):

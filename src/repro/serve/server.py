@@ -479,8 +479,8 @@ class TenantServer:
                     ),
                     slo_p50_ns=stream.spec.slo_p50_ns,
                     slo_p99_ns=stream.spec.slo_p99_ns,
-                    peak_tier1=runtime.tier1.peak_owner_count(idx),
-                    peak_tier2=runtime.tier2.peak_owner_count(idx),
+                    peak_tier1=quotas.peak(1, idx),
+                    peak_tier2=quotas.peak(2, idx),
                     tier1_budget=(
                         quotas.static_tier1_budget(idx) if quotas.enabled else None
                     ),

@@ -19,7 +19,7 @@ def config():
 class TestBamRuntime:
     def test_has_no_tier2(self, config):
         bam = BamRuntime(config)
-        assert bam.tier2.capacity == 0
+        assert bam.config.tier2_frames == 0
         assert bam.name == "BaM"
 
     def test_never_touches_tier2(self, config):

@@ -104,12 +104,14 @@ class TestBrokenStats:
 class TestBrokenRuntime:
     def test_dup_residency_caught_structurally(self):
         runtime = replay(kind="tier-order")
-        t2_page = next(iter(runtime.tier2))
-        t1_page = next(iter(runtime.tier1))
-        runtime.tier1.remove(t1_page)
-        runtime.tier1.insert(t2_page)
-        violated = {v.identity for v in audit_runtime(runtime)}
-        assert "structural" in violated
+        t2_page = runtime._t2_order.pages()[0]
+        t1_page = runtime.t1_clock.pages()[0]
+        runtime.t1_clock.remove(t1_page)
+        runtime.t1_clock.insert(t2_page)
+        assert any(
+            v.identity == "structural" and "duplicated across tiers" in v.message
+            for v in audit_runtime(runtime)
+        )
 
     def test_device_counter_drift_caught(self):
         runtime = replay()

@@ -59,7 +59,7 @@ class TestPrefetchMechanics:
         rt.access(20)
         rt.access(21)
         # Find a page in Tier-2 and demand it back.
-        t2_pages = list(rt.tier2)
+        t2_pages = rt._t2_order.pages()
         if t2_pages:
             issued = rt.stats.prefetches_issued
             rt.access(t2_pages[0])
@@ -84,8 +84,8 @@ class TestPrefetchMechanics:
         rt = make_runtime(prefetch_degree=1, tier1=3, tier2=8)
         rt.access(10)  # Tier-1: 10 (ref) + 11 (prefetched, unref)
         rt.access(20)  # 20 fits; its prefetch of 21 must displace 11, not 10
-        assert 10 in rt.tier1
-        assert 20 in rt.tier1
+        assert 10 in rt.t1_clock
+        assert 20 in rt.t1_clock
         assert rt.page_table.lookup(11).location is not PageLocation.TIER1
 
     def test_accuracy_property(self):

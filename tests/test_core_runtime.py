@@ -55,7 +55,7 @@ class TestEvictionPipeline:
         rt = make_runtime(tier1=4)
         for p in range(20):
             rt.access(p)
-        assert len(rt.tier1) <= 4
+        assert len(rt.t1_clock) <= 4
         rt.check_invariants()
 
     def test_tier_order_places_evictions_in_tier2(self):
@@ -64,17 +64,17 @@ class TestEvictionPipeline:
             rt.access(p)
         assert rt.stats.t1_evictions == 3
         assert rt.stats.t2_placements == 3
-        assert len(rt.tier2) == 3
+        assert len(rt._t2_order) == 3
 
     def test_tier2_hit_promotes_and_frees_slot(self):
         rt = make_runtime("tier-order", tier1=2, tier2=8)
         for p in range(4):
             rt.access(p)
         # Page 0 was evicted into Tier-2; touch it again.
-        assert 0 in rt.tier2
+        assert 0 in rt._t2_order
         rt.access(0)
-        assert 0 in rt.tier1
-        assert 0 not in rt.tier2
+        assert 0 in rt.t1_clock
+        assert 0 not in rt._t2_order
         assert rt.stats.t2_hits == 1
         assert rt.stats.t2_fetches == 1
         rt.check_invariants()
@@ -90,7 +90,7 @@ class TestEvictionPipeline:
         # Force many placements; Tier-2 of 2 frames must evict eventually.
         for p in range(30):
             rt.access(p)
-        assert len(rt.tier2) <= 2
+        assert len(rt._t2_order) <= 2
         rt.check_invariants()
 
     def test_dirty_eviction_writes_back(self):

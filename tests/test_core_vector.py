@@ -235,7 +235,7 @@ class TestEngineParityProperties:
         assert batches, "no hit run was retired as a batch"
         # The structures agree beyond their residents: the same victims
         # come out in the same order.
-        victims = min(3, len(reference.tier1))
+        victims = min(3, len(reference.t1_clock))
         assert [reference.t1_clock.select_victim() for _ in range(victims)] == [
             batched.t1_clock.select_victim() for _ in range(victims)
         ]
@@ -339,7 +339,7 @@ class TestEngineSelection:
             assert type(runtime.t1_clock) is ClockReplacement, kind
             assert len(runtime.page_table) == 12, kind
             assert all(type(state) is PageState for state in runtime.page_table)
-            resident = sorted(runtime.tier1)
+            resident = sorted(runtime.t1_clock.pages())
             assert np.flatnonzero(runtime._hit_map.bits).tolist() == resident
 
 

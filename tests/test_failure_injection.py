@@ -34,24 +34,24 @@ class TestInvariantDetection:
 
     def test_location_mismatch_detected(self):
         rt = make_runtime()
-        page = next(iter(rt.tier1))
+        page = rt.t1_clock.pages()[0]
         rt.page_table.lookup(page).location = PageLocation.TIER3
         with pytest.raises(SimulationError):
             rt.check_invariants()
 
     def test_cross_tier_duplication_detected(self):
         rt = make_runtime()
-        t2_page = next(iter(rt.tier2))
+        t2_page = rt._t2_order.pages()[0]
         # Force the page into Tier-1's membership as well.
-        rt.tier1.remove(next(iter(rt.tier1)))
-        rt.tier1.insert(t2_page)
-        with pytest.raises(SimulationError):
+        rt.t1_clock.remove(rt.t1_clock.pages()[0])
+        rt.t1_clock.insert(t2_page)
+        with pytest.raises(SimulationError, match="duplicated across tiers"):
             rt.check_invariants()
 
     def test_phantom_tier2_resident_detected(self):
         rt = make_runtime()
         phantom = 999
-        rt.tier2.insert(phantom)
+        rt._t2_order.insert(phantom)
         # The page table says TIER3; membership says TIER2.
         with pytest.raises(SimulationError):
             rt.check_invariants()
@@ -60,19 +60,21 @@ class TestInvariantDetection:
 class TestOperationLevelGuards:
     def test_double_insert_rejected_by_tier(self):
         rt = make_runtime()
-        page = next(iter(rt.tier1))
+        page = rt.t1_clock.pages()[0]
         with pytest.raises(PageStateError):
-            rt.tier1.insert(page)
+            rt.t1_clock.insert(page)
 
     def test_overfill_rejected_by_tier(self):
         rt = make_runtime(tier1=4)
-        assert rt.tier1.full
+        assert len(rt.t1_clock) == rt.config.tier1_frames
         with pytest.raises(CapacityError):
-            rt.tier1.insert(12345)
+            rt.t1_clock.insert(12345)
 
     def test_clock_and_tier_stay_in_sync(self):
         rt = make_runtime()
-        assert set(rt.t1_clock.pages()) == set(rt.tier1)
+        assert set(rt.t1_clock.pages()) == {
+            s.page for s in rt.page_table if s.location is PageLocation.TIER1
+        }
 
     def test_dirty_flag_never_set_on_nonresident(self):
         rt = make_runtime()
@@ -118,12 +120,4 @@ class TestStatsConsistencyAfterLongRuns:
         assert s.t1_misses == s.t2_hits + s.ssd_page_reads
         # Every page currently in Tier-2 was placed and not yet fetched
         # back or evicted out.
-        assert len(rt.tier2) == s.t2_placements - s.t2_fetches - s.t2_evictions - (
-            0
-        ) - _tier2_discards(s)
-
-
-def _tier2_discards(stats):
-    """Pages that left Tier-2 without fetch or FIFO eviction (none today;
-    kept explicit so the balance equation is auditable)."""
-    return 0
+        assert len(rt._t2_order) == s.t2_placements - s.t2_fetches - s.t2_evictions

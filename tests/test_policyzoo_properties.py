@@ -10,10 +10,17 @@ the S3-FIFO ghost bound and queue disjointness, and the generational
 clock's monotone generation ids.
 """
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.policyzoo import ZOO_POLICY_NAMES, make_eviction_policy
+from repro.errors import SimulationError
+from repro.policyzoo import (
+    EVICTION_POLICY_NAMES,
+    ZOO_POLICY_NAMES,
+    PartitionedPolicy,
+    make_eviction_policy,
+)
 from repro.policyzoo.mglru import GenClockReplacement
 from repro.policyzoo.s3fifo import S3FifoReplacement
 
@@ -95,6 +102,42 @@ class TestZooContract:
             resident.discard(victim)
         assert sorted(policy.pages()) == sorted(resident)
         policy.check_integrity()
+
+
+def two_tenant_partition(name):
+    """Even pages belong to tenant 0, odd pages to tenant 1."""
+    return PartitionedPolicy(
+        [make_eviction_policy(name, CAPACITY) for _ in range(2)],
+        lambda page: page % 2,
+    )
+
+
+class TestPartitionedSize:
+    """The runtime's fullness test reads ``len()`` on every fill, so a
+    partition keeps a running size instead of summing its partitions."""
+
+    @settings(max_examples=60)
+    @given(
+        ops=ops_st,
+        matching=subset_st,
+        name=st.sampled_from(EVICTION_POLICY_NAMES),
+    )
+    def test_len_is_the_partitions_sum(self, ops, matching, name):
+        policy = two_tenant_partition(name)
+        resident = apply_ops(policy, ops)
+        victim = policy.select_victim_where(lambda p: p in matching)
+        if victim is not None:
+            resident.discard(victim)
+        assert len(policy) == sum(len(p) for p in policy.policies)
+        assert len(policy) == len(resident)
+        policy.check_integrity()
+
+    def test_drifted_size_fails_integrity(self):
+        policy = two_tenant_partition("clock")
+        policy.insert(4)
+        policy._size += 1
+        with pytest.raises(SimulationError, match="partition size"):
+            policy.check_integrity()
 
 
 class TestS3FifoInvariants:

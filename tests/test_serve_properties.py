@@ -67,25 +67,23 @@ def test_invariants_after_interleaved_replay(seed):
 
     # Per-tenant residency decomposes each tier's occupancy and can never
     # exceed the tier's physical capacity.
-    for tier in (runtime.tier1, runtime.tier2):
-        counts = tier.owner_counts()
-        assert sum(counts.values()) == len(tier)
-        assert sum(counts.values()) <= tier.capacity
+    quotas = runtime.quotas
+    for tier, structure, capacity in (
+        (1, runtime.t1_clock, config.tier1_frames),
+        (2, runtime._t2_order, config.tier2_frames),
+    ):
+        counts = quotas.residents(tier)
+        assert sum(counts.values()) == len(structure)
+        assert sum(counts.values()) <= capacity
         for owner, count in counts.items():
             assert 0 <= owner < len(streams)
-            assert count == tier.owner_count(owner)
+            assert count == quotas.resident(tier, owner)
 
     # Static quotas are hard caps on *peak* residency.
     if mode == "static":
         for idx in range(len(streams)):
-            assert (
-                runtime.tier1.peak_owner_count(idx)
-                <= runtime.quotas.static_tier1_budget(idx)
-            )
-            assert (
-                runtime.tier2.peak_owner_count(idx)
-                <= runtime.quotas.static_tier2_budget(idx)
-            )
+            assert quotas.peak(1, idx) <= quotas.static_tier1_budget(idx)
+            assert quotas.peak(2, idx) <= quotas.static_tier2_budget(idx)
 
     # The tenant slices decompose the aggregate counters exactly.
     for field in RuntimeStats.counter_names():

@@ -213,7 +213,7 @@ class TestStaticQuotas:
         for t in result.tenants:
             idx = result.tenants.index(t)
             assert t.peak_tier1 <= quotas.static_tier1_budget(idx)
-            assert t.peak_tier1 == server.runtime.tier1.peak_owner_count(idx)
+            assert t.peak_tier1 == quotas.peak(1, idx)
 
     def test_tier2_peaks_within_budget(self, served):
         server, result = served
@@ -258,7 +258,111 @@ class TestDynamicQuotas:
         )
         assert grew
         # Physical capacity is still respected.
-        assert sum(server.runtime.tier1.owner_counts().values()) <= config.tier1_frames
+        assert sum(quotas.residents(1).values()) <= config.tier1_frames
+
+
+#: Per-tenant values each locked mix pins, in row order; the last two
+#: are the tenant's peak Tier-1 and Tier-2 residency.
+_LOCKED_FIELDS = (
+    "t1_misses",
+    "t2_hits",
+    "quota_evictions",
+    "t2_quota_denials",
+    "demotions_throttled",
+    "promotions_throttled",
+    "ssd_page_writes",
+)
+
+
+class TestQuotaDecisionsLock:
+    """What quota enforcement decides, pinned per tenant.
+
+    The invariant tests above only bound peaks by budgets; these mixes
+    pin the decisions themselves (self-evictions, Tier-2 denials, both
+    governor throttles, dynamic reclaim) and the peaks they leave, so a
+    change to residency bookkeeping that alters a single victim fails
+    here.  Dropping the per-tenant count update of a Tier-2 promotion,
+    for instance, changes all three mixes.
+    """
+
+    @staticmethod
+    def _served(names, **kwargs):
+        config = default_config(SCALE)
+        streams = build_tenants(
+            [TenantSpec(name=n, workload=n) for n in names], config, seed=0
+        )
+        server = TenantServer(config, streams, **kwargs)
+        result = server.run(solo_baselines=False)
+        rows = {
+            t.tenant: tuple(getattr(t.stats, f) for f in _LOCKED_FIELDS)
+            + (t.peak_tier1, t.peak_tier2)
+            for t in result.tenants
+        }
+        server.runtime.check_invariants()
+        return round(result.result.elapsed_ns), rows
+
+    def test_static_round_robin(self):
+        # Tier-1 self-eviction and Tier-2 denials both engage.
+        elapsed, rows = self._served(
+            ["bfs", "hotspot", "srad"],
+            discipline="round-robin",
+            quota=QuotaConfig(mode="static"),
+        )
+        assert elapsed == 39381151
+        assert rows == {
+            "bfs": (202, 16, 5, 132, 0, 0, 10, 11, 43),
+            "hotspot": (1095, 381, 0, 660, 0, 0, 335, 11, 43),
+            "srad": (977, 306, 3, 582, 0, 0, 303, 10, 42),
+        }
+
+    def test_dynamic_fifo_reclaim(self):
+        # Pagerank runs alone after bfs drains and grows past its static
+        # share (16 Tier-1 frames) to the whole tier.
+        elapsed, rows = self._served(
+            ["bfs", "pagerank"],
+            discipline="fifo",
+            quota=QuotaConfig(mode="dynamic", idle_window=50),
+        )
+        assert elapsed == 6927490
+        assert rows == {
+            "bfs": (200, 32, 184, 88, 0, 0, 7, 16, 64),
+            "pagerank": (713, 553, 0, 16, 0, 0, 6, 32, 128),
+        }
+
+    def test_partitioned_zoo_with_governor(self):
+        # Per-tenant lfu/mru partitions; both kinds of throttle fire.
+        elapsed, rows = self._served(
+            ["bfs", "hotspot", "srad"],
+            discipline="weighted-fair",
+            quota=QuotaConfig(mode="static"),
+            tier1_policy="lfu",
+            tier2_policy="mru",
+            governor=GovernorConfig(tokens_per_1k_accesses=20.0, burst=4.0),
+        )
+        assert elapsed == 54035930
+        assert rows == {
+            "bfs": (201, 3, 1, 0, 175, 3, 19, 11, 12),
+            "hotspot": (1093, 43, 0, 0, 1033, 42, 515, 11, 10),
+            "srad": (990, 43, 0, 0, 931, 42, 318, 10, 8),
+        }
+
+
+class TestQuotaCountAudit:
+    def test_drifted_count_is_a_structural_violation(self, config):
+        from repro.check.identities import audit_runtime
+
+        server = make_server(
+            config, ["bfs", "pagerank"], quota=QuotaConfig(mode="static")
+        )
+        server.run(solo_baselines=False)
+        runtime = server.runtime
+        assert audit_runtime(runtime) == []
+        # A Tier-1 entry with no page behind it: a missed count update.
+        runtime.quotas.entered(1, namespace_base(1))
+        assert any(
+            v.identity == "structural" and "Tier-1 per-tenant counts" in v.message
+            for v in audit_runtime(runtime)
+        )
 
 
 class TestValidation:
