@@ -73,7 +73,7 @@ CATALOG: tuple[tuple[str, str], ...] = (
      "check_invariants(): each tier's eviction structure (its one "
      "membership record) within the configured frames, no page in both "
      "tiers' structures, page-table locations match that membership, "
-     "the hit map matches the page table (serving runtimes: each "
+     "the hit map matches the page table (serving runtimes also: each "
      "tenant's quota counts match a recount of the structures)"),
     ("eviction-structural",
      "each tier's eviction structure passes its own check_integrity() "

@@ -89,13 +89,14 @@ class GMTConfig:
     #: fast, the default) or "queueing" (explicit virtual-time service
     #: network, :mod:`repro.sim.queueing`).
     time_model: str = "bottleneck"
-    #: Number of pages the workload's address space actually spans (the
-    #: workload's ``footprint_pages``).  When set, the sequential
-    #: prefetcher clamps its window to it — without the bound it would
-    #: fabricate page-table entries and SSD reads for pages the trace can
-    #: never touch.  None (the default) leaves the prefetcher unbounded,
-    #: matching runs whose page-id space is open-ended (e.g. the
-    #: namespaced multi-tenant serving layer).
+    #: Number of pages the workload's address space spans (the
+    #: workload's ``footprint_pages``, which bounds every page id its
+    #: trace emits).  When set, the sequential prefetcher clamps its
+    #: window to it — without the bound it would fabricate page-table
+    #: entries and SSD reads for pages the trace can never touch.  None
+    #: (the default) leaves the prefetcher unbounded.  The serving
+    #: runtime ignores it and clamps each prefetch to the owning
+    #: tenant's page range instead.
     footprint_pages: int | None = None
     #: Tier-1 eviction policy from the :mod:`repro.policyzoo` registry
     #: ("clock", "s3fifo", "mglru", "lfu", "mru", "lhd").  "clock" is

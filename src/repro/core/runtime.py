@@ -127,7 +127,7 @@ class GMTRuntime:
         #: can change: a demand fill and a pending prefetch's first
         #: demand touch (:meth:`access`) set it, a Tier-1 eviction
         #: (:meth:`_ensure_tier1_frame`) clears it.
-        self._hit_map: vector.HitMap | None = vector.HitMap()
+        self._hit_map = vector.HitMap()
         #: Probe window of :meth:`run`, adapted as it replays.
         self._window = _WINDOW_INIT
         self.vts = VirtualTimestampClock()
@@ -582,8 +582,7 @@ class GMTRuntime:
                 # hit and run the deferred fill bookkeeping (Markov
                 # resolution happens at demand time, not prefetch time).
                 state.prefetched = False
-                if self._hit_map is not None:
-                    self._hit_map.bits[page] = True
+                self._hit_map.bits[page] = True
                 self.stats.prefetch_hits += 1
                 self.policy.on_tier1_fill(state, from_tier2=False)
             return
@@ -674,11 +673,9 @@ class GMTRuntime:
             self._tier_counts.entered(1, page)
         state.location = PageLocation.TIER1
         state.prefetched = False
-        hit_map = self._hit_map
-        if hit_map is not None:
-            # Cover this page and the prefetches its miss triggers.
-            hit_map.ensure(page + 1 + self.config.prefetch_degree)
-            hit_map.bits[page] = True
+        # Cover this page and the prefetches its miss triggers.
+        self._hit_map.ensure(page + 1 + self.config.prefetch_degree)
+        self._hit_map.bits[page] = True
         if write:
             state.dirty = True
         self.policy.on_tier1_fill(state, from_tier2=from_tier2)
@@ -700,13 +697,14 @@ class GMTRuntime:
         their reference bit clear so unused ones are evicted first, and
         defer policy fill bookkeeping to their first demand access.
 
-        The window never crosses ``config.footprint_pages``: pages past
-        the workload's address space do not exist, so reading them would
-        fabricate page-table entries and phantom SSD traffic.
+        The window never crosses :meth:`_address_end`: pages past the
+        address space do not exist, so reading them would fabricate
+        page-table entries and phantom SSD traffic.
         """
         stop = page + 1 + self.config.prefetch_degree
-        if self.config.footprint_pages is not None:
-            stop = min(stop, self.config.footprint_pages)
+        end = self._address_end(page)
+        if end is not None:
+            stop = min(stop, end)
         for candidate in range(page + 1, stop):
             state = self.page_table.lookup(candidate)
             if state.location is not PageLocation.TIER3:
@@ -742,6 +740,11 @@ class GMTRuntime:
             state.location = PageLocation.TIER1
             state.dirty = False
             state.prefetched = True
+
+    def _address_end(self, page: int) -> int | None:
+        """One past the last page id of ``page``'s address space (None:
+        unbounded); the serving runtime returns its tenant's range end."""
+        return self.config.footprint_pages
 
     # ------------------------------------------------------------------
     # eviction pipeline
@@ -808,8 +811,7 @@ class GMTRuntime:
         if self._tier_counts is not None:
             self._tier_counts.left(1, victim)
         vstate.location = PageLocation.TIER3  # provisional; updated below
-        if self._hit_map is not None:
-            self._hit_map.bits[victim] = False
+        self._hit_map.bits[victim] = False
         self.stats.t1_evictions += 1
         if vstate.prefetched:
             vstate.prefetched = False
@@ -1036,8 +1038,7 @@ class GMTRuntime:
                     f"page {state.page}: location {state.location} but "
                     f"membership says {expected}"
                 )
-        if self._hit_map is not None:
-            self._check_hit_map()
+        self._check_hit_map()
 
     def _check_hit_map(self) -> None:
         """The hit map's set bits are exactly the pages the page table

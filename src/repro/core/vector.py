@@ -48,11 +48,10 @@ class HitMap:
     :class:`~repro.core.runtime.GMTRuntime`: a demand fill sets it, a
     pending prefetch's first demand touch sets it, a Tier-1 eviction
     clears it (a prefetch fill leaves it clear).  The arrays grow
-    geometrically on demand; page ids are assumed reasonably dense
-    (they are: workloads number pages ``0..footprint``).  Sparse
-    gigantic ids, e.g. the serve layer's namespaced ``tenant << 32``
-    pages, exceed :data:`MAX_PAGES` and raise, which is why the serve
-    multiplexer keeps no hit map.
+    geometrically on demand; page ids are dense: workloads number pages
+    ``0..footprint``, and served tenants occupy contiguous ranges of one
+    page space (:mod:`repro.serve.stream`).  An id at or past
+    :data:`MAX_PAGES` raises.
     """
 
     #: Hard cap on the dense page-id space (64 Mi pages, 9 bytes each).

@@ -76,7 +76,7 @@ def make_entry(
 
     ``engine`` records how the run's replays ran, the first element of
     ``engine_resolution()``: ``"vector"`` when hit runs retire in
-    batches, ``"scalar"`` for the serving runtimes that replay per warp
+    batches, ``"scalar"`` for the servers that issue warps one at a time
     — trend analysis over mixed histories would otherwise flag the
     batching speedup as a drift.
     """

@@ -72,6 +72,11 @@ class Telemetry:
         self.name = labels.get("runtime", "run") if labels else "run"
         self._runtime: GMTRuntime | None = None
         self._cost = None  # the runtime's CostModel; drives the trace clock
+        #: Set by a serving runtime: returns the issuing tenant's label
+        #: (or None), stamped as ``tenant=`` on spans, instants and
+        #: misses; a labelled miss also feeds ``tenant_digests[label]``.
+        self.tenant_source = None
+        self.tenant_digests: dict[str, LatencyDigest] = {}
         #: Optional page-lifecycle flight recorder (None = disabled).
         self.lifecycle = None
         if lifecycle or lifecycle_sample_rate is not None:
@@ -269,6 +274,7 @@ class Telemetry:
         runtime.engine.observer = None
         if runtime._flight is self.lifecycle:
             runtime._flight = None
+        self.tenant_source = None
         attach = getattr(runtime.policy, "attach_telemetry", None)
         if attach is not None:
             attach(None)
@@ -287,17 +293,29 @@ class Telemetry:
     # ------------------------------------------------------------------
     def span(self, name: str, cat: str, dur_ns: float, **args) -> None:
         """Record a timed span at the current virtual time."""
+        tenant = self.tenant_source and self.tenant_source()
+        if tenant is not None:
+            args["tenant"] = tenant
         self.tracer.record(name, cat, self.now_ns, dur_ns, **args)
 
     def instant(self, name: str, cat: str, **args) -> None:
         """Record a zero-duration marker at the current virtual time."""
+        tenant = self.tenant_source and self.tenant_source()
+        if tenant is not None:
+            args["tenant"] = tenant
         self.tracer.instant(name, cat, self.now_ns, **args)
 
     def on_miss(self, page: int, fault_ns: float, source: str) -> None:
         """One serviced demand miss: span + latency histogram + digest."""
         self.fault_latency.observe(fault_ns)
         self.latency_digest.observe(fault_ns)
-        self.tracer.record("miss", "access", self.now_ns, fault_ns, page=page, src=source)
+        tenant = self.tenant_source and self.tenant_source()
+        if tenant is None:
+            self.tracer.record("miss", "access", self.now_ns, fault_ns, page=page, src=source)
+        else:
+            self.tenant_digests[tenant].observe(fault_ns)
+            self.tracer.record("miss", "access", self.now_ns, fault_ns,
+                               page=page, src=source, tenant=tenant)
 
     def tick(self, position: int) -> None:
         """Advance the delta-window clock (called per coalesced access)."""

@@ -4,9 +4,9 @@ The paper evaluates GMT one application at a time; this package models
 the production question — many concurrent workloads contending for one
 Tier-1/Tier-2/Tier-3 hierarchy — on the simulated-time axis:
 
-- :mod:`repro.serve.stream` — tenant identity and page-id namespacing
-  (tenants never alias pages), plus :class:`TenantPopulation` for
-  service-scale zipf-skewed fleets;
+- :mod:`repro.serve.stream` — tenant identity and contiguous page
+  ranges in one dense page space (tenants never alias pages), plus
+  :class:`TenantPopulation` for service-scale zipf-skewed fleets;
 - :mod:`repro.serve.scheduler` — interleaving disciplines (round-robin,
   weighted-fair by issued bytes, FIFO-arrival) merging the streams into
   one trace the existing runtime replays, with epoch-batched decisions
@@ -74,19 +74,11 @@ from repro.serve.server import (
     TenantServer,
     build_tenants,
 )
-from repro.serve.stream import (
-    NAMESPACE_BITS,
-    TenantPopulation,
-    TenantSpec,
-    TenantStream,
-    namespace_base,
-    owner_of_page,
-)
+from repro.serve.stream import TenantPopulation, TenantSpec, TenantStream
 
 __all__ = [
     "ARRIVAL_PROCESS_NAMES",
     "EVICTION_POLICY_NAMES",
-    "NAMESPACE_BITS",
     "QUOTA_MODES",
     "SCHEDULER_NAMES",
     "Admission",
@@ -116,7 +108,5 @@ __all__ = [
     "make_arrival_process",
     "make_scheduler",
     "merge_streams",
-    "namespace_base",
-    "owner_of_page",
     "split_frames",
 ]

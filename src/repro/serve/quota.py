@@ -27,10 +27,9 @@ Two enforcement modes (plus ``"none"``):
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Callable, Sequence
 
 from repro.errors import ConfigError
-from repro.serve.stream import owner_of_page
 
 #: Quota modes accepted by :class:`QuotaConfig` and the CLI.
 QUOTA_MODES = ("none", "static", "dynamic")
@@ -112,7 +111,8 @@ class TierQuotas:
     hunting eviction victims.  Tiers are numbered 1 and 2.  Peak
     residency per tenant is recorded so quota invariants ("residency
     never exceeded the budget") are checkable after the fact without
-    per-access assertions.
+    per-access assertions.  ``owner_of`` maps a page id to the index of
+    the tenant owning it.
     """
 
     def __init__(
@@ -121,6 +121,7 @@ class TierQuotas:
         tier1_capacity: int,
         tier2_capacity: int,
         weights: Sequence[float],
+        owner_of: Callable[[int], int],
     ) -> None:
         self.config = config
         self.tenants = len(weights)
@@ -137,12 +138,16 @@ class TierQuotas:
         self._t2_static = split_frames(tier2_capacity, t2_shares) if config.enabled else []
         self._tier1_capacity = tier1_capacity
         self._tier2_capacity = tier2_capacity
+        self._owner_of = owner_of
         #: Last coalesced-access position each tenant was active at
         #: (-inf-ish start: every tenant counts as active until proven idle).
         self._last_active = [0] * self.tenants
         self._now = 0
         #: Tenants whose streams have drained — permanent budget donors.
         self._finished: set[int] = set()
+        #: Dynamic mode's ``[_now, tier-1 budgets, tier-2 budgets]``;
+        #: None once activity was noted since.
+        self._dynamic: list | None = None
         #: Per tier: ``{tenant: resident pages}`` and ``{tenant: peak}``.
         self._counts: dict[int, dict[int, int]] = {1: {}, 2: {}}
         self._peaks: dict[int, dict[int, int]] = {1: {}, 2: {}}
@@ -158,7 +163,7 @@ class TierQuotas:
     # -- residency -------------------------------------------------------
     def entered(self, tier: int, page: int) -> None:
         """``page`` now occupies a frame of ``tier``."""
-        owner = owner_of_page(page)
+        owner = self._owner_of(page)
         counts = self._counts[tier]
         count = counts.get(owner, 0) + 1
         counts[owner] = count
@@ -168,7 +173,7 @@ class TierQuotas:
 
     def left(self, tier: int, page: int) -> None:
         """``page`` released its frame of ``tier``."""
-        self._counts[tier][owner_of_page(page)] -= 1
+        self._counts[tier][self._owner_of(page)] -= 1
 
     def resident(self, tier: int, tenant: int) -> int:
         """Pages of ``tenant`` resident in ``tier`` now."""
@@ -189,10 +194,12 @@ class TierQuotas:
         self._last_active[tenant] = position
         if position > self._now:
             self._now = position
+        self._dynamic = None
 
     def note_finished(self, tenant: int) -> None:
         """Mark ``tenant``'s stream as drained (its budget is reclaimable)."""
         self._finished.add(tenant)
+        self._dynamic = None
 
     def _idle(self, tenant: int) -> bool:
         if tenant in self._finished:
@@ -214,30 +221,35 @@ class TierQuotas:
         return [t for t in range(self.tenants) if not self._idle(t)]
 
     # -- budgets ---------------------------------------------------------
-    def _budget(self, static: list[int], tenant: int) -> int:
+    def _budget(self, tier: int, tenant: int) -> int:
         if not self.enabled:
             return 1 << 62  # effectively unbounded
-        base = static[tenant]
         if self.mode == "static":
-            return base
+            return (self._t1_static if tier == 1 else self._t2_static)[tenant]
         # dynamic: idle tenants' static budgets pool to the active set.
         # Idle tenants — and everyone, when no tenant is active — keep
         # their static share; only truly active tenants receive a cut of
         # the idle pool, so the budgets of any disjoint donor/recipient
-        # split never sum past the tier's capacity.
-        active = self.active_tenants()
-        if tenant not in active:
-            return base
-        pool = sum(static[t] for t in range(self.tenants) if self._idle(t))
-        return base + pool // len(active)
+        # split never sum past the tier's capacity.  Victim hunting reads
+        # many budgets between two activity changes: compute them once.
+        view = self._dynamic
+        if view is None or view[0] != self._now:
+            active = [not self._idle(t) for t in range(self.tenants)]
+            view = [self._now]
+            for static in (self._t1_static, self._t2_static):
+                pool = sum(b for b, a in zip(static, active) if not a)
+                share = pool // max(1, sum(active))
+                view.append([b + share if a else b for b, a in zip(static, active)])
+            self._dynamic = view
+        return view[tier][tenant]
 
     def tier1_budget(self, tenant: int) -> int:
         """Effective Tier-1 frame budget of ``tenant`` right now."""
-        return self._budget(self._t1_static, tenant)
+        return self._budget(1, tenant)
 
     def tier2_budget(self, tenant: int) -> int:
         """Effective Tier-2 frame budget of ``tenant`` right now."""
-        return self._budget(self._t2_static, tenant)
+        return self._budget(2, tenant)
 
     def static_tier1_budget(self, tenant: int) -> int:
         return self._t1_static[tenant] if self.enabled else self._tier1_capacity

@@ -20,9 +20,11 @@ Three things distinguish a served runtime from the single-stream one:
   per-tenant lanes and per-tenant metric registries export distinct
   Prometheus series.
 
-With quotas disabled and a single tenant, every hook degenerates to the
-base behaviour and the runtime reproduces the single-stream numbers
-exactly (asserted in tests).
+The tenants occupy contiguous ranges of one dense page space, so the
+runtime keeps the same page table, hit map and replay as every other
+runtime.  With quotas disabled and a single tenant, every hook
+degenerates to the base behaviour and the runtime reproduces the
+single-stream numbers exactly (asserted in tests).
 """
 
 from __future__ import annotations
@@ -40,63 +42,11 @@ from repro.policyzoo.governor import GovernorConfig, MigrationGovernor
 from repro.policyzoo.partition import PartitionedPolicy
 from repro.policyzoo.registry import make_eviction_policy
 from repro.serve.quota import QuotaConfig, TierQuotas
-from repro.serve.stream import owner_of_page
+from repro.serve.stream import TenantStream
 
 _COUNTERS = RuntimeStats.counter_names()
 #: Reads every scalar counter of a stats object as one tuple.
 _read_counters = operator.attrgetter(*_COUNTERS)
-
-
-class _TenantObsShim:
-    """Wraps an attached Telemetry to stamp emissions with the tenant.
-
-    Spans gain a ``tenant=<name>`` argument (distinct Perfetto lanes, see
-    :func:`repro.obs.export.chrome_trace_events`); the metrics registry
-    and windowing passes straight through.
-    """
-
-    __slots__ = ("_obs", "_runtime")
-
-    def __init__(self, obs, runtime: "TenantAwareRuntime") -> None:
-        self._obs = obs
-        self._runtime = runtime
-
-    def _tenant(self) -> str | None:
-        return self._runtime.current_tenant_label()
-
-    def span(self, name: str, cat: str, dur_ns: float, **args) -> None:
-        tenant = self._tenant()
-        if tenant is not None:
-            args["tenant"] = tenant
-        self._obs.span(name, cat, dur_ns, **args)
-
-    def instant(self, name: str, cat: str, **args) -> None:
-        tenant = self._tenant()
-        if tenant is not None:
-            args["tenant"] = tenant
-        self._obs.instant(name, cat, **args)
-
-    def on_miss(self, page: int, fault_ns: float, source: str) -> None:
-        tenant = self._tenant()
-        if tenant is None:
-            self._obs.on_miss(page, fault_ns, source)
-            return
-        self._obs.fault_latency.observe(fault_ns)
-        self._obs.latency_digest.observe(fault_ns)
-        self._runtime.tenant_digests[self._runtime._current].observe(fault_ns)
-        self._obs.tracer.record(
-            "miss", "access", self._obs.now_ns, fault_ns,
-            page=page, src=source, tenant=tenant,
-        )
-
-    def tick(self, position: int) -> None:
-        self._obs.tick(position)
-
-    def finish(self) -> None:
-        self._obs.finish()
-
-    def detach(self) -> None:
-        self._obs.detach()
 
 
 class TenantAwareRuntime(GMTRuntime):
@@ -104,10 +54,11 @@ class TenantAwareRuntime(GMTRuntime):
 
     Args:
         config: the shared hierarchy's geometry/policy/platform.
-        tenant_names: display names, one per tenant (their length fixes
-            the tenant count).
+        streams: the tenants, in index order, in contiguous page ranges
+            from 0 (:func:`~repro.serve.stream.lay_out_streams`); their
+            names label telemetry and their weights are the default
+            quota shares.
         quota: per-tenant tier budgets (default: no quotas).
-        weights: scheduling weights, used as default quota shares.
         policy_factory: forwarded to :class:`GMTRuntime`.
         tier1_policies / tier2_policies: per-tenant eviction policy
             names (``repro.policyzoo`` registry), one entry per tenant;
@@ -124,18 +75,27 @@ class TenantAwareRuntime(GMTRuntime):
     def __init__(
         self,
         config: GMTConfig,
-        tenant_names: list[str],
+        streams: list[TenantStream],
         quota: QuotaConfig | None = None,
-        weights: list[float] | None = None,
         policy_factory=None,
         tier1_policies: list[str | None] | None = None,
         tier2_policies: list[str | None] | None = None,
         governor: GovernorConfig | None = None,
     ) -> None:
-        if not tenant_names:
+        if not streams:
             raise ConfigError("TenantAwareRuntime needs at least one tenant")
-        if weights is not None and len(weights) != len(tenant_names):
-            raise ConfigError("weights must name every tenant")
+        tenant_names = [s.name for s in streams]
+        if len(set(tenant_names)) != len(tenant_names):
+            raise ConfigError(f"tenant names must be unique: {tenant_names}")
+        owners: list[int] = []
+        for expected, stream in enumerate(streams):
+            if (stream.index, stream.base) != (expected, len(owners)):
+                raise ConfigError(
+                    f"tenant {stream.name!r} has index {stream.index}, base "
+                    f"{stream.base}; streams must be in index order, in contiguous "
+                    f"page ranges from 0 (expected {expected}, {len(owners)})"
+                )
+            owners.extend([expected] * stream.footprint_pages)
         for label, policies in (
             ("tier1_policies", tier1_policies),
             ("tier2_policies", tier2_policies),
@@ -143,10 +103,12 @@ class TenantAwareRuntime(GMTRuntime):
             if policies is not None and len(policies) != len(tenant_names):
                 raise ConfigError(f"{label} must name every tenant")
         super().__init__(config, policy_factory)
-        # No hit map: namespaced page ids (tenant << 32) exceed
-        # HitMap.MAX_PAGES.
-        self._hit_map = None
-        self.tenant_names = list(tenant_names)
+        self.tenant_names = tenant_names
+        #: ``owner_of(page)`` is the index of the tenant whose range holds
+        #: ``page``: one lookup in a dense per-page owner list.
+        self.owner_of = owners.__getitem__
+        #: One past each tenant's last page id.
+        self._range_end = [s.base + s.footprint_pages for s in streams]
         # Per-tenant eviction policies: replace the shared replacement
         # structures (still empty here) with one-partition-per-tenant
         # composites.  Each sub-policy gets the full tier capacity —
@@ -158,7 +120,7 @@ class TenantAwareRuntime(GMTRuntime):
                     make_eviction_policy(name, config.tier1_frames)
                     for name in names
                 ],
-                owner_of_page,
+                self.owner_of,
                 names=names,
             )
             self.tier1_policy_names = tuple(names)
@@ -174,7 +136,7 @@ class TenantAwareRuntime(GMTRuntime):
                     make_eviction_policy(name, config.tier2_frames)
                     for name in names
                 ],
-                owner_of_page,
+                self.owner_of,
                 names=names,
             )
             self.tier2_policy_names = tuple(names)
@@ -192,15 +154,16 @@ class TenantAwareRuntime(GMTRuntime):
             quota or QuotaConfig(),
             tier1_capacity=config.tier1_frames,
             tier2_capacity=config.tier2_frames,
-            weights=weights or [1.0] * len(tenant_names),
+            weights=[s.weight for s in streams],
+            owner_of=self.owner_of,
         )
         # The quotas keep each tenant's residency per tier: the base
         # runtime reports every page that enters or leaves a tier.
         self._tier_counts = self.quotas
         self.tenant_stats = [RuntimeStats() for _ in tenant_names]
-        #: Per-tenant streaming latency digests, fed by the telemetry
-        #: shim on every serviced miss (empty until telemetry attaches —
-        #: the unobserved hot path never touches them).
+        #: Per-tenant streaming latency digests, fed by the attached
+        #: telemetry on every serviced miss (empty until telemetry
+        #: attaches — the unobserved hot path never touches them).
         self.tenant_digests = [LatencyDigest() for _ in tenant_names]
         self._current: int | None = None
         #: The shared counters and confusion matrix as of the last tenant
@@ -209,17 +172,6 @@ class TenantAwareRuntime(GMTRuntime):
         self._charged_confusion: dict[tuple[str, str], int] = {}
         self.obs_extra_labels = dict(self.obs_extra_labels)
         self.obs_extra_labels["tenants"] = str(len(tenant_names))
-
-    def engine_resolution(self) -> tuple[str, str]:
-        return (
-            "scalar",
-            "shared multi-tenant hierarchy switches tenant context per access",
-        )
-
-    def run(self, trace):
-        """Replay one stream per warp (there is no hit map to batch
-        against)."""
-        return self.replay_per_warp(trace)
 
     # -- tenant switching (driven by the server, per warp) --------------
     def begin_tenant(self, index: int | None) -> None:
@@ -271,6 +223,10 @@ class TenantAwareRuntime(GMTRuntime):
             ssd_busy_ns=self.ssd.busy_time_ns(),
         ).elapsed_ns
 
+    def _address_end(self, page: int) -> int:
+        """A prefetch stays in the range of the tenant owning ``page``."""
+        return self._range_end[self.owner_of(page)]
+
     # -- quota-aware eviction hooks -------------------------------------
     def _tier1_needs_eviction(self) -> bool:
         if len(self.t1_clock) >= self.config.tier1_frames:
@@ -292,7 +248,7 @@ class TenantAwareRuntime(GMTRuntime):
             held = self.quotas.resident(1, tenant)
             if held >= self.quotas.tier1_budget(tenant) and held > 0:
                 victim = self.t1_clock.select_victim_where(
-                    lambda p: owner_of_page(p) == tenant
+                    lambda p: self.owner_of(p) == tenant
                 )
                 if victim is not None:
                     return victim
@@ -301,7 +257,7 @@ class TenantAwareRuntime(GMTRuntime):
                 over.discard(tenant)
                 if over:
                     victim = self.t1_clock.select_victim_where(
-                        lambda p: owner_of_page(p) in over
+                        lambda p: self.owner_of(p) in over
                     )
                     if victim is not None:
                         return victim
@@ -310,7 +266,7 @@ class TenantAwareRuntime(GMTRuntime):
     def _admit_tier2(self, state: PageState) -> bool:
         if not self.quotas.enabled or self.config.tier2_frames == 0:
             return True
-        owner = owner_of_page(state.page)
+        owner = self.owner_of(state.page)
         return self.quotas.resident(2, owner) < self.quotas.tier2_budget(owner)
 
     # -- migration governor (TierBPF-style admission control) ------------
@@ -321,15 +277,13 @@ class TenantAwareRuntime(GMTRuntime):
         # data is moving over the interconnect — on the runtime's
         # logical clock (deterministic under the replay engine).
         return self.governor.try_take(
-            owner_of_page(state.page), self.stats.coalesced_accesses
+            self.owner_of(state.page), self.stats.coalesced_accesses
         )
 
     def _promotion_stall_ns(self, page: int) -> float:
         if self.governor is None:
             return 0.0
-        if self.governor.try_take(
-            owner_of_page(page), self.stats.coalesced_accesses
-        ):
+        if self.governor.try_take(self.owner_of(page), self.stats.coalesced_accesses):
             return 0.0
         return self.governor.config.promotion_stall_ns
 
@@ -338,7 +292,7 @@ class TenantAwareRuntime(GMTRuntime):
             over = self.quotas.over_budget_tier2()
             if over:
                 victim = self._t2_order.select_victim_where(
-                    lambda p: owner_of_page(p) in over
+                    lambda p: self.owner_of(p) in over
                 )
                 if victim is not None:
                     return victim
@@ -350,7 +304,7 @@ class TenantAwareRuntime(GMTRuntime):
         per tier against a recount of the tier's eviction structure."""
         super().check_invariants()
         for tier, structure in ((1, self.t1_clock), (2, self._t2_order)):
-            recount = dict(Counter(owner_of_page(p) for p in structure.pages()))
+            recount = dict(Counter(map(self.owner_of, structure.pages())))
             counted = self.quotas.residents(tier)
             if recount != counted:
                 raise SimulationError(
@@ -361,8 +315,10 @@ class TenantAwareRuntime(GMTRuntime):
     # -- telemetry -------------------------------------------------------
     def attach_telemetry(self, telemetry=None):
         telemetry = super().attach_telemetry(telemetry)
-        # Re-wrap the runtime-side sink so spans carry the tenant label.
-        self._obs = _TenantObsShim(self._obs, self)
+        # Spans, instants and misses carry the tenant label, and each
+        # labelled miss feeds that tenant's digest.
+        telemetry.tenant_source = self.current_tenant_label
+        telemetry.tenant_digests = dict(zip(self.tenant_names, self.tenant_digests))
         if telemetry.lifecycle is not None:
             telemetry.lifecycle.tenant_source = self.current_tenant_label
         return telemetry

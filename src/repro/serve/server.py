@@ -35,7 +35,7 @@ from repro.errors import ConfigError, SimulationError
 from repro.serve.quota import QuotaConfig
 from repro.serve.runtime import TenantAwareRuntime
 from repro.serve.scheduler import SCHEDULER_NAMES, make_scheduler, warp_bytes
-from repro.serve.stream import MAX_TENANTS, TenantSpec, TenantStream
+from repro.serve.stream import MAX_TENANTS, TenantSpec, TenantStream, lay_out_streams
 from repro.units import format_bytes, format_time
 from repro.workloads.registry import make_workload, normalize_name
 
@@ -193,7 +193,8 @@ def build_tenants(
     seed: int = 0,
     share_working_set: bool = True,
 ) -> list[TenantStream]:
-    """Size and namespace one :class:`TenantStream` per spec.
+    """Size one :class:`TenantStream` per spec, in contiguous page
+    ranges (:func:`~repro.serve.stream.lay_out_streams`).
 
     Plain workload names become unit-weight specs.  With
     ``share_working_set`` (the default) the paper's aggregate working set
@@ -225,10 +226,17 @@ def build_tenants(
 
     total_ws = config.working_set_frames(oversubscription)
     footprint = max(1, total_ws // len(resolved)) if share_working_set else total_ws
-    return [
-        TenantStream(i, spec, make_workload(spec.workload, footprint, seed=seed + i))
-        for i, spec in enumerate(resolved)
-    ]
+    return lay_out_streams(
+        resolved,
+        [
+            make_workload(spec.workload, footprint, seed=seed + i)
+            for i, spec in enumerate(resolved)
+        ],
+    )
+
+
+#: Both servers issue each warp through ``runtime.access_warp``.
+SERVED_ENGINE = ("scalar", "the server issues warps one at a time")
 
 
 class _DrainTracking:
@@ -294,9 +302,6 @@ class TenantServer:
             )
         if epoch < 1:
             raise ConfigError(f"epoch must be >= 1, got {epoch}")
-        indices = [s.index for s in streams]
-        if indices != list(range(len(streams))):
-            raise ConfigError("tenant stream indices must be 0..N-1 in order")
         for name in (tier1_policy, tier2_policy):
             if name is not None:
                 from repro.policyzoo.registry import validate_policy_name
@@ -320,9 +325,8 @@ class TenantServer:
         per_tenant_t2 = any(p is not None for p in tier2_policies)
         self.runtime = TenantAwareRuntime(
             config,
-            tenant_names=[s.name for s in streams],
+            streams,
             quota=self.quota,
-            weights=[s.weight for s in streams],
             policy_factory=policy_factory,
             tier1_policies=tier1_policies if per_tenant_t1 else None,
             tier2_policies=tier2_policies if per_tenant_t2 else None,
@@ -335,9 +339,9 @@ class TenantServer:
         return self.runtime.attach_telemetry(telemetry)
 
     def engine_resolution(self) -> tuple[str, str]:
-        """How the *shared* multiplexed runtime replays, so CLIs and the
-        ledger treat served and solo runs uniformly."""
-        return self.runtime.engine_resolution()
+        """How the served mix replays (:data:`SERVED_ENGINE`), so CLIs
+        and the ledger treat served and solo runs uniformly."""
+        return SERVED_ENGINE
 
     def tenant_registries(self, prefix: str = "gmt_") -> list:
         """Per-tenant metric registries (constant label ``tenant=<name>``).
@@ -499,13 +503,14 @@ class TenantServer:
     def solo_run(self, stream: TenantStream, telemetry=None) -> RunResult:
         """Replay one tenant's workload alone on a fresh, unshared runtime.
 
-        On an empty machine the tenant namespace's constant page-id shift
-        changes nothing, so the solo replays ``stream.workload``'s own
-        page ids, and its hit runs batch like any single-stream replay.
-        ``telemetry`` (a :class:`~repro.obs.Telemetry`) is attached
-        before the replay.
+        On an empty machine the constant page-id shift of the tenant's
+        range changes nothing, so the solo replays ``stream.workload``'s
+        own page ids, with prefetches held inside its footprint as the
+        served run holds them inside the range.  ``telemetry`` (a
+        :class:`~repro.obs.Telemetry`) is attached before the replay.
         """
-        runtime = GMTRuntime(self.config, policy_factory=self._policy_factory)
+        config = replace(self.config, footprint_pages=stream.footprint_pages)
+        runtime = GMTRuntime(config, policy_factory=self._policy_factory)
         if telemetry is not None:
             runtime.attach_telemetry(telemetry)
         return runtime.run(stream.workload)

@@ -1,47 +1,34 @@
-"""Tenant identity and page-id namespacing.
+"""Tenant identity and page ranges.
 
 A *tenant* is one workload stream admitted to a shared GMT hierarchy.
 Tenants must never alias pages — two tenants reading "page 7" of their
-own datasets touch different physical data — so every tenant's page ids
-are namespaced into a disjoint range: tenant ``i`` owns pages
-``[i << NAMESPACE_BITS, (i + 1) << NAMESPACE_BITS)``.  The owner of any
-page is then a single shift (:func:`owner_of_page`), cheap enough for
-quota checks on the eviction path.
+own datasets touch different physical data — so the tenants share one
+dense page space in contiguous ranges: tenant ``i``'s stream adds its
+:attr:`TenantStream.base`, and its range ends where the next tenant's
+begins, :attr:`~repro.workloads.trace.Workload.footprint_pages` later
+(:func:`lay_out_streams`).  The serving runtime maps a page to its
+owner with one list lookup.
 
-Tenant 0's namespace is the identity mapping, which is what makes a
-1-tenant serve run bit-for-bit reproduce the single-stream runtime (the
-trace it replays is literally the same).
+Tenant 0's range starts at 0, which is what makes a 1-tenant serve run
+bit-for-bit reproduce the single-stream runtime (the trace it replays
+is literally the same).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator
+from itertools import accumulate
+from typing import Iterator, Sequence
 
 from repro.errors import ConfigError
 from repro.sim.gpu import WarpAccess
 from repro.workloads.trace import Workload
-
-#: Bits reserved for the per-tenant page index.  Every workload footprint
-#: in this codebase is far below 2**32 pages (that would be 256 TiB of
-#: 64 KB pages), so tenants can never collide.
-NAMESPACE_BITS = 32
 
 #: Upper bound on tenant count implied by Python ints being unbounded is
 #: none; this is a sanity cap so a typo'd tenant list fails loudly.  It
 #: sits above the open-loop capacity experiment's 10k-tenant populations
 #: with headroom.
 MAX_TENANTS = 16384
-
-
-def namespace_base(index: int) -> int:
-    """First page id of tenant ``index``'s namespace."""
-    return index << NAMESPACE_BITS
-
-
-def owner_of_page(page: int) -> int:
-    """Tenant index owning ``page`` (inverse of the namespacing)."""
-    return page >> NAMESPACE_BITS
 
 
 @dataclass(frozen=True)
@@ -95,20 +82,24 @@ class TenantSpec:
 
 
 class TenantStream:
-    """A tenant's workload with its pages mapped into the tenant namespace.
+    """A tenant's workload with its pages shifted into the tenant's range.
 
-    Re-iterable, like the wrapped :class:`~repro.workloads.trace.Workload`:
-    every ``iter()`` regenerates the same namespaced trace, so the same
-    stream can be replayed both inside a served mix and solo (for the
-    slowdown baseline).
+    The range is ``[base, base + footprint_pages)``.  Re-iterable, like
+    the wrapped :class:`~repro.workloads.trace.Workload`: every
+    ``iter()`` regenerates the same shifted trace, so the same stream
+    can be replayed both inside a served mix and solo (for the slowdown
+    baseline).
     """
 
-    def __init__(self, index: int, spec: TenantSpec, workload: Workload) -> None:
+    def __init__(
+        self, index: int, spec: TenantSpec, workload: Workload, base: int
+    ) -> None:
         if not 0 <= index < MAX_TENANTS:
             raise ConfigError(f"tenant index {index} out of range [0, {MAX_TENANTS})")
         self.index = index
         self.spec = spec
         self.workload = workload
+        self.base = base
         self.name = spec.name
         self.weight = spec.weight
         self.arrival = spec.arrival
@@ -118,9 +109,9 @@ class TenantStream:
         return self.workload.footprint_pages
 
     def __iter__(self) -> Iterator[WarpAccess]:
-        base = namespace_base(self.index)
+        base = self.base
         if base == 0:
-            # Tenant 0 is the identity namespace: pass the workload's own
+            # A range at 0 is the workload's own page ids: pass its
             # WarpAccess objects through untouched (exact single-stream
             # reproduction, and no per-warp rebuild cost).
             yield from self.workload
@@ -135,6 +126,19 @@ class TenantStream:
             f"TenantStream({self.index}, {self.name!r}, "
             f"{self.footprint_pages} pages, w={self.weight})"
         )
+
+
+def lay_out_streams(
+    specs: Sequence[TenantSpec], workloads: Sequence[Workload]
+) -> list[TenantStream]:
+    """One :class:`TenantStream` per spec, in index order, each range
+    starting where the previous tenant's ``footprint_pages`` ends
+    (tenant 0 at 0)."""
+    bases = accumulate((w.footprint_pages for w in workloads), initial=0)
+    return [
+        TenantStream(index, spec, workload, base)
+        for index, (spec, workload, base) in enumerate(zip(specs, workloads, bases))
+    ]
 
 
 class TenantPopulation:
@@ -248,14 +252,16 @@ class TenantPopulation:
         return [self._mass[self._rank_of[i]] for i in range(self.tenants)]
 
     def build(self) -> list[TenantStream]:
-        """Materialise the namespaced :class:`TenantStream` list."""
+        """Materialise the :class:`TenantStream` list, in contiguous
+        page ranges."""
         from repro.workloads.registry import make_workload
 
         specs = self.specs()
         footprints = self.footprints()
-        return [
-            TenantStream(
-                i, spec, make_workload(spec.workload, footprints[i], seed=self.seed + i)
-            )
-            for i, spec in enumerate(specs)
-        ]
+        return lay_out_streams(
+            specs,
+            [
+                make_workload(spec.workload, footprints[i], seed=self.seed + i)
+                for i, spec in enumerate(specs)
+            ],
+        )

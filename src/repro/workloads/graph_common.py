@@ -81,8 +81,12 @@ class GraphWorkload(Workload):
         them where the layout came out larger (the vertex count rounds
         to a power of two, and an injected graph brings its own size).
         The prefetcher and the footprint-bound audit rely on it."""
-        extent = self.page_map.total_pages + self.cold_pages
-        return max(self._requested_pages, extent)
+        pages = self.page_map
+        # An empty adjacency list at the end of the edge array names the
+        # page its offset falls in: one past the last edge page when the
+        # edge count fills whole pages (BFS reads it).
+        end = pages.edge_page(pages.num_edges) + 1
+        return max(self._requested_pages, pages.total_pages + self.cold_pages, end)
 
     @footprint_pages.setter
     def footprint_pages(self, requested: int) -> None:

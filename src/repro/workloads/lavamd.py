@@ -50,6 +50,10 @@ class LavaMDWorkload(Workload):
         )
         groups = -(-self.param_pages // self.param_group_pages)
         self.boxes_per_neighborhood = max(1, -(-self.num_boxes // groups))
+        # A size below one box still lays out a whole box.
+        self.footprint_pages = max(
+            footprint_pages, self.param_pages + self.num_boxes * box_pages
+        )
 
     def generate(self) -> Iterator[WarpAccess]:
         data_base = self.param_pages

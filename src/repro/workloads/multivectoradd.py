@@ -37,6 +37,8 @@ class MultiVectorAddWorkload(Workload):
         self.num_inputs = num_inputs
         # num_inputs input vectors + shared B + output C.
         self.vector_pages = max(1, footprint_pages // (num_inputs + 2))
+        # A size below one page per vector still lays out one each.
+        self.footprint_pages = max(footprint_pages, (num_inputs + 2) * self.vector_pages)
 
     def generate(self) -> Iterator[WarpAccess]:
         vp = self.vector_pages

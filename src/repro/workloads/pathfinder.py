@@ -34,6 +34,8 @@ class PathfinderWorkload(Workload):
         self.row_pages = row_pages
         pages_per_row = (self.GRID_RATIO + 1) * row_pages
         self.num_rows = max(2, footprint_pages // pages_per_row)
+        # A size below two rows still lays out two.
+        self.footprint_pages = max(footprint_pages, self.num_rows * pages_per_row)
 
     def generate(self) -> Iterator[WarpAccess]:
         grid_pages_per_row = self.GRID_RATIO * self.row_pages

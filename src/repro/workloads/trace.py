@@ -22,7 +22,8 @@ class Workload(abc.ABC):
     Attributes:
         name: Table 2 name ("PageRank", ...).
         description: Table 2's one-line description.
-        footprint_pages: number of distinct pages the trace touches.
+        footprint_pages: bound on every page id the trace emits (the
+            requested size, raised where the layout needs more).
         seed: RNG seed; generation is a pure function of constructor args.
     """
 

@@ -275,15 +275,18 @@ class TestSequentialFloatSum:
 # ----------------------------------------------------------------------
 class TestEngineSelection:
     def test_engine_names(self):
-        # The two resolutions a runtime reports: batched single-stream
-        # replay and the per-warp serving runtime.  There is no "auto".
-        from repro.serve.runtime import TenantAwareRuntime
+        # The two resolutions reported: every runtime batches its hit
+        # runs, and both servers issue warps one at a time.  There is no
+        # "auto".
+        from repro.serve import OpenLoopServer, TenantServer, build_tenants
 
-        names = {
-            GMTRuntime(small_config()).engine_resolution()[0],
-            TenantAwareRuntime(small_config(), ["a"]).engine_resolution()[0],
-        }
-        assert names == {"scalar", "vector"}
+        config = small_config()
+        streams = build_tenants(["bfs", "hotspot"], config)
+        server = TenantServer(config, streams)
+        assert GMTRuntime(config).engine_resolution()[0] == "vector"
+        assert server.runtime.engine_resolution()[0] == "vector"
+        assert server.engine_resolution()[0] == "scalar"
+        assert OpenLoopServer(config, streams).engine_resolution()[0] == "scalar"
 
     def test_bad_engine_rejected(self):
         # The engine is not a setting any more: nothing takes one.
@@ -296,8 +299,9 @@ class TestEngineSelection:
 
     def test_every_kind_and_tier1_policy_batches(self):
         # No fallback trigger is left: every runtime kind batches under
-        # every Tier-1 structure, audited and instrumented included.
-        # Only the shared serving runtime replays per warp.
+        # every Tier-1 structure, audited and instrumented included, and
+        # so does the serving runtime's inherited run().
+        from repro.serve import build_tenants
         from repro.serve.runtime import TenantAwareRuntime
 
         for kind in RUNTIME_KINDS:
@@ -308,10 +312,14 @@ class TestEngineSelection:
         runtime.enable_periodic_checks(every=50)
         runtime.attach_telemetry(Telemetry(window=7, lifecycle=True))
         assert runtime.engine_resolution()[0] == "vector"
-        served = TenantAwareRuntime(small_config(), ["a", "b"])
-        engine, reason = served.engine_resolution()
-        assert engine == "scalar" and "tenant" in reason
-        assert served._hit_map is None
+        config = small_config(policy="tier-order")
+        streams = build_tenants(["bfs", "keyvalue"], config, oversubscription=0.5)
+        served = TenantAwareRuntime(config, streams)
+        assert served.engine_resolution()[0] == "vector"
+        served.attach_telemetry(Telemetry(window=7))
+        batches = record_batches(served)
+        served.run(iter(streams[1]))
+        assert batches
         assert all(type(state) is PageState for state in served.page_table)
 
     def test_harness_build_runtime_routes_engine(self):

@@ -245,18 +245,20 @@ class TestCapabilityNegotiation:
 
 class TestEngineResolution:
     def test_reasons(self):
-        # Every single-stream runtime batches, whatever its Tier-1
-        # structure; the shared serving runtime says why it does not.
-        from repro.serve.runtime import TenantAwareRuntime
+        # Every runtime batches, whatever its Tier-1 structure, the
+        # serving runtime included; both servers say why they do not.
+        from repro.serve import OpenLoopServer, TenantServer, build_tenants
 
         batched = ("vector", "Tier-1 hit runs retire in batches")
         assert GMTRuntime(small_config()).engine_resolution() == batched
         zoo = small_config(tier1_eviction="s3fifo")
         assert GMTRuntime(zoo).engine_resolution() == batched
-        assert TenantAwareRuntime(small_config(), ["a"]).engine_resolution() == (
-            "scalar",
-            "shared multi-tenant hierarchy switches tenant context per access",
-        )
+        streams = build_tenants(["bfs", "hotspot"], small_config())
+        server = TenantServer(small_config(), streams)
+        assert server.runtime.engine_resolution() == batched
+        per_warp = ("scalar", "the server issues warps one at a time")
+        assert server.engine_resolution() == per_warp
+        assert OpenLoopServer(small_config(), streams).engine_resolution() == per_warp
 
     def test_runtime_reports_live_resolution(self):
         trace = make_trace([((i % N_PAGES,), False) for i in range(40)])

@@ -30,6 +30,7 @@ def make_quotas(tenants, tier1=64, tier2=128, idle_window=50):
         tier1,
         tier2,
         weights=[1.0] * tenants,
+        owner_of=list(range(tenants)).__getitem__,  # one page per tenant
     )
 
 

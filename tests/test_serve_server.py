@@ -1,6 +1,7 @@
 """End-to-end tests for the multi-tenant serving layer (repro.serve)."""
 
 from collections import Counter
+from dataclasses import replace
 
 import pytest
 
@@ -14,10 +15,10 @@ from repro.serve import (
     TenantServer,
     TenantSpec,
     build_tenants,
-    namespace_base,
-    owner_of_page,
     split_frames,
 )
+from repro.serve.runtime import TenantAwareRuntime
+from repro.serve.stream import TenantStream
 
 SCALE = 8192  # tiny geometry: Tier-1 = 32 frames, Tier-2 = 128
 
@@ -33,19 +34,45 @@ def make_server(config, names, **kwargs):
 
 
 class TestNamespacing:
-    def test_tenant_zero_is_identity(self):
-        assert namespace_base(0) == 0
+    """Tenants occupy contiguous ranges of one dense page space."""
 
-    def test_owner_roundtrip(self):
-        for tenant in (0, 1, 7, 400):
-            page = namespace_base(tenant) + 12345
-            assert owner_of_page(page) == tenant
+    def test_tenant_zero_is_identity(self, config):
+        streams = build_tenants(["bfs", "hotspot"], config)
+        assert streams[0].base == 0
+        assert list(streams[0]) == list(streams[0].workload)
+
+    def test_owner_roundtrip(self, config):
+        streams = build_tenants(["bfs", "hotspot", "srad"], config)
+        runtime = TenantAwareRuntime(config, streams)
+        for stream in streams:
+            last = stream.base + stream.footprint_pages - 1
+            assert runtime.owner_of(stream.base) == stream.index
+            assert runtime.owner_of(last) == stream.index
 
     def test_streams_never_alias(self, config):
         streams = build_tenants(["bfs", "bfs"], config)
         pages0 = {p for w in streams[0] for p in w.pages}
         pages1 = {p for w in streams[1] for p in w.pages}
         assert not pages0 & pages1
+        assert streams[1].base == streams[0].footprint_pages
+        for stream, pages in zip(streams, (pages0, pages1)):
+            assert stream.base <= min(pages)
+            assert max(pages) < stream.base + stream.footprint_pages
+
+    def test_invalid_stream_layouts_rejected(self, config):
+        streams = build_tenants(["bfs", "hotspot"], config)
+        with pytest.raises(ConfigError, match="index order"):
+            TenantAwareRuntime(config, list(reversed(streams)))
+        second = streams[1]
+        gap = TenantStream(1, second.spec, second.workload, second.base + 1)
+        with pytest.raises(ConfigError, match="contiguous"):
+            TenantAwareRuntime(config, [streams[0], gap])
+        # Telemetry keys each tenant's digest by its name.
+        twin = TenantStream(
+            1, replace(second.spec, name="bfs"), second.workload, second.base
+        )
+        with pytest.raises(ConfigError, match="unique"):
+            TenantAwareRuntime(config, [streams[0], twin])
 
 
 class TestBuildTenants:
@@ -89,22 +116,24 @@ class TestSoloReproduction:
         assert outcome.tenants[0].slowdown == pytest.approx(1.0)
         assert outcome.fairness()["jain_index"] == pytest.approx(1.0)
 
+    def test_solo_slowdown_is_one_with_prefetch(self, config):
+        # The served prefetch stops at the tenant's range end, and so does
+        # the solo baseline's, at the footprint.
+        outcome = make_server(replace(config, prefetch_degree=2), ["hotspot"]).run()
+        assert outcome.tenants[0].slowdown == 1.0
+
 
 class TestSoloBaselines:
     def test_every_tenant_solo_matches_its_namespaced_stream(self, config):
-        # Solo baselines replay each tenant's own workload; each equals a
-        # per-warp replay of the tenant's namespaced stream, whose page
-        # ids exceed the hit map, so only the plain-row serving runtime
-        # holds them.
-        from repro.serve.runtime import TenantAwareRuntime
-
+        # Solo baselines replay each tenant's own workload; on an empty
+        # machine each equals a replay of the tenant's shifted stream.
         server = make_server(config, ["bfs", "hotspot", "srad"])
         server.attach_telemetry()
         outcome = server.run()
         for stream, tenant in zip(server.streams, outcome.tenants):
-            namespaced = TenantAwareRuntime(config, [stream.name])
-            telemetry = namespaced.attach_telemetry()
-            assert tenant.solo_ns == namespaced.run(iter(stream)).elapsed_ns
+            shifted = GMTRuntime(config)
+            telemetry = shifted.attach_telemetry()
+            assert tenant.solo_ns == shifted.run(iter(stream)).elapsed_ns
             digest = telemetry.latency_digest
             assert tenant.solo_latency_p50_ns == digest.p50
             assert tenant.solo_latency_p99_ns == digest.p99
@@ -358,11 +387,54 @@ class TestQuotaCountAudit:
         runtime = server.runtime
         assert audit_runtime(runtime) == []
         # A Tier-1 entry with no page behind it: a missed count update.
-        runtime.quotas.entered(1, namespace_base(1))
+        runtime.quotas.entered(1, server.streams[1].base)
         assert any(
             v.identity == "structural" and "Tier-1 per-tenant counts" in v.message
             for v in audit_runtime(runtime)
         )
+
+
+class TestServedAddressSpace:
+    """A served run keeps the single-stream runtime's page table, hit map
+    and telemetry sink over its tenants' dense page ranges."""
+
+    def test_prefetch_stays_in_its_tenants_pages(self, config):
+        server = make_server(
+            replace(config, prefetch_degree=2), ["bfs", "hotspot", "srad"]
+        )
+        server.run(solo_baselines=False)
+        touched = {p for stream in server.streams for w in stream for p in w.pages}
+        rows = {state.page for state in server.runtime.page_table}
+        assert sorted(rows - touched) == []
+
+    def test_audit_checks_the_served_hit_map(self, config):
+        from repro.check.identities import audit_runtime
+        from repro.mem.page import PageLocation
+
+        server = make_server(config, ["bfs", "hotspot"])
+        server.run(solo_baselines=False)
+        runtime = server.runtime
+        assert audit_runtime(runtime) == []
+        page = next(
+            state.page
+            for state in runtime.page_table
+            if state.location is not PageLocation.TIER1
+        )
+        runtime._hit_map.bits[page] = True
+        assert any(
+            v.identity == "structural" and "hit map" in v.message
+            for v in audit_runtime(runtime)
+        )
+
+    def test_telemetry_labels_policy_instants_and_feeds_tenant_digests(self, config):
+        server = make_server(config, ["bfs", "hotspot", "srad"])
+        telemetry = server.attach_telemetry()
+        outcome = server.run(solo_baselines=False)
+        resolves = telemetry.tracer.spans(name="markov-resolve")
+        assert resolves
+        assert all("tenant" in span.args for span in resolves)
+        for tenant, digest in zip(outcome.tenants, server.runtime.tenant_digests):
+            assert digest.count == tenant.stats.t1_misses > 0
 
 
 class TestValidation:

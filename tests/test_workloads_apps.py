@@ -95,6 +95,21 @@ class TestTraceValidity:
         w = make_workload(name, default_config(scale))
         assert max(w.coalesced_pages()) < w.footprint_pages
 
+    def test_page_ids_below_footprint_at_every_size(self):
+        # Small sizes where a layout outgrows the request (a minimum box,
+        # row pair or vector), and sizes whose graphs have an edge count
+        # that is a multiple of the edges per page (BFS reads the page
+        # after the last edge page for an empty list at the array's end).
+        violations = []
+        for name in WORKLOAD_NAMES + EXTRA_WORKLOAD_NAMES:
+            for footprint in (4, 6, 16, 79, 144, 284, 571):
+                for seed in (0, 1, 2):
+                    w = make_workload(name, footprint, seed=seed)
+                    top = max(w.coalesced_pages())
+                    if top >= w.footprint_pages:
+                        violations.append((name, footprint, seed, top, w.footprint_pages))
+        assert violations == []
+
     def test_injected_graph_page_ids_below_footprint(self):
         from repro.workloads.kron import rmat_csr
 
