@@ -356,12 +356,14 @@ class GMTRuntime:
             # can wrap trace generation.
             trace = vector.materialize_trace(trace)
         if isinstance(trace, vector.TraceArrays):
-            chunks = [(trace.n_warps, trace.pages, trace.writes, trace.warps)]
+            chunks = [trace]
         else:
             # One-shot iterable (e.g. a tenant stream): bounded chunks.
             chunks = vector._iter_trace_chunks(trace, vector._STREAM_CHUNK_WARPS)
-        for n_warps, pages, writes, warps in chunks:
-            self._replay_flat(pages, writes, warps, n_warps, chain)
+        for arrays in chunks:
+            self._replay_flat(
+                arrays.pages, arrays.writes, arrays.warps, arrays.n_warps, chain
+            )
         return self._finish_run()
 
     def replay_per_warp(self, trace: Iterable[WarpAccess]) -> RunResult:
@@ -673,8 +675,13 @@ class GMTRuntime:
             self._tier_counts.entered(1, page)
         state.location = PageLocation.TIER1
         state.prefetched = False
-        # Cover this page and the prefetches its miss triggers.
-        self._hit_map.ensure(page + 1 + self.config.prefetch_degree)
+        # run() sizes the map for each chunk and the serving runtime for
+        # its whole page space, so only a direct access()/access_warp()
+        # caller can fill past it: cover this page and the prefetches
+        # its miss triggers.
+        reach = page + 1 + self.config.prefetch_degree
+        if reach > self._hit_map.bits.size:
+            self._hit_map.ensure(reach)
         self._hit_map.bits[page] = True
         if write:
             state.dirty = True

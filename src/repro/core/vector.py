@@ -19,15 +19,15 @@ the scalar pipeline byte for byte; see docs/performance.md.
 from __future__ import annotations
 
 import weakref
-from array import array
 from dataclasses import dataclass
+from itertools import islice
 from typing import Iterable, Iterator
 
 import numpy as np
 
 from repro.errors import SimulationError
-from repro.sim.gpu import WarpAccess, coalesce
-from repro.workloads.trace import Workload
+from repro.sim.gpu import WarpAccess
+from repro.workloads.trace import WarpColumns, Workload
 
 __all__ = [
     "HitMap",
@@ -113,16 +113,15 @@ _TRACE_CACHE: "weakref.WeakKeyDictionary[Workload, TraceArrays]" = (
 def materialize_trace(workload: Workload) -> TraceArrays:
     """Flatten (and cache) a workload's coalesced access stream.
 
-    Workloads are re-iterable pure functions of their seed, so the flat
-    arrays are a faithful replacement for re-generating the stream; the
-    cache makes replaying one workload through several runtimes (every
-    figure does this) pay the generation cost once.
+    Workloads are pure functions of their constructor arguments, so the
+    flat arrays are a faithful replacement for regenerating the trace;
+    the cache makes replaying one workload through several runtimes
+    (every figure does this) pay the generation cost once.
     """
     cached = _TRACE_CACHE.get(workload)
     if cached is not None:
         return cached
-    n_warps, pages, writes, warps = next(_iter_trace_chunks(workload))
-    arrays = TraceArrays(pages=pages, writes=writes, n_warps=n_warps, warps=warps)
+    arrays = _flatten(workload.columns())
     _TRACE_CACHE[workload] = arrays
     return arrays
 
@@ -132,60 +131,30 @@ def clear_trace_cache() -> None:
     _TRACE_CACHE.clear()
 
 
+def _flatten(columns: WarpColumns) -> TraceArrays:
+    """A warp trace's coalesced access stream as :class:`TraceArrays`:
+    one vectorized coalesce, no per-warp object."""
+    pages, first = columns.coalesce()
+    # An access's warp number counts the warp starts up to it.
+    warps = first.astype(np.int64)
+    np.cumsum(warps, out=warps)
+    # Each access stores iff its warp does (indexed through warps in
+    # place, so no second index array is allocated).
+    warps -= 1
+    writes = columns.writes[warps]
+    warps += 1
+    return TraceArrays(pages=pages, writes=writes, n_warps=columns.n_warps, warps=warps)
+
+
 def _iter_trace_chunks(
     trace: Iterable[WarpAccess], chunk_warps: int | None = None
-) -> Iterator[tuple[int, np.ndarray, np.ndarray, np.ndarray]]:
-    """Flatten a warp iterable into ``(n_warps, pages, writes, warps)``
-    chunks of at most ``chunk_warps`` warps each (None: the whole trace
-    as exactly one chunk, possibly empty).
-
-    ``warps[k]`` counts the chunk's warps up to and including access
-    ``k``'s.  Accesses collect in compact ``array``/``bytearray``
-    blocks that close at the first warp boundary past
-    :data:`_FLATTEN_BLOCK` accesses, and each chunk joins its blocks
-    once.  So flattening a long trace allocates no per-access Python
-    object, and no buffer is grown by reallocation past one block.
-    """
-    block = _FLATTEN_BLOCK
-    columns: tuple[list, list, list] = ([], [], [])
-    pages, writes, warps = _open_block(columns)
-    n_warps = 0
-    for warp in trace:
-        n_warps += 1
-        write = warp.write
-        for page in coalesce(warp):
-            pages.append(page)
-            writes.append(write)
-            warps.append(n_warps)
-        if n_warps == chunk_warps:
-            yield n_warps, *_join_blocks(columns)
-            n_warps = 0
-            pages, writes, warps = _open_block(columns)
-        elif len(pages) >= block:
-            pages, writes, warps = _open_block(columns)
-    if n_warps or chunk_warps is None:
-        yield n_warps, *_join_blocks(columns)
-
-
-#: Coalesced accesses per flattening block (see :func:`_iter_trace_chunks`).
-_FLATTEN_BLOCK = 1 << 16
-
-
-def _open_block(columns: tuple[list, list, list]) -> tuple[array, bytearray, array]:
-    """Start a fresh block in each column; returns its three buffers."""
-    buffers = (array("q"), bytearray(), array("q"))
-    for blocks, buffer in zip(columns, buffers):
-        blocks.append(buffer)
-    return buffers
-
-
-def _join_blocks(columns: tuple[list, list, list]) -> list[np.ndarray]:
-    """Concatenate each column's blocks into one array, releasing the
-    blocks column by column."""
-    joined = []
-    for blocks, dtype in zip(columns, (np.int64, bool, np.int64)):
-        joined.append(
-            np.concatenate([np.frombuffer(b, dtype=dtype) for b in blocks])
-        )
-        blocks.clear()
-    return joined
+) -> Iterator[TraceArrays]:
+    """Flatten a warp iterable ``chunk_warps`` warps at a time (None:
+    the whole trace as exactly one chunk, possibly empty)."""
+    warps = iter(trace)
+    while True:
+        columns = WarpColumns.from_warps(islice(warps, chunk_warps))
+        if chunk_warps is None or columns.n_warps:
+            yield _flatten(columns)
+        if chunk_warps is None or columns.n_warps < chunk_warps:
+            return

@@ -7,8 +7,8 @@ time to the runtime's named phases:
 ==================  ====================================================
 phase               what it covers
 ==================  ====================================================
-``trace-gen``       generating the workload's warp stream, and its
-                    flattening for the batched replay
+``trace-gen``       generating the workload's warp columns, the jitter,
+                    and their flattening for the batched replay
 ``dispatch``        warp decomposition (:meth:`GMTRuntime.access_warp`)
                     and the batched replay loop
 ``access``          the coalesced access path's own bookkeeping, and
@@ -226,14 +226,6 @@ class PhaseProfiler:
         """Replay ``trace`` through ``runtime.run`` under the profiler;
         returns the runtime's :class:`RunResult`."""
         with self._measure(runtime):
-            # A replay pulls warps from the trace's generator (per warp,
-            # or while flattening it); tag the generator's code so that
-            # time lands in "trace-gen" instead of going unattributed.
-            code = getattr(trace, "gi_code", None) or getattr(
-                getattr(trace, "generate", None), "__code__", None
-            )
-            if code is not None:
-                self._code_phases[code] = "trace-gen"
             return runtime.run(trace)
 
     # ------------------------------------------------------------------
@@ -300,6 +292,10 @@ def _phase_sites(runtime):
     """
     from repro.core import vector
 
+    # A workload's columns, their jitter and their flattening all run
+    # inside materialize_trace; a plain warp iterable is pulled and
+    # flattened inside _iter_trace_chunks.
+    yield vector, "materialize_trace", "trace-gen"
     yield vector, "_iter_trace_chunks", "trace-gen"
     yield runtime, "access_warp", "dispatch"
     yield runtime, "_replay_flat", "dispatch"
@@ -346,9 +342,9 @@ def profile(runtime) -> Iterator[PhaseProfiler]:
     ...     runtime.run(workload)
     >>> print(prof.format_top())
 
-    Unlike :func:`profile_replay` the profiler never sees the trace, so
-    warp generation outside the trace flattener shows up as
-    unattributed wall; prefer :func:`profile_replay` for full replays.
+    Work the body does outside the runtime's phase sites, such as
+    building warps for ``access_warp`` itself, shows up as unattributed
+    wall; prefer :func:`profile_replay` for full replays.
     """
     prof = PhaseProfiler()
     with prof._measure(runtime):

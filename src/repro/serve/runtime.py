@@ -103,6 +103,9 @@ class TenantAwareRuntime(GMTRuntime):
             if policies is not None and len(policies) != len(tenant_names):
                 raise ConfigError(f"{label} must name every tenant")
         super().__init__(config, policy_factory)
+        # The whole page space is known: size the hit map once, with room
+        # for prefetch candidates past the last page.
+        self._hit_map.ensure(len(owners) + config.prefetch_degree)
         self.tenant_names = tenant_names
         #: ``owner_of(page)`` is the index of the tenant whose range holds
         #: ``page``: one lookup in a dense per-page owner list.

@@ -22,7 +22,7 @@ from typing import Iterator, Sequence
 
 from repro.errors import ConfigError
 from repro.sim.gpu import WarpAccess
-from repro.workloads.trace import Workload
+from repro.workloads.trace import WarpColumns, Workload
 
 #: Upper bound on tenant count implied by Python ints being unbounded is
 #: none; this is a sanity cap so a typo'd tenant list fails loudly.  It
@@ -86,9 +86,11 @@ class TenantStream:
 
     The range is ``[base, base + footprint_pages)``.  Re-iterable, like
     the wrapped :class:`~repro.workloads.trace.Workload`: every
-    ``iter()`` regenerates the same shifted trace, so the same stream
-    can be replayed both inside a served mix and solo (for the slowdown
-    baseline).
+    ``iter()`` yields the same shifted trace, so the same stream can be
+    replayed both inside a served mix and solo (for the slowdown
+    baseline).  The first ``iter()`` generates the workload's columns
+    and shifts them with one add; the stream keeps them, so the
+    open-loop server's cycling pulls never regenerate the trace.
     """
 
     def __init__(
@@ -103,23 +105,16 @@ class TenantStream:
         self.name = spec.name
         self.weight = spec.weight
         self.arrival = spec.arrival
+        self._columns: WarpColumns | None = None
 
     @property
     def footprint_pages(self) -> int:
         return self.workload.footprint_pages
 
     def __iter__(self) -> Iterator[WarpAccess]:
-        base = self.base
-        if base == 0:
-            # A range at 0 is the workload's own page ids: pass its
-            # WarpAccess objects through untouched (exact single-stream
-            # reproduction, and no per-warp rebuild cost).
-            yield from self.workload
-            return
-        for warp in self.workload:
-            yield WarpAccess(
-                pages=tuple(base + page for page in warp.pages), write=warp.write
-            )
+        if self._columns is None:
+            self._columns = self.workload.columns().shifted(self.base)
+        return self._columns.warps()
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (

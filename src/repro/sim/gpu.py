@@ -1,11 +1,12 @@
 """SIMT front end: warps and per-warp access coalescing.
 
-Workload generators emit :class:`WarpAccess` records — the (up to) 32
-per-lane page references a warp issues in one memory instruction.  As on
-real hardware (and as the paper's VTD counter assumes: "a counter that is
-updated on each coalesced access (across threads of a warp)", section
-2.1.3), lanes touching the same 64 KB page coalesce into a single page
-access before reaching the memory hierarchy.
+A :class:`WarpAccess` is the (up to) 32 per-lane page references a warp
+issues in one memory instruction: the per-warp view of a trace that
+workloads emit as columns (:class:`~repro.workloads.trace.WarpColumns`).
+As on real hardware (and as the paper's VTD counter assumes: "a counter
+that is updated on each coalesced access (across threads of a warp)",
+section 2.1.3), lanes touching the same 64 KB page coalesce into a
+single page access before reaching the memory hierarchy.
 """
 
 from __future__ import annotations
@@ -62,5 +63,5 @@ def coalesce(warp: WarpAccess) -> list[int]:
 
 
 def warp_of(pages: list[int] | tuple[int, ...], write: bool = False) -> WarpAccess:
-    """Convenience constructor used heavily by workload generators."""
+    """Convenience constructor for hand-written traces."""
     return WarpAccess(pages=tuple(pages), write=write)

@@ -13,10 +13,12 @@ or instantiate the classes directly with custom parameters.
 
 from repro.workloads.registry import WORKLOAD_NAMES, make_workload, workload_table
 from repro.workloads.synthetic import ZipfAccessGenerator
-from repro.workloads.trace import Workload, stream_warps
+from repro.workloads.trace import TraceBuilder, WarpColumns, Workload, stream_warps
 
 __all__ = [
     "WORKLOAD_NAMES",
+    "TraceBuilder",
+    "WarpColumns",
     "Workload",
     "ZipfAccessGenerator",
     "make_workload",

@@ -14,11 +14,8 @@ the medium (host-memory) class.
 
 from __future__ import annotations
 
-from collections.abc import Iterator
-
 from repro.errors import TraceError
-from repro.sim.gpu import WarpAccess
-from repro.workloads.trace import Workload, stream_warps
+from repro.workloads.trace import TraceBuilder, WarpColumns, Workload
 
 
 class BackpropWorkload(Workload):
@@ -43,19 +40,21 @@ class BackpropWorkload(Workload):
         self.weight_pages = max(2, int(footprint_pages * weight_fraction))
         self.input_pages = footprint_pages - self.weight_pages
 
-    def generate(self) -> Iterator[WarpAccess]:
+    def columns(self) -> WarpColumns:
         weight_base = self.input_pages
         weights = range(weight_base, weight_base + self.weight_pages)
         per_epoch_inputs = (
             max(1, self.input_pages // self.epochs) if self.input_pages else 0
         )
+        trace = TraceBuilder()
         for epoch in range(self.epochs):
             # This epoch's minibatch inputs: fresh pages, read once.
             if per_epoch_inputs:
                 first = (epoch * per_epoch_inputs) % max(1, self.input_pages)
                 last = min(first + per_epoch_inputs, self.input_pages)
-                yield from stream_warps(range(first, last), pages_per_warp=2)
+                trace.stream(range(first, last))
             # Forward pass: read weights layer by layer.
-            yield from stream_warps(weights, pages_per_warp=2)
+            trace.stream(weights)
             # Backward pass: update weights in reverse layer order.
-            yield from stream_warps(reversed(weights), write=True, pages_per_warp=2)
+            trace.stream(weights[::-1], write=True)
+        return trace.build()

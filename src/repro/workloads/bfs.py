@@ -10,13 +10,10 @@ in one or two expansion levels only.
 
 from __future__ import annotations
 
-from collections.abc import Iterator
-
 import numpy as np
 
-from repro.sim.gpu import WarpAccess
 from repro.workloads.graph_common import GraphWorkload, gather_neighbors
-from repro.workloads.trace import stream_warps
+from repro.workloads.trace import TraceBuilder, WarpColumns
 
 
 class BFSWorkload(GraphWorkload):
@@ -25,7 +22,7 @@ class BFSWorkload(GraphWorkload):
     name = "BFS"
     description = "Graph traversal, data-dependent vertex/edge accesses (BaM)"
 
-    def generate(self) -> Iterator[WarpAccess]:
+    def columns(self) -> WarpColumns:
         graph = self.graph
         pages = self.page_map
         dist = np.full(graph.num_vertices, -1, dtype=np.int32)
@@ -33,23 +30,21 @@ class BFSWorkload(GraphWorkload):
         dist[source] = 0
         frontier = np.array([source], dtype=np.int64)
         level = 0
+        trace = TraceBuilder()
         while frontier.size:
             level += 1
             # Read the frontier's own property pages (distance/state).
-            yield from stream_warps(
-                pages.vertex_pages_array(frontier, array=0).tolist(), pages_per_warp=2
-            )
+            trace.stream(pages.vertex_pages_array(frontier, array=0))
             # Read the edge pages its adjacency lists span.
             starts = graph.offsets[frontier]
             ends = graph.offsets[frontier + 1]
-            edge_pages = pages.edge_pages_for_ranges(starts, ends)
-            yield from stream_warps(edge_pages.tolist(), pages_per_warp=2)
+            trace.stream(pages.edge_pages_for_ranges(starts, ends))
             # Visit neighbours: check + update their distance pages.
             neighbors = np.unique(gather_neighbors(graph, frontier))
             if neighbors.size == 0:
                 break
             unvisited = neighbors[dist[neighbors] < 0]
-            touched = pages.vertex_pages_array(neighbors, array=1)
-            yield from stream_warps(touched.tolist(), write=True, pages_per_warp=2)
+            trace.stream(pages.vertex_pages_array(neighbors, array=1), write=True)
             dist[unvisited] = level
             frontier = unvisited.astype(np.int64)
+        return trace.build()

@@ -10,39 +10,33 @@ and replays it as a first-class :class:`~repro.workloads.trace.Workload`:
 >>> replay = load_trace("srad.npz")
 >>> GMTRuntime(config).run(replay)   # identical to running the original
 
-Format (npz): ``pages`` (int64, all lanes concatenated), ``lengths``
-(int32 lanes per warp), ``writes`` (bool per warp), ``meta`` (JSON string
-with name/description/footprint).
+Format (npz, version 1): the workload's
+:class:`~repro.workloads.trace.WarpColumns` — ``pages`` (its ``lanes``,
+int64, all lanes concatenated), ``lengths`` (int32 lanes per warp),
+``writes`` (bool per warp) — and ``meta`` (JSON string with
+name/description/footprint).
 """
 
 from __future__ import annotations
 
 import json
-from collections.abc import Iterator
 from pathlib import Path
 
 import numpy as np
 
 from repro.errors import TraceError
-from repro.sim.gpu import WarpAccess
-from repro.workloads.trace import Workload
+from repro.workloads.trace import WarpColumns, Workload
 
 _FORMAT_VERSION = 1
 
 
 def save_trace(workload: Workload, path: str | Path) -> dict:
-    """Serialise ``workload``'s full warp stream to ``path``.
+    """Serialise ``workload``'s columns to ``path``.
 
-    Returns a summary dict (warps, coalesced accesses, bytes on disk).
+    Returns a summary dict (warps, lane accesses, bytes on disk).
     """
-    pages: list[int] = []
-    lengths: list[int] = []
-    writes: list[bool] = []
-    for warp in workload:
-        pages.extend(warp.pages)
-        lengths.append(len(warp.pages))
-        writes.append(warp.write)
-    if not lengths:
+    trace = workload.columns()
+    if not trace.n_warps:
         raise TraceError(f"workload {workload.name!r} produced an empty trace")
     meta = {
         "version": _FORMAT_VERSION,
@@ -54,14 +48,14 @@ def save_trace(workload: Workload, path: str | Path) -> dict:
     path = Path(path)
     np.savez_compressed(
         path,
-        pages=np.asarray(pages, dtype=np.int64),
-        lengths=np.asarray(lengths, dtype=np.int32),
-        writes=np.asarray(writes, dtype=bool),
+        pages=trace.lanes,
+        lengths=trace.lengths.astype(np.int32),
+        writes=trace.writes,
         meta=np.array(json.dumps(meta)),
     )
     return {
-        "warps": len(lengths),
-        "lane_accesses": len(pages),
+        "warps": trace.n_warps,
+        "lane_accesses": len(trace.lanes),
         "bytes": path.stat().st_size,
         "path": str(path),
     }
@@ -74,26 +68,14 @@ class RecordedWorkload(Workload):
         super().__init__(int(meta["footprint_pages"]), int(meta.get("seed", 0)))
         self.name = meta["name"]
         self.description = meta.get("description", "")
-        self._pages = pages
-        self._starts = np.zeros(len(lengths) + 1, dtype=np.int64)
-        np.cumsum(lengths, out=self._starts[1:])
-        self._writes = writes
-        if self._starts[-1] != len(pages):
-            raise TraceError("corrupt trace: lane counts do not match pages")
+        self._columns = WarpColumns(pages, lengths, writes)
 
     @property
     def num_warps(self) -> int:
-        return len(self._writes)
+        return self._columns.n_warps
 
-    def generate(self) -> Iterator[WarpAccess]:
-        pages = self._pages
-        starts = self._starts
-        writes = self._writes
-        for i in range(len(writes)):
-            lanes = pages[starts[i] : starts[i + 1]]
-            yield WarpAccess(
-                pages=tuple(int(p) for p in lanes), write=bool(writes[i])
-            )
+    def columns(self) -> WarpColumns:
+        return self._columns
 
 
 def load_trace(path: str | Path) -> RecordedWorkload:

@@ -13,11 +13,10 @@ heuristic.
 
 from __future__ import annotations
 
-from collections.abc import Iterator
+import numpy as np
 
 from repro.errors import TraceError
-from repro.sim.gpu import WarpAccess
-from repro.workloads.trace import Workload, stream_warps
+from repro.workloads.trace import TraceBuilder, WarpColumns, Workload
 
 
 class HotspotWorkload(Workload):
@@ -44,16 +43,18 @@ class HotspotWorkload(Workload):
         self.array_pages = grid_pages // 2
         self.cold_pages = footprint_pages - 2 * self.array_pages
 
-    def generate(self) -> Iterator[WarpAccess]:
+    def columns(self) -> WarpColumns:
         temp_base = self.cold_pages
         power_base = temp_base + self.array_pages
+        trace = TraceBuilder()
         # One-time configuration data (floorplan, constants).
-        if self.cold_pages:
-            yield from stream_warps(range(self.cold_pages), pages_per_warp=2)
+        trace.stream(range(self.cold_pages))
+        # Per grid slice: read its power density, then update its
+        # temperatures in place (read-modify-write of the same page is
+        # one coalesced touch per iteration).
+        grid = np.arange(self.array_pages)
+        lanes = np.column_stack((power_base + grid, temp_base + grid)).ravel()
+        writes = np.tile([False, True], self.array_pages)
         for _ in range(self.iterations):
-            for i in range(self.array_pages):
-                # Read the power density for this grid slice...
-                yield WarpAccess(pages=(power_base + i,))
-                # ...and update the temperatures in place (read-modify-write
-                # of the same page is one coalesced touch per iteration).
-                yield WarpAccess(pages=(temp_base + i,), write=True)
+            trace.append(lanes, 1, writes)
+        return trace.build()

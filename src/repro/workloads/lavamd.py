@@ -11,11 +11,8 @@ that property (most pages are evicted exactly once, unresolved).
 
 from __future__ import annotations
 
-from collections.abc import Iterator
-
 from repro.errors import TraceError
-from repro.sim.gpu import WarpAccess
-from repro.workloads.trace import Workload, stream_warps
+from repro.workloads.trace import TraceBuilder, WarpColumns, Workload
 
 
 class LavaMDWorkload(Workload):
@@ -55,17 +52,17 @@ class LavaMDWorkload(Workload):
             footprint_pages, self.param_pages + self.num_boxes * box_pages
         )
 
-    def generate(self) -> Iterator[WarpAccess]:
+    def columns(self) -> WarpColumns:
         data_base = self.param_pages
         group_size = self.param_group_pages
+        trace = TraceBuilder()
         for box in range(self.num_boxes):
             # Each warp first loads its neighbourhood's shared parameters...
             group = box // self.boxes_per_neighborhood
             group_base = (group * group_size) % self.param_pages
             param_page = group_base + box % group_size
-            yield WarpAccess(pages=(min(param_page, self.param_pages - 1),))
+            trace.append([min(param_page, self.param_pages - 1)])
             # ...then streams the box's particles, updating them in place.
             first = data_base + box * self.box_pages
-            yield from stream_warps(
-                range(first, first + self.box_pages), write=True, pages_per_warp=2
-            )
+            trace.stream(range(first, first + self.box_pages), write=True)
+        return trace.build()

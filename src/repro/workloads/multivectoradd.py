@@ -17,11 +17,10 @@ pass structure, preserved here.
 
 from __future__ import annotations
 
-from collections.abc import Iterator
+import numpy as np
 
 from repro.errors import TraceError
-from repro.sim.gpu import WarpAccess
-from repro.workloads.trace import Workload, stream_warps
+from repro.workloads.trace import TraceBuilder, WarpColumns, Workload
 
 
 class MultiVectorAddWorkload(Workload):
@@ -40,15 +39,19 @@ class MultiVectorAddWorkload(Workload):
         # A size below one page per vector still lays out one each.
         self.footprint_pages = max(footprint_pages, (num_inputs + 2) * self.vector_pages)
 
-    def generate(self) -> Iterator[WarpAccess]:
+    def columns(self) -> WarpColumns:
         vp = self.vector_pages
         b_base = self.num_inputs * vp
         c_base = b_base + vp
+        trace = TraceBuilder()
         # Initialise the output vector (one write sweep).
-        yield from stream_warps(range(c_base, c_base + vp), write=True, pages_per_warp=2)
+        trace.stream(range(c_base, c_base + vp), write=True)
+        i = np.arange(vp)
+        lengths = np.tile([2, 1], vp)
+        writes = np.tile([False, True], vp)
         for k in range(self.num_inputs):
             a_base = k * vp
-            for i in range(vp):
-                # Lanes read A_k[i] and B[i], then accumulate into C[i].
-                yield WarpAccess(pages=(a_base + i, b_base + i))
-                yield WarpAccess(pages=(c_base + i,), write=True)
+            # Lanes read A_k[i] and B[i], then accumulate into C[i].
+            lanes = np.column_stack((a_base + i, b_base + i, c_base + i)).ravel()
+            trace.append(lanes, lengths, writes)
+        return trace.build()

@@ -16,14 +16,11 @@ cold ones, as the power-law degree distribution dictates.
 
 from __future__ import annotations
 
-from collections.abc import Iterator
-
 import numpy as np
 
 from repro.errors import TraceError
-from repro.sim.gpu import WarpAccess
 from repro.workloads.graph_common import GraphWorkload
-from repro.workloads.trace import stream_warps
+from repro.workloads.trace import TraceBuilder, WarpColumns
 
 
 class PageRankWorkload(GraphWorkload):
@@ -58,7 +55,7 @@ class PageRankWorkload(GraphWorkload):
         first_targets = graph.targets[first_slots].astype(np.int64)
         return first_targets // pages.vertices_per_page  # rank array 0 pages
 
-    def generate(self) -> Iterator[WarpAccess]:
+    def columns(self) -> WarpColumns:
         pages = self.page_map
         gather_pages = self._per_edge_page_gathers()
         edge_base = pages.num_property_arrays * pages.vertex_array_pages
@@ -68,21 +65,18 @@ class PageRankWorkload(GraphWorkload):
         # One-time graph-loading metadata (degrees, offsets construction):
         # read once and never again, matching Table 2's ~90 % page reuse.
         cold_base = pages.total_pages
-        yield from stream_warps(
-            range(cold_base, cold_base + self.cold_pages), pages_per_warp=2
-        )
+        trace = TraceBuilder()
+        trace.stream(range(cold_base, cold_base + self.cold_pages))
 
+        # Each warp reads an edge page and gathers a referenced vertex's rank.
+        edge_warps = np.column_stack(
+            (edge_base + np.arange(num_edge_pages), gather_pages)
+        )
         for iteration in range(self.iterations):
-            reverse = iteration % 2 == 1
-            order = range(num_edge_pages - 1, -1, -1) if reverse else range(num_edge_pages)
-            for i in order:
-                # Read the edge page and gather a referenced vertex's rank.
-                yield WarpAccess(pages=(edge_base + i, int(gather_pages[i])))
+            step = -1 if iteration % 2 == 1 else 1
+            trace.append(edge_warps[::step].ravel(), 2)
             # Write the next-rank array (property array 1), same direction.
-            next_rank = range(rank_pages, 2 * rank_pages)
-            sweep = reversed(next_rank) if reverse else next_rank
-            yield from stream_warps(sweep, write=True, pages_per_warp=2)
+            trace.stream(range(rank_pages, 2 * rank_pages)[::step], write=True)
             # Read the current-rank array (property array 0).
-            cur = range(rank_pages)
-            sweep = reversed(cur) if reverse else cur
-            yield from stream_warps(sweep, pages_per_warp=2)
+            trace.stream(range(rank_pages)[::step])
+        return trace.build()

@@ -11,11 +11,8 @@ instead of the SSD.
 
 from __future__ import annotations
 
-from collections.abc import Iterator
-
 from repro.errors import TraceError
-from repro.sim.gpu import WarpAccess
-from repro.workloads.trace import Workload, stream_warps
+from repro.workloads.trace import TraceBuilder, WarpColumns, Workload
 
 
 class PathfinderWorkload(Workload):
@@ -37,7 +34,7 @@ class PathfinderWorkload(Workload):
         # A size below two rows still lays out two.
         self.footprint_pages = max(footprint_pages, self.num_rows * pages_per_row)
 
-    def generate(self) -> Iterator[WarpAccess]:
+    def columns(self) -> WarpColumns:
         grid_pages_per_row = self.GRID_RATIO * self.row_pages
         grid_base = 0
         result_base = self.num_rows * grid_pages_per_row
@@ -46,14 +43,14 @@ class PathfinderWorkload(Workload):
             first = result_base + r * self.row_pages
             return range(first, first + self.row_pages)
 
+        trace = TraceBuilder()
         for row in range(self.num_rows):
             # Stream this row's slice of the input grid (touched once).
             first = grid_base + row * grid_pages_per_row
-            yield from stream_warps(
-                range(first, first + grid_pages_per_row), pages_per_warp=2
-            )
+            trace.stream(range(first, first + grid_pages_per_row))
             if row > 0:
                 # Re-read the previous row's result (the DP dependency).
-                yield from stream_warps(result_row(row - 1), pages_per_warp=2)
+                trace.stream(result_row(row - 1))
             # Write this row's result.
-            yield from stream_warps(result_row(row), write=True, pages_per_warp=2)
+            trace.stream(result_row(row), write=True)
+        return trace.build()

@@ -14,11 +14,8 @@ the Markov predictor's 2-level history.
 
 from __future__ import annotations
 
-from collections.abc import Iterator
-
 from repro.errors import TraceError
-from repro.sim.gpu import WarpAccess
-from repro.workloads.trace import Workload, stream_warps
+from repro.workloads.trace import TraceBuilder, WarpColumns, Workload
 
 
 class SradWorkload(Workload):
@@ -47,18 +44,19 @@ class SradWorkload(Workload):
         self.chunk_pages = max(1, int(footprint_pages * chunk_fraction))
         self.cold_pages = footprint_pages - self.image_pages
 
-    def generate(self) -> Iterator[WarpAccess]:
+    def columns(self) -> WarpColumns:
         image_base = self.cold_pages
+        trace = TraceBuilder()
         # One-time setup data (coefficients, borders): read once, never again.
-        if self.cold_pages:
-            yield from stream_warps(range(self.cold_pages), pages_per_warp=2)
+        trace.stream(range(self.cold_pages))
         for _ in range(self.iterations):
             for chunk_start in range(0, self.image_pages, self.chunk_pages):
                 chunk_end = min(chunk_start + self.chunk_pages, self.image_pages)
                 chunk = range(image_base + chunk_start, image_base + chunk_end)
                 # Kernel 1: statistics/reduction over the chunk (reads).
-                yield from stream_warps(chunk, pages_per_warp=2)
+                trace.stream(chunk)
                 # Kernel 2: gradients/diffusion coefficients (reads).
-                yield from stream_warps(chunk, pages_per_warp=2)
+                trace.stream(chunk)
                 # Kernel 3: image update (read-modify-write).
-                yield from stream_warps(chunk, write=True, pages_per_warp=2)
+                trace.stream(chunk, write=True)
+        return trace.build()

@@ -11,14 +11,11 @@ pages (never-reached fringes plus single-round edges) see no reuse.
 
 from __future__ import annotations
 
-from collections.abc import Iterator
-
 import numpy as np
 
 from repro.errors import TraceError
-from repro.sim.gpu import WarpAccess
 from repro.workloads.graph_common import GraphWorkload, gather_neighbors
-from repro.workloads.trace import stream_warps
+from repro.workloads.trace import TraceBuilder, WarpColumns
 
 
 class SSSPWorkload(GraphWorkload):
@@ -48,7 +45,7 @@ class SSSPWorkload(GraphWorkload):
         self.num_sources = num_sources
         self.cold_fraction = cold_fraction
 
-    def generate(self) -> Iterator[WarpAccess]:
+    def columns(self) -> WarpColumns:
         # A batch of single-source queries (as graph serving systems run):
         # each re-traverses the whole graph, so vertex and edge pages recur
         # at working-set-scale distances — Table 2's 80 % reuse with
@@ -58,15 +55,15 @@ class SSSPWorkload(GraphWorkload):
         # One-time loading/preprocessing data (weights parsing, query log):
         # read once, never reused (Table 2: ~80 % page reuse, not 100 %).
         cold_base = pages.total_pages
-        yield from stream_warps(
-            range(cold_base, cold_base + self.cold_pages), pages_per_warp=2
-        )
+        trace = TraceBuilder()
+        trace.stream(range(cold_base, cold_base + self.cold_pages))
         degrees = np.diff(graph.offsets)
         sources = np.argsort(degrees)[::-1][: self.num_sources]
         for query, source in enumerate(sources):
-            yield from self._single_source(int(source), query)
+            self._single_source(trace, int(source), query)
+        return trace.build()
 
-    def _single_source(self, source: int, query: int) -> Iterator[WarpAccess]:
+    def _single_source(self, trace: TraceBuilder, source: int, query: int) -> None:
         graph = self.graph
         pages = self.page_map
         rng = np.random.default_rng(self.seed + 1 + query)
@@ -80,14 +77,11 @@ class SSSPWorkload(GraphWorkload):
             if active.size == 0:
                 break
             # Read the active vertices' distance pages.
-            yield from stream_warps(
-                pages.vertex_pages_array(active, array=0).tolist(), pages_per_warp=2
-            )
+            trace.stream(pages.vertex_pages_array(active, array=0))
             # Read the edge (target + weight) pages they span.
             starts = graph.offsets[active]
             ends = graph.offsets[active + 1]
-            edge_pages = pages.edge_pages_for_ranges(starts, ends)
-            yield from stream_warps(edge_pages.tolist(), pages_per_warp=2)
+            trace.stream(pages.edge_pages_for_ranges(starts, ends))
             # Relax: gather targets, compute tentative distances.
             targets = gather_neighbors(graph, active)
             if targets.size == 0:
@@ -101,7 +95,7 @@ class SSSPWorkload(GraphWorkload):
             # Write the improved vertices' distance pages (array 1 mirrors
             # the updated-this-round flags BaM's SSSP keeps per vertex).
             touched = pages.vertex_pages_array(np.unique(targets), array=1)
-            yield from stream_warps(touched.tolist(), write=True, pages_per_warp=2)
+            trace.stream(touched, write=True)
             if changed.size == 0:
                 break
             np.minimum.at(dist, targets, tentative)

@@ -9,14 +9,11 @@ pages)" (Figure 6(b)).
 
 from __future__ import annotations
 
-from collections.abc import Iterator
-
 import numpy as np
 
 from repro.errors import TraceError
-from repro.sim.gpu import WarpAccess
 from repro.sim.transfer import WARP_SIZE
-from repro.workloads.trace import Workload
+from repro.workloads.trace import TraceBuilder, WarpColumns, Workload
 
 
 def zipf_weights(num_pages: int, skew: float) -> np.ndarray:
@@ -60,7 +57,7 @@ class ZipfAccessGenerator(Workload):
         self.lanes = lanes
         self.write_fraction = write_fraction
 
-    def generate(self) -> Iterator[WarpAccess]:
+    def columns(self) -> WarpColumns:
         rng = np.random.default_rng(self.seed)
         weights = zipf_weights(self.footprint_pages, self.skew)
         # Page ranks are shuffled so "popular" pages are scattered in the
@@ -70,10 +67,11 @@ class ZipfAccessGenerator(Workload):
             self.footprint_pages, size=(self.num_warps, self.lanes), p=weights
         )
         writes = rng.random(self.num_warps) < self.write_fraction
-        for row, is_write in zip(draws, writes):
-            yield WarpAccess(
-                pages=tuple(int(page_of_rank[r]) for r in row), write=bool(is_write)
-            )
+        return WarpColumns(
+            page_of_rank[draws].ravel(),
+            np.full(self.num_warps, self.lanes, dtype=np.int8),
+            writes,
+        )
 
 
 class StreamingWorkload(Workload):
@@ -95,16 +93,17 @@ class StreamingWorkload(Workload):
             raise TraceError(f"write_fraction must be in [0, 1]: {write_fraction}")
         self.write_fraction = write_fraction
 
-    def generate(self) -> Iterator[WarpAccess]:
+    def columns(self) -> WarpColumns:
         write_every = (
             int(1 / self.write_fraction) if self.write_fraction > 0 else 0
         )
-        for i in range(0, self.footprint_pages, 2):
-            pages = tuple(
-                p for p in (i, i + 1) if p < self.footprint_pages
-            )
-            write = bool(write_every) and (i // 2) % write_every == 0
-            yield WarpAccess(pages=pages, write=write)
+        warps = np.arange(-(-self.footprint_pages // 2))
+        trace = TraceBuilder()
+        trace.stream(
+            range(self.footprint_pages),
+            write=warps % write_every == 0 if write_every else False,
+        )
+        return trace.build()
 
 
 class KeyValueWorkload(Workload):
@@ -139,29 +138,19 @@ class KeyValueWorkload(Workload):
         self.skew = skew
         self.compaction_every = compaction_every
 
-    def generate(self) -> Iterator[WarpAccess]:
+    def columns(self) -> WarpColumns:
         rng = np.random.default_rng(self.seed)
         weights = zipf_weights(self.footprint_pages, self.skew)
         page_of_rank = rng.permutation(self.footprint_pages)
         draws = rng.choice(self.footprint_pages, size=self.lookups, p=weights)
         writes = rng.random(self.lookups) < 0.1  # updates
-        issued = 0
-        for rank, write in zip(draws, writes):
-            yield WarpAccess(pages=(int(page_of_rank[rank]),), write=bool(write))
-            issued += 1
-            if issued % self.compaction_every == 0:
+        pages = page_of_rank[draws]
+        del draws
+        every = self.compaction_every
+        trace = TraceBuilder()
+        for first in range(0, self.lookups, every):
+            trace.append(pages[first : first + every], 1, writes[first : first + every])
+            if first + every <= self.lookups:
                 # Compaction: read-modify-write sweep over the whole store.
-                for page in range(0, self.footprint_pages, 2):
-                    pages = tuple(
-                        p for p in (page, page + 1) if p < self.footprint_pages
-                    )
-                    yield WarpAccess(pages=pages, write=True)
-
-
-def sweep(start: int, count: int, reverse: bool = False) -> Iterator[int]:
-    """Sequential page-id sweep over [start, start+count), optionally
-    reversed — the building block of every streaming kernel."""
-    if count < 0:
-        raise TraceError(f"negative sweep length: {count}")
-    pages = range(start + count - 1, start - 1, -1) if reverse else range(start, start + count)
-    yield from pages
+                trace.stream(range(self.footprint_pages), write=True)
+        return trace.build()

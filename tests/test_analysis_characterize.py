@@ -10,8 +10,7 @@ from repro.analysis.characterize import (
 )
 from repro.errors import TraceError
 from repro.reuse.classifier import ReuseClass
-from repro.sim.gpu import WarpAccess
-from repro.workloads.trace import Workload
+from repro.workloads.trace import WarpColumns, Workload
 
 
 class _PagesWorkload(Workload):
@@ -24,9 +23,9 @@ class _PagesWorkload(Workload):
         self._pages = pages
         self._writes = set(write_pages)
 
-    def generate(self):
-        for p in self._pages:
-            yield WarpAccess(pages=(p,), write=p in self._writes)
+    def columns(self):
+        writes = [p in self._writes for p in self._pages]
+        return WarpColumns(self._pages, [1] * len(self._pages), writes)
 
 
 class TestCharacterizeWorkload:
@@ -51,8 +50,8 @@ class TestCharacterizeWorkload:
         class W(Workload):
             name = "dups"
 
-            def generate(self):
-                yield WarpAccess(pages=(1, 1, 1))
+            def columns(self):
+                return WarpColumns([1, 1, 1], [3], [False])
 
         ch = characterize_workload(W(footprint_pages=2))
         assert ch.coalesced_accesses == 1

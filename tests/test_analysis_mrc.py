@@ -4,9 +4,8 @@ import pytest
 
 from repro.analysis.mrc import miss_ratio_curve
 from repro.errors import TraceError
-from repro.sim.gpu import WarpAccess
 from repro.sim.latency import PlatformModel
-from repro.workloads.trace import Workload
+from repro.workloads.trace import WarpColumns, Workload
 
 
 class _PagesWorkload(Workload):
@@ -16,9 +15,9 @@ class _PagesWorkload(Workload):
         super().__init__(max(pages) + 1, 0)
         self._pages = pages
 
-    def generate(self):
-        for p in self._pages:
-            yield WarpAccess(pages=(p,))
+    def columns(self):
+        n = len(self._pages)
+        return WarpColumns(self._pages, [1] * n, [False] * n)
 
 
 def sweep(footprint, repeats):
@@ -80,8 +79,8 @@ class TestMissRatioCurve:
         class Empty(Workload):
             name = "empty"
 
-            def generate(self):
-                return iter(())
+            def columns(self):
+                return WarpColumns([], [], [])
 
         with pytest.raises(TraceError):
             miss_ratio_curve(Empty(footprint_pages=1))

@@ -9,8 +9,7 @@ from repro.core.oracle import (
     run_with_oracle,
 )
 from repro.errors import TraceError
-from repro.sim.gpu import WarpAccess
-from repro.workloads.trace import Workload
+from repro.workloads.trace import WarpColumns, Workload
 
 
 class _PagesWorkload(Workload):
@@ -20,9 +19,9 @@ class _PagesWorkload(Workload):
         super().__init__(max(pages) + 1, 0)
         self._pages = pages
 
-    def generate(self):
-        for p in self._pages:
-            yield WarpAccess(pages=(p,))
+    def columns(self):
+        n = len(self._pages)
+        return WarpColumns(self._pages, [1] * n, [False] * n)
 
 
 @pytest.fixture
@@ -52,8 +51,8 @@ class TestFutureReuseIndex:
         class Empty(Workload):
             name = "empty"
 
-            def generate(self):
-                return iter(())
+            def columns(self):
+                return WarpColumns([], [], [])
 
         with pytest.raises(TraceError):
             FutureReuseIndex(Empty(footprint_pages=1))

@@ -23,7 +23,6 @@ from hypothesis import strategies as st
 from repro.core import GMTConfig
 from repro.core.runtime import _SCALAR_STRIDE, GMTRuntime
 from repro.core.vector import (
-    _FLATTEN_BLOCK,
     _STREAM_CHUNK_WARPS,
     HitMap,
     _iter_trace_chunks,
@@ -468,17 +467,21 @@ class TestFallbacksAndGuards:
 
 
 class TestTraceFlattening:
-    """``_iter_trace_chunks`` builds the flat stream in bounded blocks and
-    still yields exactly what a per-access loop over the warps gives."""
+    """``_iter_trace_chunks`` packs warps into columns in bounded chunks,
+    flattens each with one vectorized coalesce, and yields exactly what a
+    per-access loop over the warps gives."""
+
+    #: Coalesced accesses in the fixture trace: several stream chunks.
+    ACCESSES = 3 * (1 << 16) + 1000
 
     @pytest.fixture(scope="class")
     def warps(self):
         # Up to 32 lanes over a small page range: warps span many pages
-        # and repeat some, so coalescing matters, and each
-        # _STREAM_CHUNK_WARPS chunk holds more than one block.
+        # and repeat some, so coalescing matters, and the trace spans
+        # several _STREAM_CHUNK_WARPS chunks.
         rng = random.Random(7)
         warps, accesses = [], 0
-        while accesses < 3 * _FLATTEN_BLOCK + 1000:
+        while accesses < self.ACCESSES:
             lanes = tuple(rng.randrange(4096) for _ in range(rng.randint(1, 32)))
             warps.append(WarpAccess(pages=lanes, write=rng.random() < 0.3))
             accesses += len(set(lanes))
@@ -496,15 +499,15 @@ class TestTraceFlattening:
 
     @staticmethod
     def flat(chunk):
-        n_warps, pages, writes, counts = chunk
+        pages, writes, counts = chunk.pages, chunk.writes, chunk.warps
         assert (pages.dtype, writes.dtype, counts.dtype) == (np.int64, bool, np.int64)
-        return n_warps, (pages.tolist(), writes.tolist(), counts.tolist())
+        return chunk.n_warps, (pages.tolist(), writes.tolist(), counts.tolist())
 
     def test_whole_trace_as_one_chunk(self, warps):
         (chunk,) = _iter_trace_chunks(warps)
         n_warps, arrays = self.flat(chunk)
         assert n_warps == len(warps)
-        assert len(arrays[0]) > 3 * _FLATTEN_BLOCK
+        assert len(arrays[0]) >= self.ACCESSES
         assert arrays == self.naive(warps)
 
     def test_bounded_chunks(self, warps):
@@ -515,9 +518,56 @@ class TestTraceFlattening:
             n_warps, arrays = self.flat(chunk)
             assert n_warps == len(part)
             assert arrays == self.naive(part)
-        assert len(chunks[0][1]) > _FLATTEN_BLOCK
+        assert len(chunks) > 1
 
     def test_empty_trace(self):
         (chunk,) = _iter_trace_chunks([])
         assert self.flat(chunk) == (0, ([], [], []))
         assert list(_iter_trace_chunks([], _STREAM_CHUNK_WARPS)) == []
+
+
+class TestHitMapSizing:
+    """The hit map is sized where the page space is known (``run()`` per
+    chunk, the serving runtime at construction), so a demand fill grows
+    it only for a direct ``access()``/``access_warp()`` caller past it."""
+
+    @staticmethod
+    def count_ensures(monkeypatch):
+        calls = []
+        ensure = HitMap.ensure
+
+        def counting(self, n):
+            calls.append(n)
+            return ensure(self, n)
+
+        monkeypatch.setattr(HitMap, "ensure", counting)
+        return calls
+
+    @pytest.mark.parametrize("prefetch_degree", [0, 2])
+    def test_served_runs_never_grow_the_map(self, monkeypatch, prefetch_degree):
+        import dataclasses
+
+        from repro.serve import OpenLoopConfig, OpenLoopServer, TenantPopulation
+        from repro.serve.server import TenantServer, build_tenants
+
+        config = dataclasses.replace(default_config(8192), prefetch_degree=prefetch_degree)
+        closed = TenantServer(config, build_tenants(["bfs", "hotspot", "srad"], config))
+        fleet = OpenLoopServer(
+            config, TenantPopulation(64, seed=3), OpenLoopConfig(requests=256, seed=3)
+        )
+        calls = self.count_ensures(monkeypatch)
+        closed.run(solo_baselines=False)
+        fleet.run()
+        assert calls == []
+        assert closed.runtime.stats.t1_misses and fleet.runtime.stats.t1_misses
+
+    def test_direct_access_past_the_initial_map_grows_it(self):
+        runtime = GMTRuntime(small_config(prefetch_degree=2))
+        initial = runtime._hit_map.bits.size
+        page = initial + 5000
+        runtime.access_warp(WarpAccess(pages=(page, 3)))
+        runtime.access_warp(WarpAccess(pages=(page,), write=True))
+        assert runtime._hit_map.bits.size >= page + 3 > initial
+        assert runtime._hit_map.bits[page]
+        assert (runtime.stats.t1_misses, runtime.stats.t1_hits) == (2, 1)
+        runtime.check_invariants()

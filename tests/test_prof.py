@@ -251,6 +251,17 @@ class TestReplayProfiling:
             "vector", "Tier-1 hit runs retire in batches"
         )
 
+    def test_column_generation_is_trace_gen(self):
+        # Generating the columns, jittering and flattening them all run
+        # inside materialize_trace; on a hit-dominated keyvalue replay
+        # they are most of the wall.
+        from repro.workloads.registry import make_workload
+
+        workload = make_workload("keyvalue", 48, seed=0, lookups=200_000)
+        prof, _result = profile_replay(build_runtime("reuse", default_config(4096)), workload)
+        assert prof.self_s["trace-gen"] >= 0.5 * prof.wall_s
+        assert prof.coverage >= 0.9
+
     def test_zoo_tier1_profile_says_vector(self):
         # A policy-zoo Tier-1 structure rides the batch loop too, and the
         # profiled replay still matches the per-warp reference.

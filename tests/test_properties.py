@@ -222,7 +222,7 @@ class TestJitterProperties:
     )
     def test_jitter_preserves_multiset(self, n_warps, window, seed):
         from repro.sim.gpu import warp_of
-        from repro.workloads.trace import JitteredWorkload, Workload
+        from repro.workloads.trace import JitteredWorkload, WarpColumns, Workload
 
         class _List(Workload):
             name = "list"
@@ -230,8 +230,8 @@ class TestJitterProperties:
             def __init__(self):
                 super().__init__(max(n_warps, 1), seed)
 
-            def generate(self):
-                return iter([warp_of([p]) for p in range(n_warps)])
+            def columns(self):
+                return WarpColumns.from_warps([warp_of([p]) for p in range(n_warps)])
 
         out = list(JitteredWorkload(_List(), window=window))
         assert sorted(w.pages[0] for w in out) == list(range(n_warps))

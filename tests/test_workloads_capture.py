@@ -22,13 +22,13 @@ class TestSaveTrace:
         assert path.exists()
 
     def test_empty_trace_rejected(self, tmp_path):
-        from repro.workloads.trace import Workload
+        from repro.workloads.trace import WarpColumns, Workload
 
         class Empty(Workload):
             name = "empty"
 
-            def generate(self):
-                return iter(())
+            def columns(self):
+                return WarpColumns([], [], [])
 
         with pytest.raises(TraceError):
             save_trace(Empty(footprint_pages=1), tmp_path / "x.npz")

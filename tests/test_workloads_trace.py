@@ -6,8 +6,8 @@ from repro.errors import TraceError
 from repro.sim.gpu import WarpAccess, warp_of
 from repro.workloads.trace import (
     JitteredWorkload,
+    WarpColumns,
     Workload,
-    interleave_warps,
     stream_warps,
 )
 
@@ -19,8 +19,8 @@ class _ListWorkload(Workload):
         super().__init__(footprint_pages, seed)
         self._warps = warps
 
-    def generate(self):
-        return iter(self._warps)
+    def columns(self):
+        return WarpColumns.from_warps(self._warps)
 
 
 class TestStreamWarps:
@@ -98,14 +98,3 @@ class TestJitteredWorkload:
         with pytest.raises(TraceError):
             JitteredWorkload(_ListWorkload([]), window=0)
 
-
-class TestInterleaveWarps:
-    def test_round_robin(self):
-        a = [warp_of([1]), warp_of([2])]
-        b = [warp_of([10]), warp_of([20]), warp_of([30])]
-        merged = list(interleave_warps([iter(a), iter(b)]))
-        assert [w.pages[0] for w in merged] == [1, 10, 2, 20, 30]
-
-    def test_empty_streams(self):
-        assert list(interleave_warps([])) == []
-        assert list(interleave_warps([iter([])])) == []
