@@ -17,9 +17,10 @@ be reshaped without notice; prefer these re-exports over deep imports.
   :class:`DragonRuntime`, :class:`RuntimeConfig` (alias of
   :class:`GMTConfig`), :class:`RunResult`, :class:`RuntimeStats`.
   Every runtime's ``run`` retires Tier-1 hit runs in batches,
-  byte-identical to its per-warp reference ``replay_per_warp``;
-  ``runtime.engine_resolution()`` reports how it replays as an
-  ``(engine, reason)`` pair (see ``docs/performance.md``).
+  byte-identical to its per-warp reference ``replay_per_warp`` (see
+  ``docs/performance.md``).  ``runtime.engine_resolution()`` still
+  returns ``("vector", reason)`` for callers that read it; nothing in
+  the package does.
 - Experiments: :class:`ExperimentSpec`, :func:`run_spec`,
   :func:`run_experiment`, :data:`EXPERIMENTS`, :class:`ExperimentResult`.
 - Engine: :class:`Cell`, :class:`Engine`, :class:`ResultCache`,

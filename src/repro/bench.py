@@ -60,9 +60,10 @@ def _zoo_cells() -> tuple[tuple[str, str, str], ...]:
 #: policies are tuned.
 ZOO_CELLS: tuple[tuple[str, str, str], ...] = _zoo_cells()
 
-#: Per-engine throughput cells: each spec is replayed twice, per warp
-#: (``<id>@scalar``, the reference :meth:`GMTRuntime.replay_per_warp`)
-#: and through the batched ``run`` (``<id>@vector``), and recorded with
+#: Batched-vs-per-warp throughput cells: each spec is replayed twice,
+#: per warp (``<id>@scalar``, the reference
+#: :meth:`GMTRuntime.replay_per_warp`) and through the batched ``run``
+#: (``<id>@vector``), and recorded with
 #: ``informational: true`` — presence is gated (the cells must still
 #: run), the metrics are not (wall-clock throughput is
 #: machine-dependent).  ``kvhot`` is the hit-dominated regime batching
@@ -80,8 +81,8 @@ ENGINE_CELLS: tuple[dict, ...] = (
         "workload_kwargs": {"lookups": 200_000},
     },
     # The same hit-dominated regime with windowed telemetry (snapshots,
-    # latency digest, counter tracks) attached: the batch observer
-    # pipeline (repro.obs.batch) keeps run() on its bulk hit path, so
+    # latency digest, counter tracks) attached: run() keeps its bulk hit
+    # path and only stops a batch before each window cut, so
     # instrumented runs must stay an order of magnitude faster than the
     # per-warp reference (--assert-vector-telemetry-speedup gates it in
     # CI).  The longer trace amortises the GMT-Reuse sampling warmup,
@@ -145,8 +146,7 @@ def run_cell(
     generation.  With ``telemetry`` a windowed
     :class:`~repro.obs.Telemetry` (snapshots + latency digest) is
     attached before the clock starts, so the cell measures
-    *instrumented* replay throughput; the record then carries the
-    ``engine_reason`` alongside the engine.
+    *instrumented* replay throughput.
 
     Every replay ends with the full conformance audit
     (:func:`repro.check.identities.assert_conformant`): a baseline
@@ -161,12 +161,7 @@ def run_cell(
         workload_kwargs=workload_kwargs, telemetry=telemetry,
     )
     materialize_trace(workload)
-    engine, engine_reason = runtime.engine_resolution()
-    return {
-        "engine": engine,
-        **({"engine_reason": engine_reason} if telemetry else {}),
-        **_timed_replay(runtime, runtime.run, workload),
-    }
+    return _timed_replay(runtime, runtime.run, workload)
 
 
 def _cell(app, kind, scale, seed, *, tier1_policy=None, tier2_policy=None,
@@ -250,7 +245,6 @@ def run_openloop_cell(scale: int, seed: int, spec: dict) -> dict:
     stats = server.runtime.stats
     accesses = stats.coalesced_accesses
     return {
-        "engine": server.engine_resolution()[0],
         "elapsed_ns": float(outcome.makespan_ns),
         "ssd_io_bytes": float(stats.io_bytes(config.page_size)),
         "t1_hits": float(stats.t1_hits),
@@ -312,7 +306,7 @@ def run_bench(
         runtime, workload = _cell(app, kind, scale, seed, **setup)
         reference = _timed_replay(runtime, runtime.replay_per_warp, workload)
         records = {
-            "scalar": {"engine": "scalar", **reference},
+            "scalar": reference,
             "vector": run_cell(app, kind, scale, seed, **setup),
         }
         for eng, record in records.items():
@@ -458,8 +452,7 @@ def main(argv: list[str] | None = None) -> int:
         default=None,
         help="exit 1 unless the batched replay reaches FACTOR x the "
         "per-warp reference's accesses/sec on the kvhot cell with "
-        "windowed telemetry attached (the batch observer pipeline; CI "
-        "smoke: 10)",
+        "windowed telemetry attached (CI smoke: 10)",
     )
     args = parser.parse_args(argv)
 
@@ -546,8 +539,7 @@ def main(argv: list[str] | None = None) -> int:
         print(
             f"vector-vs-scalar with telemetry on kvhot/reuse+obs: "
             f"{speedup:.1f}x ({vector_aps / 1e3:.0f} vs "
-            f"{scalar_aps / 1e3:.0f} kacc/s, batched replay: "
-            f"{cells['kvhot/reuse+obs@vector'].get('engine_reason', '-')})"
+            f"{scalar_aps / 1e3:.0f} kacc/s)"
         )
         if speedup < args.assert_vector_telemetry_speedup:
             print(
@@ -590,8 +582,6 @@ def main(argv: list[str] | None = None) -> int:
         record_run(
             "gmt-bench",
             wall_s=wall_s,
-            # How the gated cells replayed.
-            engine=cells["{}/{}".format(*DEFAULT_CELLS[0])]["engine"],
             params={"cells": sorted(cells), "scale": args.scale, "seed": args.seed},
             accesses_per_sec=accesses / wall_s if wall_s > 0 else 0.0,
             metrics={

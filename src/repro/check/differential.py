@@ -15,8 +15,9 @@ the cross-runtime and metamorphic checks:
 - **telemetry-parity** — the same pair *with windowed telemetry and the
   full lifecycle recorder attached* must produce byte-equal
   windowed-snapshot streams, latency-digest buckets, Perfetto counter
-  tracks, anomaly findings and lifecycle event streams (the batch
-  observer pipeline of :mod:`repro.obs.batch` under audit);
+  tracks, anomaly findings and lifecycle event streams (the batched
+  replay stops each hit batch before a window cut, and this column
+  checks that it does);
 - **metamorphic-degenerate-bam** — GMT with ``tier2_frames=0`` and the
   tier-order policy must be counter-identical to the BaM baseline;
 - **metamorphic-determinism** — a second replay from the same seed must

@@ -138,8 +138,6 @@ def main_sim(argv: list[str] | None = None) -> int:
                 )
             )
         results[RUNTIME_LABELS[kind]] = runtime.run(workload)
-        resolution = runtime.engine_resolution()
-    print("engine={} (reason={})".format(*resolution))
     if args.anomaly_scan:
         for kind, telemetry in zip(args.runtimes, telemetries):
             _scan_anomalies(args, telemetry, RUNTIME_LABELS[kind])
@@ -162,17 +160,12 @@ def main_sim(argv: list[str] | None = None) -> int:
             args.trace_out,
             [(t.name, t.tracer) for t in telemetries],
             windows={t.name: t.windows() for t in telemetries},
-            metadata={"engine": resolution[0], "engine_reason": resolution[1]},
         )
         print(f"wrote {count} trace events to {args.trace_out} (ui.perfetto.dev)")
     if args.metrics_out is not None:
         from repro.obs.export import write_prometheus
 
-        write_prometheus(
-            args.metrics_out,
-            [t.registry for t in telemetries],
-            header=["engine={} (reason={})".format(*resolution)],
-        )
+        write_prometheus(args.metrics_out, [t.registry for t in telemetries])
         print(f"wrote Prometheus snapshot to {args.metrics_out}")
     if args.lifecycle_out is not None:
         import json
@@ -340,8 +333,6 @@ def _serve_open_loop(args, config) -> int:
     if violations:
         raise ConformanceError(violations)
     print(outcome.to_table())
-    engine, reason = server.engine_resolution()
-    print(f"engine={engine} (reason={reason})")
     if not args.no_ledger:
         from repro.obs.ledger import record_run
 
@@ -349,7 +340,6 @@ def _serve_open_loop(args, config) -> int:
         record_run(
             "gmt-serve",
             wall_s=wall_s,
-            engine=engine,
             params={
                 "mode": "open-loop",
                 "tenants": args.open_loop,
@@ -618,8 +608,6 @@ def main_serve(argv: list[str] | None = None) -> int:
         if violations:
             raise ConformanceError(violations)
     print(outcome.to_table())
-    shared_engine, shared_reason = server.engine_resolution()
-    print(f"engine={shared_engine} (reason={shared_reason})")
 
     if args.trace_out is not None:
         from repro.obs.export import write_chrome_trace
@@ -628,7 +616,6 @@ def main_serve(argv: list[str] | None = None) -> int:
             args.trace_out,
             {telemetry.name: telemetry.tracer},
             windows={telemetry.name: telemetry.windows()},
-            metadata={"engine": shared_engine, "engine_reason": shared_reason},
         )
         print(f"wrote {count} trace events to {args.trace_out} (ui.perfetto.dev)")
     if args.metrics_out is not None:
@@ -637,7 +624,6 @@ def main_serve(argv: list[str] | None = None) -> int:
         write_prometheus(
             args.metrics_out,
             [telemetry.registry] + server.tenant_registries(),
-            header=[f"engine={shared_engine} (reason={shared_reason})"],
         )
         print(f"wrote Prometheus snapshot to {args.metrics_out}")
     anomalies = []
@@ -651,9 +637,7 @@ def main_serve(argv: list[str] | None = None) -> int:
         record_run(
             "gmt-serve",
             wall_s=wall_s,
-            engine=shared_engine,
             params={
-                "engine_reason": shared_reason,
                 "tenants": sorted(s.workload for s in specs),
                 "discipline": args.discipline,
                 "epoch": args.epoch if args.epoch is not None else 1,
@@ -796,7 +780,6 @@ def main_why(argv: list[str] | None = None) -> int:
         )
         runtime.attach_telemetry(telemetry)
         runtime.run(workload)
-        print("engine={} (reason={})".format(*runtime.engine_resolution()))
         events = telemetry.lifecycle.events()
         windows = telemetry.windows()
         if telemetry.lifecycle.dropped:

@@ -43,7 +43,6 @@ from repro.mem.clock_replacement import ClockReplacement
 from repro.mem.page import PageLocation, PageState
 from repro.mem.page_table import PageTable
 from repro.mem.tier2_order import Tier2Fifo
-from repro.obs.batch import AuditBatchObserver, BatchObserverChain
 from repro.obs.lifecycle import LifecycleKind
 from repro.policyzoo.registry import make_eviction_policy
 from repro.reuse.vtd import VirtualTimestampClock
@@ -214,11 +213,9 @@ class GMTRuntime:
         self.name = f"GMT-{self.policy.name}"
 
     def engine_resolution(self) -> tuple[str, str]:
-        """How :meth:`run` replays, with the reason: ``"vector"`` for a
-        runtime that batches its hit runs.  This is the surface the CLIs
-        print (``engine=... (reason=...)``), the exporters embed in
-        headers and every profile records.
-        """
+        """How :meth:`run` replays, with the reason: ``"vector"``, since
+        every runtime batches its hit runs.  Kept for callers outside
+        the package that still read this label."""
         return "vector", "Tier-1 hit runs retire in batches"
 
     # ------------------------------------------------------------------
@@ -350,7 +347,7 @@ class GMTRuntime:
         (:func:`repro.core.vector.materialize_trace`); any other
         iterable streams in bounded chunks.
         """
-        chain = self._batch_observers()
+        observed = self._obs is not None or self._check_every is not None
         if isinstance(trace, Workload):
             # Looked up through the module at call time, so a caller
             # can wrap trace generation.
@@ -362,7 +359,7 @@ class GMTRuntime:
             chunks = vector._iter_trace_chunks(trace, vector._STREAM_CHUNK_WARPS)
         for arrays in chunks:
             self._replay_flat(
-                arrays.pages, arrays.writes, arrays.warps, arrays.n_warps, chain
+                arrays.pages, arrays.writes, arrays.warps, arrays.n_warps, observed
             )
         return self._finish_run()
 
@@ -376,21 +373,40 @@ class GMTRuntime:
         return self._finish_run()
 
     def _finish_run(self) -> RunResult:
+        """End a replay: :meth:`run`, :meth:`replay_per_warp` and the
+        servers' loops all finish here."""
         if self._obs is not None:
             # Flush the final partial snapshot window; without this the
             # tail of the replay drops out of telemetry.windows().
             self._obs.finish()
         return self.result()
 
-    def _batch_observers(self) -> BatchObserverChain | None:
-        """The per-batch observers of what is attached (None: nothing
-        observes mid-run state, so hit runs retire uncapped)."""
-        observers = []
+    def _batch_room(self, position: int) -> int:
+        """How many accesses a hit batch starting at ``position`` (the
+        coalesced-access count) may retire before the next access that
+        attached telemetry or audits must see through :meth:`access`
+        (``<= 0``: the next access is one).
+
+        A window cut at position ``b`` captures the ``b``-th access
+        half-applied: the window clock ticks after that access's
+        ``coalesced_accesses`` and compute counts but before its hit
+        counters, which a bulk-retired batch cannot reproduce.  So a
+        batch ends just before that access.  A periodic audit runs just
+        before the access at each non-zero multiple of its interval, so
+        a batch ends there too.  Everything else telemetry records
+        (spans, histograms, digests, lifecycle events) happens only on
+        the miss path, which always goes through :meth:`access`.
+        """
+        room = _WINDOW_MAX
         if self._obs is not None:
-            observers.append(self._obs.batch_observer())
-        if self._check_every is not None:
-            observers.append(AuditBatchObserver(self._check_every))
-        return BatchObserverChain(observers) if observers else None
+            room = self._obs.snapshotter.next_cut - 1 - position
+        every = self._check_every
+        if every is not None:
+            offset = position % every
+            if position and not offset:
+                return 0
+            room = min(room, every - offset)
+        return room
 
     def _replay_flat(
         self,
@@ -398,7 +414,7 @@ class GMTRuntime:
         writes: np.ndarray,
         warps: np.ndarray,
         n_warps: int,
-        chain: BatchObserverChain | None,
+        observed: bool,
     ) -> None:
         """Replay one flat coalesced-access chunk of ``n_warps`` warps.
 
@@ -412,10 +428,9 @@ class GMTRuntime:
         instead.  Which stretch takes which path is a speed decision,
         never a semantic one.
 
-        ``chain`` (None when nothing is attached) caps each batch to end
-        just before the next access an observer must see on the scalar
-        path — a windowed-snapshot boundary or a periodic audit — and is
-        notified after each retired run.  Under a chain,
+        When ``observed`` (telemetry or periodic audits are attached),
+        :meth:`_batch_room` caps each batch to end just before the next
+        access they must see through :meth:`access`, and
         ``stats.warp_instructions`` is restored from ``warps`` (the
         chunk's cumulative warp count per access) around every
         scalar-replayed access and every retired batch, so a window cut
@@ -424,9 +439,8 @@ class GMTRuntime:
         """
         stats = self.stats
         warp_base = stats.warp_instructions
-        if chain is None:
+        if not observed:
             # Nothing observes the mid-run warp count: add it up front.
-            warps = None
             stats.warp_instructions += n_warps
         n = pages.shape[0]
         if n == 0:
@@ -446,7 +460,7 @@ class GMTRuntime:
                 # or probes keep ending at misses and cost more than
                 # they retire.
                 end = min(i + _SCALAR_STRIDE, n)
-                if warps is None:
+                if not observed:
                     for page, write in zip(
                         pages[i:end].tolist(), writes[i:end].tolist()
                     ):
@@ -459,12 +473,11 @@ class GMTRuntime:
                 miss_streak = 0
                 continue
             w = min(window, n - i)
-            if chain is not None:
-                room = chain.limit(stats.coalesced_accesses)
+            if observed:
+                room = self._batch_room(stats.coalesced_accesses)
                 if room <= 0:
-                    # The next access is one an observer must see on the
-                    # scalar path (a window cut captures it half-applied;
-                    # an audit runs just before it), so replay it there.
+                    # The next access is one telemetry or an audit must
+                    # see on the scalar path, so replay it there.
                     stats.warp_instructions = warp_base + int(warps[i])
                     access(int(pages[i]), write=bool(writes[i]))
                     i += 1
@@ -480,9 +493,8 @@ class GMTRuntime:
             if run_len:
                 self._batch_hits(chunk[:run_len], writes[i : i + run_len])
                 i += run_len
-                if chain is not None:
+                if observed:
                     stats.warp_instructions = warp_base + int(warps[i - 1])
-                    chain.on_hits(run_len, stats.coalesced_accesses)
                 if run_len == w:
                     miss_streak = 0
                     window = min(window * 2, _WINDOW_MAX)
@@ -491,7 +503,7 @@ class GMTRuntime:
             window = max(_WINDOW_MIN, window // 2)
             # The blocking access — a miss, or a prefetched page's first
             # demand touch — replays scalar.
-            if warps is not None:
+            if observed:
                 stats.warp_instructions = warp_base + int(warps[i])
             access(int(pages[i]), write=bool(writes[i]))
             i += 1

@@ -25,7 +25,7 @@ import time
 
 from repro import flags
 from repro.experiments.engine import Engine, ResultCache
-from repro.experiments.harness import RunOptions, build_runtime, default_config
+from repro.experiments.harness import RunOptions
 from repro.experiments.spec import ExperimentSpec, run_spec
 
 #: Registry of experiment names — each maps to a module exporting SPEC.
@@ -198,25 +198,16 @@ def main(argv: list[str] | None = None) -> int:
     if not args.no_ledger:
         from repro.obs.ledger import record_run
 
-        # How every replay cell runs (the baselines share the loop).
-        resolved, reason = build_runtime(
-            "reuse", default_config(args.scale)
-        ).engine_resolution()
         record_run(
             "gmt-experiments",
             wall_s=time.time() - run_start,
-            params={
-                "experiments": sorted(names),
-                "scale": args.scale,
-                "engine_reason": reason,
-            },
+            params={"experiments": sorted(names), "scale": args.scale},
             metrics={
                 "experiments": len(names),
                 "failures": len(failures),
                 "cells_executed": engine.stats.executed,
                 **({"anomaly_findings": anomaly_total} if args.anomaly_scan else {}),
             },
-            engine=resolved,
         )
     if failures:
         summary = ", ".join(

@@ -8,13 +8,11 @@ Three pillars (see docs/observability.md for the catalog and formats):
   virtual clock, exportable as Chrome/Perfetto trace-event JSON;
 - :mod:`repro.obs.export` / :mod:`repro.obs.snapshots` — Prometheus
   text, trace JSON and JSONL window streams;
-- :mod:`repro.obs.lifecycle` — the page-lifecycle flight recorder and
-  the causal query engine behind the ``gmt-why`` CLI;
+- :mod:`repro.obs.lifecycle` — the page-lifecycle flight recorder (full
+  or page-sampled) and the causal query engine behind the ``gmt-why``
+  CLI;
 - :mod:`repro.obs.anomaly` — thrash / bypass-storm / latency-spike
   detection over windowed snapshots;
-- :mod:`repro.obs.batch` — the batch-aware instrumentation pipeline:
-  the per-batch observer chain the replay loop drives, and the
-  sampled lifecycle recorder;
 - :mod:`repro.obs.digest` — bounded-memory streaming quantile digests
   (:class:`LatencyDigest`) behind the latency-percentile gauges;
 - :mod:`repro.obs.ledger` — the append-only JSONL run ledger and the
@@ -28,11 +26,6 @@ also record page lifecycles).
 """
 
 from repro.obs.anomaly import Anomaly, AnomalyDetector
-from repro.obs.batch import (
-    BatchObserverChain,
-    SampledLifecycleRecorder,
-    WindowBatchObserver,
-)
 from repro.obs.digest import LatencyDigest
 from repro.obs.export import (
     counter_track_events,
@@ -47,6 +40,7 @@ from repro.obs.lifecycle import (
     LifecycleKind,
     LifecycleQuery,
     LifecycleRecorder,
+    SampledLifecycleRecorder,
     lifecycle_trace_events,
     load_lifecycle_jsonl,
     write_lifecycle_jsonl,
@@ -75,7 +69,6 @@ from repro.obs.tracing import Span, SpanTracer
 __all__ = [
     "Anomaly",
     "AnomalyDetector",
-    "BatchObserverChain",
     "BoundCounter",
     "Counter",
     "Drift",
@@ -91,7 +84,6 @@ __all__ = [
     "Span",
     "SpanTracer",
     "Telemetry",
-    "WindowBatchObserver",
     "WindowedSnapshotter",
     "append_entry",
     "chrome_trace_events",

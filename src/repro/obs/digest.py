@@ -95,21 +95,6 @@ class LatencyDigest:
         if len(bins) > self.max_bins:
             self._collapse_lowest()
 
-    def observe_many(self, values) -> None:
-        """Bulk-ingest an iterable of observations.
-
-        The batch-aware telemetry pipeline (:mod:`repro.obs.batch`) feeds
-        per-window aggregate deltas through this entry point instead of one
-        ``observe`` call per access.  Semantics are *defined* as identical
-        to ``for v in values: self.observe(v)`` — same sequential ``_sum``
-        rounding, same bucket keys, same collapse points — because digest
-        bucket equality between batched and per-warp replay is asserted
-        by the ``gmt-check`` telemetry-parity column.
-        """
-        observe = self.observe
-        for value in values:
-            observe(value)
-
     def _collapse_lowest(self) -> None:
         low, second = sorted(self._bins)[:2]
         self._bins[second] += self._bins.pop(low)

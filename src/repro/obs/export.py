@@ -155,21 +155,11 @@ def write_chrome_trace(
     path: str,
     tracers: Mapping[str, SpanTracer] | Iterable[tuple[str, SpanTracer]],
     windows: Mapping[str, Iterable[Mapping]] | None = None,
-    metadata: Mapping[str, object] | None = None,
 ) -> int:
-    """Write a Perfetto-loadable trace JSON; returns the event count.
-
-    ``metadata`` lands under the payload's top-level ``"metadata"`` key
-    (the Trace Event Format's free-form side channel — Perfetto shows it
-    in the trace-info page).  The CLIs use it to stamp each trace with
-    the runtime's ``engine_resolution()``: how it replayed, and why.
-    """
+    """Write a Perfetto-loadable trace JSON; returns the event count."""
     events = chrome_trace_events(tracers, windows=windows)
-    payload: dict = {"traceEvents": events, "displayTimeUnit": "ns"}
-    if metadata:
-        payload["metadata"] = dict(metadata)
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh)
+        json.dump({"traceEvents": events, "displayTimeUnit": "ns"}, fh)
     return len(events)
 
 
@@ -257,21 +247,9 @@ def prometheus_text(registries: MetricsRegistry | Iterable[MetricsRegistry]) -> 
 def write_prometheus(
     path: str,
     registries: MetricsRegistry | Iterable[MetricsRegistry],
-    header: Iterable[str] | str | None = None,
 ) -> str:
-    """Write a Prometheus text snapshot; returns the rendered text.
-
-    ``header`` lines are emitted first as ``#`` comments (the exposition
-    format ignores comment lines that are not HELP/TYPE), so snapshots
-    can carry run provenance — the CLIs stamp how the runtime replayed
-    here — without perturbing any scraper.
-    """
+    """Write a Prometheus text snapshot; returns the rendered text."""
     text = prometheus_text(registries)
-    if header:
-        if isinstance(header, str):
-            header = [header]
-        prefix = "".join(f"# {line}\n" for line in header)
-        text = prefix + text
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(text)
     return text

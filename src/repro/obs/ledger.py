@@ -70,15 +70,12 @@ def make_entry(
     metrics: dict | None = None,
     anomalies: int = 0,
     salt: str | None = None,
-    engine: str = "scalar",
 ) -> dict:
     """Build one ledger entry (JSON-ready, not yet written).
 
-    ``engine`` records how the run's replays ran, the first element of
-    ``engine_resolution()``: ``"vector"`` when hit runs retire in
-    batches, ``"scalar"`` for the servers that issue warps one at a time
-    — trend analysis over mixed histories would otherwise flag the
-    batching speedup as a drift.
+    Older entries may also carry an ``engine`` label.  Readers ignore it
+    and it is not part of ``config_hash``, so older and newer entries of
+    one configuration trend as one trajectory.
     """
     if not tool:
         raise ConfigError("ledger entries need a tool name")
@@ -92,7 +89,6 @@ def make_entry(
         "tool": tool,
         "code_salt": salt,
         "config_hash": config_hash(params or {}),
-        "engine": engine,
         "wall_s": float(wall_s),
         "accesses_per_sec": (
             float(accesses_per_sec) if accesses_per_sec is not None else None
@@ -122,7 +118,6 @@ def record_run(
     metrics: dict | None = None,
     anomalies: int = 0,
     path: str | None = None,
-    engine: str = "scalar",
 ) -> dict:
     """Build and append one entry in one call; returns the entry."""
     entry = make_entry(
@@ -132,7 +127,6 @@ def record_run(
         accesses_per_sec=accesses_per_sec,
         metrics=metrics,
         anomalies=anomalies,
-        engine=engine,
     )
     append_entry(entry, path)
     return entry

@@ -14,7 +14,9 @@ so causal questions become answerable after the fact:
 
 The :class:`LifecycleRecorder` is a bounded drop-oldest ring, exactly
 like :class:`~repro.obs.tracing.SpanTracer`: always-on recording cannot
-exhaust memory on million-access replays.  Disabled is the default and
+exhaust memory on million-access replays; :class:`SampledLifecycleRecorder`
+keeps whole journeys of a hash-sampled subset of pages in the same ring.
+Disabled is the default and
 follows the ``self._flight is None`` discipline — one attribute check
 per emission site, no allocation (see :mod:`repro.core.runtime`).
 
@@ -241,6 +243,67 @@ class LifecycleRecorder:
     def clear(self) -> None:
         self._events.clear()
         self._emitted = 0
+
+
+class SampledLifecycleRecorder(LifecycleRecorder):
+    """A page-sampled lifecycle stream.
+
+    The full :class:`LifecycleRecorder` keeps every page's transitions
+    and drops the oldest once its ring is full.  This variant records
+    only a deterministic pseudo-random subset of *pages* (not of events:
+    a sampled page's journey is complete, which is what ``gmt-why``'s
+    causal queries need), so a long replay's bounded stream still holds
+    whole journeys.  Like the full ring, the sampled stream is identical
+    under batched and per-warp replay.
+
+    Sampling is a splitmix64-style hash of ``(page, seed)`` against
+    ``sample_rate``: replay-independent, replay-stable, and unbiased
+    across page-id patterns (unlike ``page % k``).
+    """
+
+    def __init__(
+        self,
+        sample_rate: float,
+        capacity: int | None = 100_000,
+        seed: int = 0,
+    ) -> None:
+        if not 0.0 < sample_rate <= 1.0:
+            raise ConfigError(
+                f"sample_rate must be in (0, 1], got {sample_rate}"
+            )
+        super().__init__(capacity=capacity)
+        self.sample_rate = sample_rate
+        self.seed = seed
+        #: Admission threshold on the 64-bit hash space.
+        self._threshold = int(sample_rate * 2**64)
+        #: Pages that cleared the hash (memoized; page counts are bounded
+        #: by the footprint, far below event counts).
+        self._admitted: dict[int, bool] = {}
+
+    def sampled(self, page: int) -> bool:
+        """Whether ``page``'s journey is recorded."""
+        hit = self._admitted.get(page)
+        if hit is None:
+            hit = _mix64(page * 0x9E3779B97F4A7C15 + self.seed) < self._threshold
+            self._admitted[page] = hit
+        return hit
+
+    def emit(self, kind: LifecycleKind, page: int, access: int, *args, **kwargs):
+        """Record the transition iff ``page`` is in the sample."""
+        if not self.sampled(page):
+            return None
+        return super().emit(kind, page, access, *args, **kwargs)
+
+
+def _mix64(x: int) -> int:
+    """Finalizer of splitmix64: avalanche a 64-bit value."""
+    x &= 0xFFFFFFFFFFFFFFFF
+    x ^= x >> 30
+    x = (x * 0xBF58476D1CE4E5B9) & 0xFFFFFFFFFFFFFFFF
+    x ^= x >> 27
+    x = (x * 0x94D049BB133111EB) & 0xFFFFFFFFFFFFFFFF
+    x ^= x >> 31
+    return x
 
 
 # ----------------------------------------------------------------------

@@ -62,28 +62,10 @@ class WindowedSnapshotter:
             return None
         return self.snapshot(position)
 
-    def add_batch(self, position: int) -> list[dict]:
-        """Advance the window clock past a bulk-retired access batch.
-
-        The replay loop calls this once per retired hit run instead of
-        one :meth:`maybe_snapshot` per access.  Cuts one window per
-        interval boundary the batch crossed, each stamped at the exact
-        boundary position — so the window *positions* always match a
-        per-warp replay.  Returns the windows cut.
-
-        Byte-identical window *contents* additionally require that no
-        batch crosses a boundary (counters would capture post-batch
-        values): :class:`repro.obs.batch.WindowBatchObserver` caps each
-        batch to end just before the next boundary, so in the replay
-        loop's use this method cuts nothing and the boundary access
-        itself goes through ``access``.  Crossing boundaries here is
-        still well-defined (positions exact, contents end-of-batch) for
-        callers that feed coarser aggregates.
-        """
-        out = []
-        while position - self._last_position >= self.interval:
-            out.append(self.snapshot(self._last_position + self.interval))
-        return out
+    @property
+    def next_cut(self) -> int:
+        """The position at which the next full-interval window is cut."""
+        return self._last_position + self.interval
 
     def maybe_snapshot(self, position: int) -> dict | None:
         """Snapshot if ``position`` advanced a full interval past the last

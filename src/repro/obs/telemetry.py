@@ -32,6 +32,7 @@ from typing import TYPE_CHECKING
 
 from repro.errors import ConfigError
 from repro.obs.digest import LatencyDigest
+from repro.obs.lifecycle import LifecycleRecorder, SampledLifecycleRecorder
 from repro.obs.metrics import Histogram, MetricsRegistry, linear_buckets, log_buckets
 from repro.obs.snapshots import WindowedSnapshotter
 from repro.obs.tracing import SpanTracer
@@ -55,7 +56,7 @@ class Telemetry:
             ``self._flight is None`` fast path.
         lifecycle_sample_rate: record only a deterministic hash-sampled
             subset of pages' complete journeys
-            (:class:`~repro.obs.batch.SampledLifecycleRecorder`).
+            (:class:`~repro.obs.lifecycle.SampledLifecycleRecorder`).
             Implies ``lifecycle`` when set.
     """
 
@@ -149,37 +150,20 @@ class Telemetry:
         ``lifecycle_sample_rate=`` to the constructor); the recorder is
         wired into the runtime's emission sites at attach time.  With
         ``sample_rate`` set, the recorder is a
-        :class:`~repro.obs.batch.SampledLifecycleRecorder`.  Returns the
-        recorder.
+        :class:`~repro.obs.lifecycle.SampledLifecycleRecorder`.  Returns
+        the recorder.
         """
         if self.lifecycle is None:
             if sample_rate is not None:
-                from repro.obs.batch import SampledLifecycleRecorder
-
                 self.lifecycle = SampledLifecycleRecorder(
                     sample_rate, capacity=capacity
                 )
             else:
-                from repro.obs.lifecycle import LifecycleRecorder
-
                 self.lifecycle = LifecycleRecorder(capacity=capacity)
             self.lifecycle.clock = lambda: self.now_ns
             if self._runtime is not None:
                 self._runtime._flight = self.lifecycle
         return self.lifecycle
-
-    # ------------------------------------------------------------------
-    # batch-aware pipeline (see repro.obs.batch)
-    # ------------------------------------------------------------------
-    def batch_observer(self):
-        """The per-batch observer the replay loop adds to its chain.
-
-        Digests, histograms, spans and lifecycle events observe only
-        per-access events (misses, evictions, writebacks, prefetches),
-        so window cuts are the one thing a hit batch must not cross."""
-        from repro.obs.batch import WindowBatchObserver
-
-        return WindowBatchObserver(self.snapshotter)
 
     # ------------------------------------------------------------------
     # virtual clock

@@ -38,10 +38,8 @@ replay when it released the GIL, which numpy calls do voluntarily, so
 it would charge most of a batched replay to the numpy-calling batch
 loop.)  The handler only reads frames: nothing on the runtime is
 wrapped or replaced, so a profiled replay runs the way an unprofiled
-one does, produces the same results, and costs a few percent.  Each
-profile records how the runtime replayed (``engine`` /
-``engine_reason``, from ``runtime.engine_resolution()``).  Profile from
-the main thread: only it runs signal handlers.
+one does, produces the same results, and costs a few percent.  Profile
+from the main thread: only it runs signal handlers.
 
 Profiling is **off by default and costs nothing when off**: a
 non-profiled runtime has no timer and executes with zero extra
@@ -121,10 +119,6 @@ class PhaseProfiler:
         self.wall_s = 0.0
         #: Coalesced accesses replayed under :meth:`run`.
         self.accesses = 0
-        #: How the profiled runtime replayed, and why (None until a
-        #: profiled run ends).
-        self.engine: str | None = None
-        self.engine_reason: str | None = None
         self._runtime = None
         #: ``code object -> phase`` lookup the sampler walks frames with.
         self._code_phases: dict[object, str] = {}
@@ -209,8 +203,7 @@ class PhaseProfiler:
     # ------------------------------------------------------------------
     @contextmanager
     def _measure(self, runtime) -> Iterator["PhaseProfiler"]:
-        """Attach for the body, then add its wall time and accesses and
-        record how ``runtime`` replayed."""
+        """Attach for the body, then add its wall time and accesses."""
         self.attach(runtime)
         accesses0 = runtime.stats.coalesced_accesses
         t0 = time.perf_counter()
@@ -219,7 +212,6 @@ class PhaseProfiler:
         finally:
             self.wall_s += time.perf_counter() - t0
             self.accesses += runtime.stats.coalesced_accesses - accesses0
-            self.engine, self.engine_reason = runtime.engine_resolution()
             self.detach()
 
     def run(self, runtime, trace: Iterable) -> "object":
@@ -256,8 +248,6 @@ class PhaseProfiler:
             "version": PROFILE_VERSION,
             "mode": "sampled",
             "interval_s": self.interval,
-            "engine": self.engine,
-            "engine_reason": self.engine_reason,
             "wall_s": self.wall_s,
             "accesses": self.accesses,
             "accesses_per_sec": self.accesses_per_sec,
@@ -383,17 +373,12 @@ def format_top(doc: dict, limit: int | None = None) -> str:
         for name, rec in ordered
     ]
     title = (
-        f"phase profile (engine={_engine(doc)}): wall {wall * 1e3:.1f} ms, "
+        f"phase profile: wall {wall * 1e3:.1f} ms, "
         f"{doc.get('accesses', 0)} accesses, "
         f"{doc.get('accesses_per_sec', 0.0):,.0f} accesses/s, "
         f"{doc.get('coverage', 0.0):.1%} attributed"
     )
     return render_table(["phase", "self ms", "% wall", "samples"], rows, title=title)
-
-
-def _engine(doc: dict) -> str:
-    """The engine a profile document measured (``?`` if unrecorded)."""
-    return doc.get("engine") or "?"
 
 
 def collapsed_lines(doc: dict, scale: float = 1e6) -> list[str]:
@@ -415,8 +400,7 @@ def diff_profiles(before: dict, after: dict) -> str:
 
     The table shows where wall-clock moved: negative deltas are phases
     the ``after`` profile made cheaper.  The headline reports the
-    throughput change — the number a performance change quotes — and
-    the engine each side measured.
+    throughput change — the number a performance change quotes.
     """
     from repro.analysis.report import render_table
 
@@ -444,8 +428,7 @@ def diff_profiles(before: dict, after: dict) -> str:
     after_rate = after.get("accesses_per_sec", 0.0)
     speedup = after_rate / before_rate if before_rate > 0 else float("inf")
     title = (
-        f"profile diff (engine={_engine(before)} -> {_engine(after)}): "
-        f"{before_rate:,.0f} -> {after_rate:,.0f} accesses/s "
+        f"profile diff: {before_rate:,.0f} -> {after_rate:,.0f} accesses/s "
         f"({speedup:.2f}x throughput)"
     )
     return render_table(["phase", "before ms", "after ms", "delta ms", "ratio"], rows, title=title)

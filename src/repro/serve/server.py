@@ -235,10 +235,6 @@ def build_tenants(
     )
 
 
-#: Both servers issue each warp through ``runtime.access_warp``.
-SERVED_ENGINE = ("scalar", "the server issues warps one at a time")
-
-
 class _DrainTracking:
     """Stream proxy that reports when the scheduler drains it.
 
@@ -338,11 +334,6 @@ class TenantServer:
         """Attach tenant-labelling telemetry to the shared runtime."""
         return self.runtime.attach_telemetry(telemetry)
 
-    def engine_resolution(self) -> tuple[str, str]:
-        """How the served mix replays (:data:`SERVED_ENGINE`), so CLIs
-        and the ledger treat served and solo runs uniformly."""
-        return SERVED_ENGINE
-
     def tenant_registries(self, prefix: str = "gmt_") -> list:
         """Per-tenant metric registries (constant label ``tenant=<name>``).
 
@@ -425,12 +416,7 @@ class TenantServer:
             issued_warps[tenant] += 1
             issued_bytes[tenant] += warp_bytes(warp, page_size)
         runtime.begin_tenant(None)
-        if runtime._obs is not None:
-            # Flush the final partial telemetry window (the serving loop
-            # drives accesses directly, bypassing GMTRuntime.run()).
-            runtime._obs.finish()
-
-        result = runtime.result()
+        result = runtime._finish_run()
         for stream in self.streams:
             # A scheduler that never pulled past a stream's end (or a
             # zero-warp stream) still gets a completion stamp.

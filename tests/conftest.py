@@ -75,3 +75,17 @@ def sweep_trace(footprint: int, repeats: int = 1, write: bool = False) -> list[W
         for _ in range(repeats)
         for p in range(footprint)
     ]
+
+
+def record_batches(runtime):
+    """Wrap ``runtime._batch_hits``; returns the list of run lengths it
+    retires."""
+    batches = []
+    batch_hits = runtime._batch_hits
+
+    def recording_batch(chunk, writes):
+        batches.append(len(chunk))
+        batch_hits(chunk, writes)
+
+    runtime._batch_hits = recording_batch
+    return batches

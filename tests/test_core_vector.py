@@ -42,6 +42,7 @@ from repro.obs import Telemetry
 from repro.policyzoo.registry import EVICTION_POLICY_NAMES, ZOO_POLICY_NAMES
 from repro.sim.cost import sequential_float_sum
 from repro.sim.gpu import WarpAccess, coalesce
+from tests.conftest import record_batches
 
 N_PAGES = 48  # footprint; tier1=8 frames forces heavy eviction traffic
 
@@ -53,20 +54,6 @@ def small_config(**overrides):
 def make_trace(warps):
     """[(pages_tuple, write), ...] -> re-iterable WarpAccess list."""
     return [WarpAccess(pages=tuple(pages), write=write) for pages, write in warps]
-
-
-def record_batches(runtime):
-    """Wrap ``runtime._batch_hits``; returns the list of run lengths it
-    retires."""
-    batches = []
-    batch_hits = runtime._batch_hits
-
-    def recording_batch(chunk, writes):
-        batches.append(len(chunk))
-        batch_hits(chunk, writes)
-
-    runtime._batch_hits = recording_batch
-    return batches
 
 
 def run_pair(config, trace):
@@ -274,9 +261,9 @@ class TestSequentialFloatSum:
 # ----------------------------------------------------------------------
 class TestEngineSelection:
     def test_engine_names(self):
-        # The two resolutions reported: every runtime batches its hit
-        # runs, and both servers issue warps one at a time.  There is no
-        # "auto".
+        # The labels kept for callers outside the package: every runtime
+        # batches its hit runs, and the open loop issues warps one at a
+        # time.  There is no "auto".
         from repro.serve import OpenLoopServer, TenantServer, build_tenants
 
         config = small_config()
@@ -284,7 +271,6 @@ class TestEngineSelection:
         server = TenantServer(config, streams)
         assert GMTRuntime(config).engine_resolution()[0] == "vector"
         assert server.runtime.engine_resolution()[0] == "vector"
-        assert server.engine_resolution()[0] == "scalar"
         assert OpenLoopServer(config, streams).engine_resolution()[0] == "scalar"
 
     def test_bad_engine_rejected(self):
@@ -371,6 +357,21 @@ class TestFallbacksAndGuards:
         assert [a[0] for a in audits_s] == list(
             range(7, r_s.stats.coalesced_accesses, 7)
         )
+
+    @pytest.mark.parametrize("every", [5, 11, 500])
+    def test_hit_batches_stop_before_audits(self, every):
+        # 3,000 two-lane warps over 6 pages: after the cold misses every
+        # access hits, so hit batches run into every audit.
+        trace = make_trace(
+            [((p % 6, (p + 1) % 6), p % 5 == 0) for p in range(3000)]
+        )
+        config = small_config(policy="tier-order")
+        _, r_s, audits_s, _ = audited_run(config, trace, every, per_warp=True)
+        _, r_v, audits_v, batches = audited_run(config, trace, every)
+        assert sum(batches) > 4000  # of 6,000 accesses
+        assert_results_identical(r_s, r_v)
+        assert audits_v == audits_s
+        assert [a[0] for a in audits_s] == list(range(every, 6000, every))
 
     def test_short_hit_runs_burst_scalar(self):
         # One Tier-1 hit between compulsory misses, under a policy whose

@@ -5,10 +5,11 @@ latency-digest state, Perfetto counter tracks, anomaly findings and the
 full and sampled lifecycle streams are byte-identical between the
 per-warp reference replay and the batched ``run`` — on any trace, under
 any policy, with batches deliberately straddling window boundaries
-(small prime intervals).  The unit tests pin the batch observers' caps,
-bulk digest observation, sampled-lifecycle admission, the reported
-engine resolutions and the ``window-desync`` and lifecycle-corruption
-self-tests.
+(small prime intervals).  A hit-dominated trace pins, at replay level,
+that hit batches stop before window cuts, and before the nearer of a
+cut and an audit.  The unit tests pin sampled-lifecycle admission, the
+engine labels kept for outside callers and the ``window-desync`` and
+lifecycle-corruption self-tests.
 """
 
 import pytest
@@ -20,18 +21,11 @@ from repro.core.runtime import GMTRuntime
 from repro.errors import ConfigError
 from repro.obs import Telemetry
 from repro.obs.anomaly import AnomalyDetector
-from repro.obs.batch import (
-    AuditBatchObserver,
-    BatchObserverChain,
-    SampledLifecycleRecorder,
-    WindowBatchObserver,
-)
-from repro.obs.digest import LatencyDigest
 from repro.obs.export import counter_track_events
-from repro.obs.metrics import MetricsRegistry
-from repro.obs.snapshots import WindowedSnapshotter
+from repro.obs.lifecycle import SampledLifecycleRecorder
 from repro.prof import PhaseProfiler
 from repro.sim.gpu import WarpAccess
+from tests.conftest import record_batches
 
 N_PAGES = 48  # footprint; tier1=8 frames forces heavy eviction traffic
 
@@ -42,6 +36,11 @@ def small_config(**overrides):
 
 def make_trace(warps):
     return [WarpAccess(pages=tuple(pages), write=write) for pages, write in warps]
+
+
+#: 3,000 two-lane warps over 6 pages: after the cold misses every access
+#: hits the 8 Tier-1 frames, so hit batches run into every boundary.
+HIT_TRACE = make_trace([((i % 6, (i + 1) % 6), i % 5 == 0) for i in range(3000)])
 
 
 def instrumented_run(config, trace, per_warp, window, sample_rate=None,
@@ -148,85 +147,59 @@ class TestEngineTelemetryParity:
         assert t_s.windows() == t_v.windows()
 
 
-class TestBatchPrimitives:
-    @given(
-        st.lists(
-            st.floats(min_value=1.0, max_value=1e9, allow_nan=False),
-            max_size=200,
-        )
-    )
-    def test_observe_many_matches_observe_loop(self, values):
-        looped, bulk = LatencyDigest(), LatencyDigest()
-        for value in values:
-            looped.observe(value)
-        bulk.observe_many(values)
-        assert looped.to_dict() == bulk.to_dict()
+class TestHitBatchCaps:
+    """A batch that ran through a window cut or an audit would cut or
+    audit at a later position, or over end-of-batch counters (audits
+    alone: tests/test_core_vector.py)."""
 
-    def test_add_batch_cuts_one_window_per_boundary_crossed(self):
-        registry = MetricsRegistry()
-        counter = registry.counter("hits", help="")
-        snap = WindowedSnapshotter(registry, interval=10)
-        counter.inc(5)
-        cut = snap.add_batch(35)
-        assert [w["position"] for w in cut] == [10, 20, 30]
-        assert snap._last_position == 30
-        assert snap.add_batch(39) == []  # below the next boundary: no cut
+    @pytest.mark.parametrize("window", [7, 13, 997])
+    def test_hit_batches_stop_before_window_cuts(self, window):
+        config = small_config().with_policy("tier-order")
+        runtime = GMTRuntime(config)
+        batched = runtime.attach_telemetry(Telemetry(window=window))
+        batches = record_batches(runtime)
+        runtime.run(HIT_TRACE)
+        _, reference = instrumented_run(config, HIT_TRACE, True, window)
+        assert sum(batches) > 4000  # of 6,000 accesses
+        assert batched.windows() == reference.windows()
 
-    def test_window_batch_observer_caps_before_boundary(self):
-        snap = WindowedSnapshotter(MetricsRegistry(), interval=10)
-        observer = WindowBatchObserver(snap)
-        # From position 0 a batch may retire 9 accesses; the 10th is the
-        # boundary access and must replay scalar.
-        assert observer.limit(0) == 9
-        assert observer.limit(9) == 0
-        observer.on_hits(9, 9)
-        assert snap.windows() == []  # capped batches never cut
-        snap.snapshot(10)
-        assert observer.limit(10) == 9  # clock restarts past the boundary
+    def test_nearer_of_cut_and_audit_stops_the_batch(self):
+        def replay(per_warp):
+            runtime = GMTRuntime(small_config().with_policy("tier-order"))
+            telemetry = runtime.attach_telemetry(Telemetry(window=7))
+            runtime.enable_periodic_checks(11)
+            audits = []
+            check = runtime._periodic_check
 
-    def test_audit_batch_observer_stops_before_audited_access(self):
-        # GMTRuntime.access audits before the access at every non-zero
-        # multiple of the interval; batches must stop short of it.
-        observer = AuditBatchObserver(10)
-        assert observer.limit(0) == 10
-        assert observer.limit(3) == 7
-        assert observer.limit(9) == 1
-        assert observer.limit(10) == 0
-        assert observer.limit(11) == 9
-        assert AuditBatchObserver(1).limit(0) == 1
-        assert AuditBatchObserver(1).limit(5) == 0
+            def recording_check():
+                audits.append(runtime.stats.as_dict())
+                check()
 
-    def test_chain_takes_most_restrictive_limit_and_fans_out(self):
-        class Fixed:
-            def __init__(self, limit):
-                self._limit = limit
-                self.seen = []
+            runtime._periodic_check = recording_check
+            batches = record_batches(runtime)
+            (runtime.replay_per_warp if per_warp else runtime.run)(HIT_TRACE)
+            return telemetry.windows(), audits, sum(batches)
 
-            def limit(self, position):
-                return self._limit
-
-            def on_hits(self, count, position):
-                self.seen.append((count, position))
-
-        near, far = Fixed(3), Fixed(100)
-        chain = BatchObserverChain([near, None, far])
-        assert chain.limit(0) == 3
-        chain.on_hits(2, 5)
-        assert near.seen == far.seen == [(2, 5)]
+        windows, audits, retired = replay(per_warp=False)
+        assert retired > 3000
+        assert (windows, audits) == replay(per_warp=True)[:2]
 
 
 class TestCapabilityNegotiation:
     def test_every_lifecycle_kind_keeps_vector(self):
-        trace = make_trace([((i % N_PAGES,), False) for i in range(40)])
+        # No recorder sends hits back to the per-access path: with any
+        # of them attached, hit runs still retire in batches.
+        config = small_config().with_policy("tier-order")
         for telemetry in (
-            Telemetry(window=10),
-            Telemetry(window=10, lifecycle_sample_rate=0.25),
-            Telemetry(window=10, lifecycle=True),
+            Telemetry(window=1000),
+            Telemetry(window=1000, lifecycle_sample_rate=0.25),
+            Telemetry(window=1000, lifecycle=True),
         ):
-            runtime = GMTRuntime(small_config())
+            runtime = GMTRuntime(config)
             runtime.attach_telemetry(telemetry)
-            runtime.run(trace)
-            assert runtime.engine_resolution()[0] == "vector"
+            batches = record_batches(runtime)
+            runtime.run(HIT_TRACE)
+            assert sum(batches) > 4000
 
     def test_sample_rate_validated(self):
         for rate in (0.0, -0.5, 1.5):
@@ -245,8 +218,9 @@ class TestCapabilityNegotiation:
 
 class TestEngineResolution:
     def test_reasons(self):
-        # Every runtime batches, whatever its Tier-1 structure, the
-        # serving runtime included; both servers say why they do not.
+        # The labels kept for callers outside the package: every runtime
+        # batches, whatever its Tier-1 structure, the serving runtime
+        # included; the open loop issues warps one at a time.
         from repro.serve import OpenLoopServer, TenantServer, build_tenants
 
         batched = ("vector", "Tier-1 hit runs retire in batches")
@@ -257,7 +231,6 @@ class TestEngineResolution:
         server = TenantServer(small_config(), streams)
         assert server.runtime.engine_resolution() == batched
         per_warp = ("scalar", "the server issues warps one at a time")
-        assert server.engine_resolution() == per_warp
         assert OpenLoopServer(small_config(), streams).engine_resolution() == per_warp
 
     def test_runtime_reports_live_resolution(self):

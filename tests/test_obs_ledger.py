@@ -214,6 +214,28 @@ class TestBenchTrendCLI:
         assert main(["--trend"]) == 2
         assert "empty" in capsys.readouterr().out
 
+    def test_entries_with_engine_label_trend_with_newer_ones(self, capsys):
+        # Entries written before the engine label was retired carry an
+        # "engine" field.  The config hash never included it, so older
+        # and newer runs form one trajectory.
+        from repro.bench import main
+
+        params = self.bench_params()
+        for w in (1.0, 1.02, 0.98, 1.01):
+            entry = make_entry(
+                "gmt-bench", wall_s=w, params=params,
+                accesses_per_sec=1000.0 / w, salt="s",
+            )
+            append_entry({**entry, "engine": "vector"})
+        self.seed_ledger([0.99, 1.0, 1.02])
+        entries = read_ledger(tool="gmt-bench")
+        assert ["engine" in e for e in entries] == [True] * 4 + [False] * 3
+        assert {e["config_hash"] for e in entries} == {config_hash(params)}
+        assert main(["--trend"]) == 0
+        out = capsys.readouterr().out
+        assert "7 run(s)" in out
+        assert "DRIFT" not in out and "PASS" in out
+
     def test_trend_ignores_other_configs(self, capsys):
         from repro.bench import main
 
