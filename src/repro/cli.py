@@ -92,17 +92,7 @@ def main_sim(argv: list[str] | None = None) -> int:
         "them to PATH as JSONL (one file, 'kind' key tells runtimes "
         "apart; feed back via gmt-why --from)",
     )
-    parser.add_argument(
-        "--lifecycle-sample-rate",
-        type=float,
-        metavar="P",
-        default=None,
-        help="record the lifecycle stream for a deterministic hash-"
-        "sampled fraction P of pages (0 < P <= 1) instead of the full "
-        "flight recorder; sampled pages keep their complete journeys, "
-        "so the stream stays small without truncating any of them",
-    )
-    flags.add(parser, "--check-every", *flags.ANOMALY)
+    flags.add(parser, "--lifecycle-sample-rate", "--check-every", *flags.ANOMALY)
     args = flags.parse(parser, argv)
 
     config = default_config(args.scale, platform=get_platform(args.platform))
@@ -410,7 +400,7 @@ def main_serve(argv: list[str] | None = None) -> int:
     )
     parser.add_argument(
         "--epoch",
-        type=int,
+        type=flags.positive_int,
         metavar="N",
         default=None,
         help="warps emitted per scheduling decision (closed-loop default "
@@ -421,7 +411,7 @@ def main_serve(argv: list[str] | None = None) -> int:
     )
     openloop.add_argument(
         "--open-loop",
-        type=int,
+        type=flags.positive_int,
         metavar="TENANTS",
         default=None,
         help="serve an open-loop zipf-skewed population of TENANTS "
@@ -435,7 +425,7 @@ def main_serve(argv: list[str] | None = None) -> int:
     )
     openloop.add_argument(
         "--arrival-rate",
-        type=float,
+        type=flags.positive_float,
         metavar="REQ_PER_S",
         default=2000.0,
         help="aggregate arrival rate in requests per simulated second "
@@ -443,14 +433,14 @@ def main_serve(argv: list[str] | None = None) -> int:
     )
     openloop.add_argument(
         "--requests",
-        type=int,
+        type=flags.positive_int,
         metavar="N",
         default=1024,
         help="total open-loop requests to simulate (default 1024)",
     )
     openloop.add_argument(
         "--max-backlog",
-        type=int,
+        type=flags.positive_int,
         metavar="N",
         default=None,
         help="shed arrivals once this many requests are queued "
@@ -527,7 +517,7 @@ def main_serve(argv: list[str] | None = None) -> int:
     flags.add(parser, "--trace-out", "--metrics-out")
     parser.add_argument(
         "--slo-p50",
-        type=float,
+        type=flags.positive_float,
         metavar="NS",
         default=None,
         help="per-tenant p50 miss-latency SLO target in ns (applied to "
@@ -535,7 +525,7 @@ def main_serve(argv: list[str] | None = None) -> int:
     )
     parser.add_argument(
         "--slo-p99",
-        type=float,
+        type=flags.positive_float,
         metavar="NS",
         default=None,
         help="per-tenant p99 miss-latency SLO target in ns",
@@ -711,28 +701,22 @@ def main_why(argv: list[str] | None = None) -> int:
     )
     parser.add_argument(
         "--capacity",
-        type=int,
+        type=flags.positive_int,
         default=200_000,
         help="flight-recorder ring capacity (default 200000)",
     )
-    parser.add_argument(
-        "--lifecycle-sample-rate",
-        type=float,
-        metavar="P",
-        default=None,
-        help="record a deterministic hash-sampled fraction P of pages "
-        "(0 < P <= 1) instead of every page; sampled pages keep their "
-        "complete journeys, so the stream stays small without truncating "
-        "any of them (queries about unsampled pages come back empty)",
-    )
+    flags.add(parser, "--lifecycle-sample-rate")
     parser.add_argument(
         "--window",
-        type=int,
+        type=flags.positive_int,
         default=2_000,
         help="snapshot window (accesses) for the anomaly scan (default 2000)",
     )
     parser.add_argument(
-        "--k", type=int, default=10, help="rows for the 'top' query (default 10)"
+        "--k",
+        type=flags.positive_int,
+        default=10,
+        help="rows for the 'top' query (default 10)",
     )
     parser.add_argument(
         "--from",

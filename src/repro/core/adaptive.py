@@ -141,12 +141,13 @@ class DuelingPolicy(PlacementPolicy):
     def hits_batchable(self) -> bool:
         return self.policy_b.hits_batchable
 
-    def on_tier1_fill(self, state: PageState, from_tier2: bool = False) -> None:
-        self.policy_b.on_tier1_fill(state, from_tier2)
+    def on_tier1_fill(self, state: PageState, from_tier2: bool = False):
+        resolution = self.policy_b.on_tier1_fill(state, from_tier2)
         placed_by = state.policy_state.pop(_SET_KEY, None)
         if placed_by and from_tier2:
             score = self.score_a if placed_by == "a" else self.score_b
             score.returns += 1.0
+        return resolution
 
     def choose(self, state: PageState) -> PlacementPlan:
         return self._policy_for(state.page).choose(state)

@@ -25,8 +25,8 @@ from bisect import bisect_right
 from collections import defaultdict
 
 from repro.core.config import GMTConfig
-from repro.core.placement import PlacementDecision, Tier3BiasHeuristic
-from repro.core.policies import PlacementPlan, PlacementPolicy
+from repro.core.placement import Tier3BiasHeuristic
+from repro.core.policies import PlacementPlan, PlacementPolicy, plan_for_class
 from repro.core.runtime import GMTRuntime, RunResult
 from repro.core.stats import RuntimeStats
 from repro.errors import TraceError
@@ -123,19 +123,7 @@ class OraclePolicy(PlacementPolicy):
             rrd = max(0.0, self._model.predict(float(next_access - now)))
             actual = self.classifier.classify(rrd)
         self.stats.predictions_made += 1
-        self.heuristic.record(actual)
-        decision = PlacementDecision.for_class(actual)
-        if (
-            self._heuristic_enabled
-            and decision is PlacementDecision.BYPASS_TIER3
-            and self.heuristic.should_force_tier2()
-        ):
-            return PlacementPlan(
-                decision=PlacementDecision.PLACE_TIER2,
-                predicted_class=actual,
-                forced_tier2=True,
-            )
-        return PlacementPlan(decision=decision, predicted_class=actual)
+        return plan_for_class(actual, self.heuristic, self._heuristic_enabled)
 
 
 def run_with_oracle(config: GMTConfig, workload: Workload) -> RunResult:

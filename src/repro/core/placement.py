@@ -68,7 +68,7 @@ class Tier3BiasHeuristic:
             return 0.0
         return self._long_count / len(self._recent)
 
-    def should_force_tier2(self) -> bool:
+    def fires(self) -> bool:
         """True when a LONG prediction should be overridden into Tier-2."""
         if len(self._recent) < self.window:
             return False

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import abc
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from repro.core.config import GMTConfig
 from repro.core.placement import PlacementDecision, Tier3BiasHeuristic
@@ -33,16 +33,78 @@ from repro.reuse.vtd import VirtualTimestampClock
 
 @dataclass(frozen=True)
 class PlacementPlan:
-    """What :meth:`PlacementPolicy.choose` decided for one clock victim."""
+    """What :meth:`PlacementPolicy.choose` decided for one clock victim.
+
+    A plan is a value: the policies below return plans built once at
+    import, so choosing allocates nothing, and the victim's lifecycle
+    events record the plan's ``cause`` and ``predicted`` as they stand.
+    """
 
     decision: PlacementDecision
-    #: The Markov prediction behind the decision (None when the policy does
-    #: not predict, or fell back to its default strategy).
+    #: The reuse class behind the decision (None when the policy does not
+    #: predict, or fell back to its default strategy).
     predicted_class: ReuseClass | None = None
     #: True when the 80 % heuristic overrode a Tier-3 prediction.
     forced_tier2: bool = False
-    #: True when no usable history existed and a default strategy decided.
-    from_fallback: bool = False
+    #: Why the victim moves (``policy-static``, ``cold-fallback``,
+    #: ``predicted-<class>``, ``heuristic-forced-tier2`` or, for the
+    #: twin below, ``retention-override``).
+    cause: str = "policy-static"
+    #: ``predicted_class`` in lower case, as lifecycle events carry it.
+    predicted: str | None = field(init=False, compare=False)
+    #: For a RETAIN plan, the Tier-2 plan the victim takes once its
+    #: retry budget runs out; None for every other plan.
+    retention_override: PlacementPlan | None = field(
+        init=False, compare=False, repr=False
+    )
+
+    def __post_init__(self) -> None:
+        predicted = self.predicted_class
+        object.__setattr__(
+            self, "predicted", None if predicted is None else predicted.name.lower()
+        )
+        override = None
+        if self.decision is PlacementDecision.RETAIN_TIER1:
+            override = PlacementPlan(
+                PlacementDecision.PLACE_TIER2, predicted, cause="retention-override"
+            )
+        object.__setattr__(self, "retention_override", override)
+
+
+_PLACE_TIER2 = PlacementPlan(PlacementDecision.PLACE_TIER2)
+_BYPASS_TIER3 = PlacementPlan(PlacementDecision.BYPASS_TIER3)
+_COLD_FALLBACK = PlacementPlan(PlacementDecision.PLACE_TIER2, cause="cold-fallback")
+_RETAIN_SHORT, _PLACE_MEDIUM, _BYPASS_LONG = (
+    PlacementPlan(
+        PlacementDecision.for_class(reuse_class),
+        reuse_class,
+        cause=f"predicted-{reuse_class.name.lower()}",
+    )
+    for reuse_class in (ReuseClass.SHORT, ReuseClass.MEDIUM, ReuseClass.LONG)
+)
+_FORCED_TIER2 = PlacementPlan(
+    PlacementDecision.PLACE_TIER2,
+    ReuseClass.LONG,
+    forced_tier2=True,
+    cause="heuristic-forced-tier2",
+)
+
+
+def plan_for_class(
+    reuse_class: ReuseClass, heuristic: Tier3BiasHeuristic, override: bool
+) -> PlacementPlan:
+    """Eq. 1's plan for a victim of ``reuse_class``, once the class is
+    noted in ``heuristic``'s window; with ``override``, a LONG victim goes
+    to Tier-2 instead while that window is Tier-3 biased (section 2.2).
+    GMT-Reuse passes its prediction, the oracle the true class."""
+    heuristic.record(reuse_class)
+    if reuse_class is ReuseClass.MEDIUM:
+        return _PLACE_MEDIUM
+    if reuse_class is ReuseClass.SHORT:
+        return _RETAIN_SHORT
+    if override and heuristic.fires():
+        return _FORCED_TIER2
+    return _BYPASS_LONG
 
 
 class PlacementPolicy(abc.ABC):
@@ -86,12 +148,18 @@ class PlacementPolicy(abc.ABC):
         """
         return type(self).on_access is PlacementPolicy.on_access
 
-    def on_tier1_fill(self, state: PageState, from_tier2: bool = False) -> None:
+    def on_tier1_fill(self, state: PageState, from_tier2: bool = False):
         """A page was just installed in Tier-1 (demand fill).
 
         ``from_tier2`` tells the policy whether the fill was served by
         host memory (a successful earlier placement) or by the SSD.
+        Returns ``(predicted, actual)`` when the fill resolved the page's
+        previous eviction: the :class:`ReuseClass` predicted for it (None
+        if it had no prediction) and the one it turned out to have.  The
+        runtime records that as the page's RESOLVE lifecycle event.
+        Returns None otherwise.
         """
+        return None
 
     @abc.abstractmethod
     def choose(self, state: PageState) -> PlacementPlan:
@@ -109,7 +177,7 @@ class TierOrderPolicy(PlacementPolicy):
     tier2_evicts_on_full = True
 
     def choose(self, state: PageState) -> PlacementPlan:
-        return PlacementPlan(decision=PlacementDecision.PLACE_TIER2)
+        return _PLACE_TIER2
 
 
 class RandomPolicy(PlacementPolicy):
@@ -133,8 +201,8 @@ class RandomPolicy(PlacementPolicy):
 
     def choose(self, state: PageState) -> PlacementPlan:
         if self._rng.random() < self.tier2_probability:
-            return PlacementPlan(decision=PlacementDecision.PLACE_TIER2)
-        return PlacementPlan(decision=PlacementDecision.BYPASS_TIER3)
+            return _PLACE_TIER2
+        return _BYPASS_TIER3
 
 
 class ReusePolicy(PlacementPolicy):
@@ -200,17 +268,17 @@ class ReusePolicy(PlacementPolicy):
         # full batchability condition.
         return self.sampler.sampling_done
 
-    def on_tier1_fill(self, state: PageState, from_tier2: bool = False) -> None:
+    def on_tier1_fill(self, state: PageState, from_tier2: bool = False):
         """Resolve the page's previous eviction now that its actual
         remaining VTD is known (paper: "this can be found out when a page
         is brought into GPU memory")."""
         if state.last_eviction_ts is None:
-            return  # cold fill; no prior eviction to resolve
+            return None  # cold fill; no prior eviction to resolve
         rvtd = self._vts.remaining_vtd_since(state.last_eviction_ts)
         state.last_eviction_ts = None
         rrd = self.sampler.predict_rrd(rvtd)
         if rrd is None:
-            return  # no regression model yet; cannot resolve
+            return None  # no regression model yet; cannot resolve
         actual = self.classifier.classify(rrd)
         last_correct = state.policy_state.get(self._LAST_CORRECT)
         if last_correct is not None:
@@ -223,24 +291,7 @@ class ReusePolicy(PlacementPolicy):
             self.telemetry.instant(
                 "markov-resolve", "reuse", page=state.page, actual=actual.name
             )
-            lifecycle = getattr(self.telemetry, "lifecycle", None)
-            if lifecycle is not None:
-                # Join point for predicted-vs-actual per page: the flight
-                # recorder learns what the earlier placement *should* have
-                # predicted, the moment the truth is known.
-                from repro.obs.lifecycle import LifecycleKind
-
-                cause = "unresolved"
-                if pending is not None:
-                    cause = "correct" if pending is actual else "mispredicted"
-                lifecycle.emit(
-                    LifecycleKind.RESOLVE,
-                    state.page,
-                    self.stats.coalesced_accesses,
-                    cause=cause,
-                    predicted=None if pending is None else pending.name.lower(),
-                    detail=actual.name.lower(),
-                )
+        return pending, actual
 
     def choose(self, state: PageState) -> PlacementPlan:
         last_correct = state.policy_state.get(self._LAST_CORRECT)
@@ -254,28 +305,14 @@ class ReusePolicy(PlacementPolicy):
             # predictor needs.
             self.stats.fallback_placements += 1
             self.heuristic.record(ReuseClass.MEDIUM)
-            return PlacementPlan(
-                decision=PlacementDecision.PLACE_TIER2, from_fallback=True
-            )
+            return _COLD_FALLBACK
 
         self.stats.predictions_made += 1
-        self.heuristic.record(predicted)
         if self.telemetry is not None:
             self.telemetry.markov_confidence.observe(
                 self.predictor.confidence(last_correct)
             )
-        decision = PlacementDecision.for_class(predicted)
-        if (
-            self._heuristic_enabled
-            and decision is PlacementDecision.BYPASS_TIER3
-            and self.heuristic.should_force_tier2()
-        ):
-            return PlacementPlan(
-                decision=PlacementDecision.PLACE_TIER2,
-                predicted_class=predicted,
-                forced_tier2=True,
-            )
-        return PlacementPlan(decision=decision, predicted_class=predicted)
+        return plan_for_class(predicted, self.heuristic, self._heuristic_enabled)
 
     def on_evicted(self, state: PageState, plan: PlacementPlan) -> None:
         state.last_eviction_ts = self._vts.now

@@ -187,19 +187,9 @@ class GMTRuntime:
         #: A ``SIGPROF`` timer samples the main thread's frames, so the
         #: hot path never reads this; it only guards double-attach.
         self._prof = None
-        #: Scratch: the cause/prediction behind the eviction currently in
-        #: flight (set by ``_ensure_tier1_frame``, read by the placement
-        #: leaves so DEMOTE/BYPASS events carry the policy's reasoning).
-        self._fx_cause = ""
-        self._fx_predicted: str | None = None
         #: Queueing time model, built lazily (subclasses adjust the
         #: orchestration parameters it reads after construction).
         self._queueing = None
-        #: Scratch flags describing the last eviction's side effects, for
-        #: the queueing model's critical-path sequencing.
-        self._fx_writeback = False
-        self._fx_t2_place = False
-        self._fx_t2_evict = False
         #: Periodic conformance checking: when set, ``access`` runs
         #: :meth:`check_invariants` plus the stats-identity audit every
         #: this many coalesced accesses (None = never, the hot-path
@@ -598,7 +588,9 @@ class GMTRuntime:
                 state.prefetched = False
                 self._hit_map.bits[page] = True
                 self.stats.prefetch_hits += 1
-                self.policy.on_tier1_fill(state, from_tier2=False)
+                resolution = self.policy.on_tier1_fill(state, from_tier2=False)
+                if resolution is not None and self._flight is not None:
+                    self._record_resolution(page, resolution)
             return
 
         # ---- demand miss --------------------------------------------------
@@ -656,6 +648,11 @@ class GMTRuntime:
                     latency_ns=platform.ssd_read_latency_ns,
                 )
 
+        stats = self.stats
+        if queueing is not None:
+            # The eviction's side effects, for the queueing model's
+            # critical-path sequencing: the counters that record them.
+            before = (stats.ssd_page_writes, stats.t2_placements, stats.t2_evictions)
         eviction_ns = self._ensure_tier1_frame()
         if not self.config.async_evictions:
             # Demand-miss path waits for the frame to be freed; with
@@ -664,22 +661,21 @@ class GMTRuntime:
             fault_ns += eviction_ns
 
         if queueing is not None:
+            writeback = stats.ssd_page_writes != before[0]
+            t2_place = stats.t2_placements != before[1]
+            t2_evict = stats.t2_evictions != before[2]
             if self.config.async_evictions:
-                if self._fx_writeback:
+                if writeback:
                     queueing.on_background_io(self.config.page_size, write=True)
-                if self._fx_t2_place:
+                if t2_place:
                     queueing.on_background_pcie(self.config.page_size)
-                sync_writeback = sync_place = sync_evict = False
-            else:
-                sync_writeback = self._fx_writeback
-                sync_place = self._fx_t2_place
-                sync_evict = self._fx_t2_evict
+                writeback = t2_place = t2_evict = False
             queueing.on_miss(
                 tier2_lookup=self.config.tier2_frames > 0,
                 tier2_hit=from_tier2,
-                writeback=sync_writeback,
-                tier2_place=sync_place,
-                tier2_evict=sync_evict,
+                writeback=writeback,
+                tier2_place=t2_place,
+                tier2_evict=t2_evict,
             )
 
         self.t1_clock.insert(page, referenced=True)
@@ -697,13 +693,32 @@ class GMTRuntime:
         self._hit_map.bits[page] = True
         if write:
             state.dirty = True
-        self.policy.on_tier1_fill(state, from_tier2=from_tier2)
+        resolution = self.policy.on_tier1_fill(state, from_tier2=from_tier2)
+        if resolution is not None and self._flight is not None:
+            self._record_resolution(page, resolution)
         self.cost.add_fault_latency(fault_ns)
         if obs is not None:
             obs.on_miss(page, fault_ns, "tier2" if from_tier2 else "ssd")
 
         if self.config.prefetch_degree and not from_tier2:
             self._prefetch_after(page)
+
+    def _record_resolution(self, page: int, resolution) -> None:
+        """Record the RESOLVE event of a fill that resolved ``page``'s
+        previous eviction; ``resolution`` is the ``(predicted, actual)``
+        pair :meth:`PlacementPolicy.on_tier1_fill` returned."""
+        predicted, actual = resolution
+        cause = "unresolved"
+        if predicted is not None:
+            cause = "correct" if predicted is actual else "mispredicted"
+        self._flight.emit(
+            LifecycleKind.RESOLVE,
+            page,
+            self.stats.coalesced_accesses,
+            cause=cause,
+            predicted=None if predicted is None else predicted.name.lower(),
+            detail=actual.name.lower(),
+        )
 
     # ------------------------------------------------------------------
     # prefetching (optional)
@@ -737,10 +752,12 @@ class GMTRuntime:
                     "T3", "T1", "prefetch",
                 )
             self.ssd.record_read(self.config.page_size)
-            self.stats.ssd_page_reads += 1
+            stats = self.stats
+            stats.ssd_page_reads += 1
             queueing = self._queueing_model()
             if queueing is not None:
                 queueing.on_background_io(self.config.page_size)
+                writes, places = stats.ssd_page_writes, stats.t2_placements
             eviction_ns = self._ensure_tier1_frame()
             if not self.config.async_evictions:
                 self.cost.add_fault_latency(eviction_ns)
@@ -749,9 +766,9 @@ class GMTRuntime:
                 # every demand miss's critical path, but its traffic still
                 # occupies the shared links: dirty victims write to the
                 # SSD, Tier-2 placements cross PCIe.
-                if self._fx_writeback:
+                if stats.ssd_page_writes != writes:
                     queueing.on_background_io(self.config.page_size, write=True)
-                if self._fx_t2_place:
+                if stats.t2_placements != places:
                     queueing.on_background_pcie(self.config.page_size)
             self.t1_clock.insert(candidate, referenced=False)
             if self._tier_counts is not None:
@@ -787,21 +804,10 @@ class GMTRuntime:
 
     def _ensure_tier1_frame(self) -> float:
         """Free one Tier-1 frame if needed; returns critical-path ns spent."""
-        # Reset the eviction scratch unconditionally, *before* the
-        # no-eviction early return: both the side-effect flags read by the
-        # queueing model and the cause/prediction stamps read by the
-        # lifecycle leaves must describe *this* call, never a previous
-        # eviction's (demand, prefetch and quota paths all land here).
-        self._fx_writeback = False
-        self._fx_t2_place = False
-        self._fx_t2_evict = False
-        self._fx_cause = ""
-        self._fx_predicted = None
         if not self._tier1_needs_eviction():
             return 0.0
 
         retries = 0
-        overridden = False
         while True:
             victim = self._next_tier1_victim()
             vstate = self.page_table.lookup(victim)
@@ -812,15 +818,14 @@ class GMTRuntime:
                 # Progress guarantee: a retained victim must eventually go
                 # somewhere; the nearest tier below is host memory.
                 self.stats.retention_overrides += 1
-                overridden = True
-                plan = _force_tier2(plan)
+                plan = plan.retention_override
                 break
             self.stats.clock_retentions += 1
             if self._flight is not None:
                 self._flight.emit(
                     LifecycleKind.RETAIN, victim, self.stats.coalesced_accesses,
                     "T1", "T1", "short-reuse-second-chance",
-                    predicted=_predicted_name(plan),
+                    predicted=plan.predicted,
                 )
             self.t1_clock.insert(victim, referenced=True)
             retries += 1
@@ -839,37 +844,31 @@ class GMTRuntime:
         if plan.forced_tier2:
             self.stats.forced_t2_placements += 1
 
-        # Stamp the decision's reasoning for the lifecycle leaves below.
-        # Unconditional (not gated on the flight recorder) so the scratch
-        # is always trustworthy — conformance audits read it too.
-        self._fx_predicted = _predicted_name(plan)
-        if plan.forced_tier2:
-            self._fx_cause = "heuristic-forced-tier2"
-        elif overridden:
-            self._fx_cause = "retention-override"
-        elif plan.from_fallback:
-            self._fx_cause = "cold-fallback"
-        elif plan.predicted_class is not None:
-            self._fx_cause = f"predicted-{self._fx_predicted}"
-        else:
-            self._fx_cause = "policy-static"
-
         if (
             plan.decision is PlacementDecision.PLACE_TIER2
             and self.config.tier2_frames > 0
         ):
             allow_eviction = self.policy.tier2_evicts_on_full and not plan.forced_tier2
-            ns = self._place_in_tier2(vstate, allow_eviction)
+            ns = self._place_in_tier2(
+                vstate, plan.cause, plan.predicted, allow_eviction
+            )
         else:
-            ns = self._bypass_to_tier3(vstate)
+            ns = self._bypass_to_tier3(vstate, plan.cause, plan.predicted)
         obs = self._obs
         if obs is not None:
             obs.span("evict", "evict", ns, victim=victim,
                      decision=plan.decision.name, retries=retries)
         return ns
 
-    def _place_in_tier2(self, state: PageState, allow_eviction: bool = True) -> float:
-        """Move an evicted Tier-1 page into host memory.
+    def _place_in_tier2(
+        self,
+        state: PageState,
+        cause: str,
+        predicted: str | None,
+        allow_eviction: bool = True,
+    ) -> float:
+        """Move an evicted Tier-1 page into host memory; ``cause`` and
+        ``predicted`` are the decision's, for its lifecycle event.
 
         ``allow_eviction=False`` implements the free-slot-only placement of
         heuristic-forced (section 2.2) insertions: a page force-placed
@@ -881,24 +880,20 @@ class GMTRuntime:
             # Tier-2 quotas): the page is denied a host-memory frame and
             # takes the Tier-3 bypass path instead.
             self.stats.t2_quota_denials += 1
-            self._fx_cause = "t2-quota-denied"
-            return self._bypass_to_tier3(state)
+            return self._bypass_to_tier3(state, "t2-quota-denied", predicted)
         if not self._admit_demotion(state):
             # Migration governor: the tenant is out of migration tokens,
             # so the demotion skips the host tier (no Tier-2 frame, no
             # PCIe writeback pressure) and bypasses straight to Tier-3.
             self.stats.demotions_throttled += 1
-            self._fx_cause = "migration-throttled"
-            return self._bypass_to_tier3(state)
+            return self._bypass_to_tier3(state, "migration-throttled", predicted)
         ns = 0.0
         if len(self._t2_order) >= self.config.tier2_frames:
             if not allow_eviction:
                 self.stats.t2_full_bypasses += 1
-                self._fx_cause = "t2-full-bypass"
-                return self._bypass_to_tier3(state)
+                return self._bypass_to_tier3(state, "t2-full-bypass", predicted)
             ns += self._evict_from_tier2()
 
-        self._fx_t2_place = True
         # Demoted pages arrive cold regardless of the policy's default.
         self._t2_order.insert(state.page, referenced=False)
         if self._tier_counts is not None:
@@ -913,7 +908,7 @@ class GMTRuntime:
         if self._flight is not None:
             self._flight.emit(
                 LifecycleKind.DEMOTE, state.page, self.stats.coalesced_accesses,
-                "T1", "T2", self._fx_cause, predicted=self._fx_predicted,
+                "T1", "T2", cause, predicted=predicted,
                 dirty=state.dirty, latency_ns=self._t2_move_ns,
             )
         return ns
@@ -948,7 +943,6 @@ class GMTRuntime:
     def _evict_from_tier2(self) -> float:
         """Make room in Tier-2 (FIFO, or clock under GMT-TierOrder)."""
         victim = self._select_tier2_victim()
-        self._fx_t2_evict = True
         if self._tier_counts is not None:
             self._tier_counts.left(2, victim)
         vstate = self.page_table.lookup(victim)
@@ -971,13 +965,17 @@ class GMTRuntime:
             self.stats.t2_clean_evictions += 1
         return self.config.platform.tier2_eviction_ns + writeback_ns
 
-    def _bypass_to_tier3(self, state: PageState) -> float:
-        """Evict without a Tier-2 copy: discard clean, write back dirty."""
+    def _bypass_to_tier3(
+        self, state: PageState, cause: str, predicted: str | None
+    ) -> float:
+        """Evict without a Tier-2 copy: discard clean, write back dirty;
+        ``cause`` and ``predicted`` are the decision's, for its lifecycle
+        event."""
         state.location = PageLocation.TIER3
         if self._flight is not None:
             self._flight.emit(
                 LifecycleKind.BYPASS, state.page, self.stats.coalesced_accesses,
-                "T1", "T3", self._fx_cause, predicted=self._fx_predicted,
+                "T1", "T3", cause, predicted=predicted,
                 dirty=state.dirty,
                 detail="writeback-dirty" if state.dirty else "discard-clean",
             )
@@ -989,7 +987,6 @@ class GMTRuntime:
     def _writeback_if_dirty(self, state: PageState) -> float:
         if not state.dirty:
             return 0.0
-        self._fx_writeback = True
         self.ssd.record_write(self.config.page_size)
         self.stats.ssd_page_writes += 1
         state.writeback()
@@ -1078,13 +1075,3 @@ class GMTRuntime:
                 f"hit map bit {bool(bits[page])} for page {page} disagrees "
                 "with its page-table state"
             )
-
-
-def _force_tier2(plan):
-    """Rewrite a RETAIN plan whose retry budget ran out into a Tier-2 plan."""
-    return replace(plan, decision=PlacementDecision.PLACE_TIER2)
-
-
-def _predicted_name(plan) -> str | None:
-    """Lower-case reuse-class name behind a plan (None = no prediction)."""
-    return None if plan.predicted_class is None else plan.predicted_class.name.lower()

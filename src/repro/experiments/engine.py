@@ -271,8 +271,8 @@ class Engine:
         memo: in-process memo dict; None shares the process-wide memo.
         progress: optional callable receiving one line per cell event.
         options: the :class:`~repro.experiments.harness.RunOptions` the
-            cells run under (engine, in-run audits, telemetry export,
-            anomaly scan); None means the defaults.  They are installed
+            cells run under (in-run audits, telemetry export, anomaly
+            scan); None means the defaults.  They are installed
             only while this engine executes cells, in-process or in its
             pool workers, and the previous options are restored after.
     """

@@ -29,7 +29,6 @@ from repro.experiments.harness import (
     default_config,
     oracle_replay,
     replay,
-    replay_on_trace,
 )
 from repro.experiments.spec import ExperimentSpec, run_spec
 
@@ -106,7 +105,7 @@ def _ssd_configs(scale):
 def _ssd_cells(scale):
     base, configs = _ssd_configs(scale)
     return [
-        replay_on_trace(app, kind, configs[count], base)  # same traces everywhere
+        replay(app, kind, configs[count], trace_config=base)  # same traces everywhere
         for count in SSD_COUNTS
         for app in SSD_SCALING_APPS
         for kind in ("bam", "reuse")
@@ -122,8 +121,8 @@ def _ssd_reduce(results, scale):
         speedups = []
         bottlenecks = set()
         for app in SSD_SCALING_APPS:
-            bam = results[replay_on_trace(app, "bam", config, base)]
-            reuse = results[replay_on_trace(app, "reuse", config, base)]
+            bam = results[replay(app, "bam", config, trace_config=base)]
+            reuse = results[replay(app, "reuse", config, trace_config=base)]
             speedups.append(reuse.speedup_over(bam))
             bottlenecks.add(reuse.breakdown.bottleneck)
         means[count] = arithmetic_mean(speedups)

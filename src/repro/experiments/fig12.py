@@ -15,7 +15,7 @@ from repro.experiments.harness import (
     ExperimentResult,
     app_label,
     default_config,
-    replay_with_footprint,
+    replay,
 )
 from repro.experiments.spec import ExperimentSpec
 from repro.workloads.registry import WORKLOAD_NAMES
@@ -37,7 +37,7 @@ def _geometry(scale):
 def _cells(scale):
     footprint, configs = _geometry(scale)
     return [
-        replay_with_footprint(app, kind, configs[ratio], footprint)
+        replay(app, kind, configs[ratio], footprint_pages=footprint)
         for app in WORKLOAD_NAMES
         for ratio in RATIOS
         for kind in ("bam", "reuse")
@@ -52,8 +52,8 @@ def _reduce(results, scale):
         row: list[object] = [app_label(app)]
         for ratio in RATIOS:
             cfg = configs[ratio]
-            bam = results[replay_with_footprint(app, "bam", cfg, footprint)]
-            reuse = results[replay_with_footprint(app, "reuse", cfg, footprint)]
+            bam = results[replay(app, "bam", cfg, footprint_pages=footprint)]
+            reuse = results[replay(app, "reuse", cfg, footprint_pages=footprint)]
             s = reuse.speedup_over(bam)
             series[ratio].append(s)
             row.append(s)

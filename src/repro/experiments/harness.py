@@ -276,21 +276,25 @@ def build_runtime(kind: str, config: GMTConfig) -> GMTRuntime:
 
 def get_workload(
     app: str,
-    config: GMTConfig,
+    config: GMTConfig | int,
     oversubscription: float = PAPER_OVERSUBSCRIPTION,
     seed: int = 0,
     **kwargs,
 ) -> Workload:
-    """Cached workload instance (graph generation is the expensive part)."""
-    key = (
-        normalize_name(app),
-        config.working_set_frames(oversubscription),
-        seed,
-        tuple(sorted(kwargs.items())),
-    )
+    """Cached workload instance (graph generation is the expensive part).
+
+    ``config`` sizes the footprint as in
+    :func:`~repro.workloads.registry.make_workload`: a :class:`GMTConfig`
+    (``oversubscription`` x its Tier-1 + Tier-2 frames) or a raw page
+    count."""
+    if isinstance(config, GMTConfig):
+        footprint = config.working_set_frames(oversubscription)
+    else:
+        footprint = int(config)
+    key = (normalize_name(app), footprint, seed, tuple(sorted(kwargs.items())))
     workload = _workload_cache.get(key)
     if workload is None:
-        workload = make_workload(app, config, oversubscription, seed=seed, **kwargs)
+        workload = make_workload(app, footprint, seed=seed, **kwargs)
         _workload_cache[key] = workload
     return workload
 
@@ -316,15 +320,21 @@ def replay_cell(
     config: GMTConfig,
     oversubscription: float = PAPER_OVERSUBSCRIPTION,
     seed: int = 0,
+    footprint_pages: int | None = None,
+    trace_config: GMTConfig | None = None,
 ) -> RunResult:
     """Cell body: replay ``app`` through runtime ``kind`` under the
     installed :class:`RunOptions`.
 
-    Note that the *workload footprint* is sized from ``config`` (Tier-1 +
-    Tier-2 frames x oversubscription) even for BaM, which then runs it
-    with Tier-2 disabled — exactly the paper's setup.
+    The workload's footprint is ``footprint_pages`` when given, else
+    sized from ``trace_config`` (default: ``config``) as Tier-1 + Tier-2
+    frames x oversubscription — even for BaM, which then runs it with
+    Tier-2 disabled, exactly the paper's setup.  Sweeps that vary the
+    hierarchy while holding the dataset fixed pin one of the two
+    (Figure 12's Tier-2:Tier-1 ratios, SSD scaling, ``sweep_config``).
     """
-    workload = get_workload(app, config, oversubscription, seed=seed)
+    sizing = footprint_pages if footprint_pages is not None else trace_config or config
+    workload = get_workload(app, sizing, oversubscription, seed=seed)
     runtime = build_runtime(kind, _with_footprint_bound(config, workload))
     _apply_runtime_checks(runtime)
     telemetry = _attach_run_telemetry(runtime, app, kind)
@@ -335,36 +345,6 @@ def replay_cell(
         if _options.telemetry_dir is not None:
             _export_run_telemetry(telemetry, app, kind)
     return result
-
-
-def replay_footprint_cell(
-    app: str, kind: str, config: GMTConfig, footprint_pages: int, seed: int = 0
-) -> RunResult:
-    """Cell body: replay ``app`` at an explicit footprint through runtime
-    ``kind`` — sweeps that vary the *memory geometry* while holding the
-    dataset fixed (Figure 12's Tier-2:Tier-1 ratio sweep)."""
-    key = (normalize_name(app), footprint_pages, seed, ())
-    workload = _workload_cache.get(key)
-    if workload is None:
-        workload = _workload_cache[key] = make_workload(app, footprint_pages, seed=seed)
-    runtime = build_runtime(kind, _with_footprint_bound(config, workload))
-    return _apply_runtime_checks(runtime).run(workload)
-
-
-def replay_on_trace_cell(
-    app: str,
-    kind: str,
-    config: GMTConfig,
-    trace_config: GMTConfig,
-    oversubscription: float = PAPER_OVERSUBSCRIPTION,
-    seed: int = 0,
-) -> RunResult:
-    """Cell body: run ``kind`` under ``config`` on the trace generated
-    from ``trace_config`` — sweeps that vary a knob while holding the
-    dataset fixed (SSD scaling, model validation, sweep_config)."""
-    workload = get_workload(app, trace_config, oversubscription, seed=seed)
-    runtime = build_runtime(kind, _with_footprint_bound(config, workload))
-    return _apply_runtime_checks(runtime).run(workload)
 
 
 def oracle_cell(
@@ -386,61 +366,34 @@ def replay(
     config: GMTConfig,
     oversubscription: float = PAPER_OVERSUBSCRIPTION,
     seed: int = 0,
+    footprint_pages: int | None = None,
+    trace_config: GMTConfig | None = None,
 ):
-    """The canonical replay :class:`~repro.experiments.engine.Cell`."""
+    """The canonical replay :class:`~repro.experiments.engine.Cell`;
+    ``footprint_pages`` or ``trace_config`` pins the dataset while
+    ``config`` varies (see :func:`replay_cell`)."""
     from repro.experiments.engine import Cell
 
+    if footprint_pages is not None and trace_config is not None:
+        raise ConfigError("pin the dataset by footprint_pages or trace_config")
     app = normalize_name(app)
+    label = f"{app}/{kind}"
+    pinned = {}
+    if footprint_pages is not None:
+        pinned["footprint_pages"] = int(footprint_pages)
+        label += f"@{footprint_pages}p"
+    if trace_config is not None:
+        pinned["trace_config"] = trace_config
+        label += "(fixed-trace)"
     return Cell.make(
         "repro.experiments.harness:replay_cell",
-        label=f"{app}/{kind}",
+        label=label,
         app=app,
         kind=kind,
         config=config,
         oversubscription=float(oversubscription),
         seed=int(seed),
-    )
-
-
-def replay_with_footprint(
-    app: str, kind: str, config: GMTConfig, footprint_pages: int, seed: int = 0
-):
-    """Replay cell at an explicit footprint."""
-    from repro.experiments.engine import Cell
-
-    app = normalize_name(app)
-    return Cell.make(
-        "repro.experiments.harness:replay_footprint_cell",
-        label=f"{app}/{kind}@{footprint_pages}p",
-        app=app,
-        kind=kind,
-        config=config,
-        footprint_pages=int(footprint_pages),
-        seed=int(seed),
-    )
-
-
-def replay_on_trace(
-    app: str,
-    kind: str,
-    config: GMTConfig,
-    trace_config: GMTConfig,
-    oversubscription: float = PAPER_OVERSUBSCRIPTION,
-    seed: int = 0,
-):
-    """Replay cell with the trace pinned to ``trace_config``."""
-    from repro.experiments.engine import Cell
-
-    app = normalize_name(app)
-    return Cell.make(
-        "repro.experiments.harness:replay_on_trace_cell",
-        label=f"{app}/{kind}(fixed-trace)",
-        app=app,
-        kind=kind,
-        config=config,
-        trace_config=trace_config,
-        oversubscription=float(oversubscription),
-        seed=int(seed),
+        **pinned,
     )
 
 

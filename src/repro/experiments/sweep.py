@@ -26,7 +26,7 @@ from repro.experiments.harness import (
     ExperimentResult,
     app_label,
     default_config,
-    replay_on_trace,
+    replay,
 )
 
 
@@ -99,8 +99,8 @@ def sweep_config(
         baseline_config = config if vary_baseline else base
         return {
             app: (
-                replay_on_trace(app, baseline_kind, baseline_config, base),
-                replay_on_trace(app, kind, config, base),  # fixed traces
+                replay(app, baseline_kind, baseline_config, trace_config=base),
+                replay(app, kind, config, trace_config=base),  # fixed traces
             )
             for app in apps
         }

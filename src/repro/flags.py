@@ -41,6 +41,17 @@ positive_int = _positive(int)
 positive_float = _positive(float)
 
 
+def fraction(text: str) -> float:
+    """A float in (0, 1]."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = None
+    if value is None or not 0.0 < value <= 1.0:
+        raise argparse.ArgumentTypeError(f"must be in (0, 1], got {text!r}")
+    return value
+
+
 def output_path(text: str) -> str:
     """A file to write once the run ends: its directory must exist now,
     so a typo fails before the replay rather than after it."""
@@ -88,6 +99,15 @@ _FLAGS: dict[str, dict] = {
         default=None,
         help="write a Prometheus text-format metrics snapshot to PATH "
         "(series labelled by runtime or tenant)",
+    ),
+    "--lifecycle-sample-rate": dict(
+        type=fraction,
+        metavar="P",
+        default=None,
+        help="record the lifecycle stream for a deterministic hash-sampled "
+        "fraction P of pages (0 < P <= 1) instead of every page; sampled "
+        "pages keep their complete journeys, so the stream stays small "
+        "without truncating any of them",
     ),
     "--check-every": dict(
         type=positive_int,

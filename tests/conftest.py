@@ -28,6 +28,13 @@ def _isolate_run_ledger(tmp_path, monkeypatch):
     monkeypatch.setenv(LEDGER_ENV_VAR, str(tmp_path / "ledger.jsonl"))
 
 
+@pytest.fixture(autouse=True)
+def _isolate_result_cache(tmp_path, monkeypatch):
+    """CLI mains default to the on-disk result cache; never let tests
+    fill the user's (~/.cache/gmt-results) or replay from it."""
+    monkeypatch.setenv("GMT_CACHE_DIR", str(tmp_path / "gmt-results"))
+
+
 @pytest.fixture
 def small_config() -> GMTConfig:
     """A tiny 3-tier geometry (Tier-2 = 4 x Tier-1, as in the paper)."""

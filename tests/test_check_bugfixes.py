@@ -4,9 +4,10 @@ harness flushed out.  Each test fails on the pre-fix code:
 1. dirty writebacks (and Tier-2 placements) caused by *prefetch-triggered*
    evictions never reached the queueing time model — the write link's
    busy time undercounted real SSD traffic;
-2. the eviction-cause scratch (``_fx_cause`` & friends) was only stamped
-   with the flight recorder attached and only reset on the demand path,
-   so stale values could leak into later consumers;
+2. the eviction-cause scratch was only stamped with the flight recorder
+   attached and only reset on the demand path, so stale values could
+   leak into later consumers (the scratch is gone: causes travel with
+   the policy's plan);
 3. the sequential prefetcher read past the workload footprint,
    fabricating page-table entries and phantom SSD reads for pages that
    do not exist.
@@ -100,62 +101,24 @@ class TestPrefetchEvictionQueueing:
 
 
 class TestEvictionScratchReset:
-    """Bug 2: the per-eviction scratch must never carry stale state."""
+    """Bug 2: each eviction's events carry its own decision's cause.
 
-    POISON = dict(
-        _fx_cause="stale-poison",
-        _fx_predicted="stale",
-        _fx_writeback=True,
-        _fx_t2_place=True,
-        _fx_t2_evict=True,
-    )
-
-    def poison(self, runtime):
-        for name, value in self.POISON.items():
-            setattr(runtime, name, value)
-
-    def assert_clean(self, runtime):
-        assert runtime._fx_cause == ""
-        assert runtime._fx_predicted is None
-        assert runtime._fx_writeback is False
-        assert runtime._fx_t2_place is False
-        assert runtime._fx_t2_evict is False
-
-    def test_no_eviction_miss_clears_scratch(self):
-        runtime = GMTRuntime(make_config())
-        self.poison(runtime)
-        runtime.access(0)  # Tier-1 has free frames: no eviction at all
-        self.assert_clean(runtime)
-
-    def test_ensure_tier1_frame_resets_even_on_early_return(self):
-        runtime = GMTRuntime(make_config())
-        self.poison(runtime)
-        assert runtime._ensure_tier1_frame() == 0.0  # tier not full
-        self.assert_clean(runtime)
+    The runtime once kept the cause in per-eviction scratch attributes;
+    the decision now travels as the policy's plan, so nothing is left to
+    go stale.  The eviction lock (tests/test_core_eviction_lock.py) pins
+    every cause on full replays."""
 
     def test_prefetch_evictions_stamp_fresh_causes(self):
-        # Behavioral: with the flight recorder attached, every DEMOTE /
-        # WRITEBACK event must carry a cause stamped by *its own*
-        # eviction — never the poison, never a previous decision.
+        # Behavioral: with the flight recorder attached, every DEMOTE
+        # event carries the cause of *its own* eviction's decision.
         runtime = GMTRuntime(make_config(tier1_frames=4, prefetch_degree=2))
         recorder = runtime.attach_flight_recorder()
-        self.poison(runtime)
         for page in range(0, 60, 3):
             runtime.access(page, write=True)
         demotions = recorder.events(kind=LifecycleKind.DEMOTE)
         assert demotions
         for event in demotions:
-            assert event.cause != "stale-poison"
-            assert event.cause != ""
-
-    def test_scratch_stamped_without_flight_recorder(self):
-        # The conformance auditor may consult the scratch after a run, so
-        # stamping must not depend on observability being attached.
-        runtime = GMTRuntime(make_config(tier1_frames=4))
-        for page in range(12):
-            runtime.access(page, write=True)
-        assert runtime.stats.t1_evictions > 0
-        assert runtime._fx_cause != ""
+            assert event.cause == "policy-static"
 
 
 class TestPrefetchFootprintClamp:

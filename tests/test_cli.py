@@ -156,12 +156,15 @@ class TestGmtServe:
         assert rc == 0
         assert "serving 2 tenants" in capsys.readouterr().out
 
-    def test_epoch_validation(self):
+    def test_epoch_validation(self, capsys):
+        # A bad --epoch is a usage error while parsing, not a ConfigError
+        # from the server.
         from repro.cli import main_serve
-        from repro.errors import ConfigError
 
-        with pytest.raises(ConfigError):
+        with pytest.raises(SystemExit) as exc:
             main_serve(["--tenants", "bfs", "--scale", "8192", "--epoch", "0"])
+        assert exc.value.code == 2
+        assert "--epoch" in capsys.readouterr().err
 
     def test_open_loop_run(self, capsys):
         from repro.cli import main_serve

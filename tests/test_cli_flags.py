@@ -29,6 +29,19 @@ BAD_VALUES = [(tool, ["--scale", "0"]) for tool in ENTRY_POINTS] + [
     ("gmt-sim", ["--anomaly-scan", "--anomaly-thrash", "-1"]),
     ("gmt-serve", ["--anomaly-scan", "--anomaly-spike", "1"]),
     ("gmt-experiments", ["--jobs", "0"]),
+    ("gmt-sim", ["--lifecycle-sample-rate", "0"]),
+    ("gmt-sim", ["--lifecycle-sample-rate", "1.5"]),
+    ("gmt-why", ["--lifecycle-sample-rate", "0"]),
+    ("gmt-why", ["--capacity", "0"]),
+    ("gmt-why", ["--window", "0"]),
+    ("gmt-why", ["--k", "0"]),
+    ("gmt-serve", ["--epoch", "0"]),
+    ("gmt-serve", ["--open-loop", "0"]),
+    ("gmt-serve", ["--open-loop", "8", "--requests", "0"]),
+    ("gmt-serve", ["--open-loop", "8", "--max-backlog", "0"]),
+    ("gmt-serve", ["--open-loop", "8", "--arrival-rate", "0"]),
+    ("gmt-serve", ["--slo-p50", "0"]),
+    ("gmt-serve", ["--slo-p99", "-1"]),
 ]
 
 
@@ -53,7 +66,9 @@ def test_entry_points_match_pyproject():
     "tool, flags", BAD_VALUES, ids=[f"{t} {' '.join(f)}" for t, f in BAD_VALUES]
 )
 def test_bad_value_is_a_usage_error(tool, flags, capsys):
-    status, captured = _run(tool, ENTRY_POINTS[tool][1] + flags, capsys)
+    # An open-loop serve takes --open-loop in place of --tenants.
+    argv = flags if flags[0] == "--open-loop" else ENTRY_POINTS[tool][1] + flags
+    status, captured = _run(tool, argv, capsys)
     assert status == 2
     assert "usage:" in captured.err
     assert "Traceback" not in captured.err

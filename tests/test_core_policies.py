@@ -90,7 +90,7 @@ class TestReusePolicyColdPath:
     def test_no_history_falls_back_to_tier2(self, config):
         policy, stats, _ = build_reuse(config)
         plan = policy.choose(PageState(page=1))
-        assert plan.from_fallback
+        assert plan.cause == "cold-fallback"
         assert plan.decision is PlacementDecision.PLACE_TIER2
         assert stats.fallback_placements == 1
 
@@ -175,3 +175,87 @@ class TestReusePolicyLearning:
             plan = self._train(policy, vts, state, gap=100, rounds=1)
         assert plan.forced_tier2
         assert plan.decision is PlacementDecision.PLACE_TIER2
+
+
+class TestSharedPlans:
+    """Policies return plans built once at import: an eviction allocates
+    none, and a plan carries the cause its lifecycle events record."""
+
+    KINDS = ("tier-order", "random", "reuse", "dueling", "oracle")
+
+    @staticmethod
+    def chosen_plans(kind, app):
+        """Every plan ``kind``'s choose() returns while replaying ``app``,
+        with the retention-override twins of the RETAIN plans."""
+        from repro.core.oracle import (
+            FutureReuseIndex,
+            OraclePolicy,
+            fit_global_vtd_model,
+        )
+        from repro.core.runtime import GMTRuntime
+        from repro.experiments.harness import build_runtime, default_config, get_workload
+
+        config = default_config(8192)
+        workload = get_workload(app, config, seed=0)
+        if kind == "oracle":
+            index = FutureReuseIndex(workload)
+            model = fit_global_vtd_model(workload)
+            runtime = GMTRuntime(
+                config,
+                policy_factory=lambda cfg, stats, vts, rng: OraclePolicy(
+                    cfg, stats, vts, index, model
+                ),
+            )
+        else:
+            runtime = build_runtime(kind, config)
+        plans = []
+        choose = runtime.policy.choose
+
+        def recording(state):
+            plans.append(choose(state))
+            return plans[-1]
+
+        runtime.policy.choose = recording
+        runtime.run(workload)
+        twins = [p.retention_override for p in plans if p.retention_override]
+        return plans + twins
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_equal_outcomes_are_one_object(self, kind):
+        plans = self.chosen_plans(kind, "srad") + self.chosen_plans(kind, "hotspot")
+        assert len(plans) > 1000
+        assert len({id(plan) for plan in plans}) == len(set(plans))
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_every_plan_carries_its_cause(self, kind):
+        for plan in set(self.chosen_plans(kind, "srad")):
+            assert plan.cause
+            if plan.predicted_class is None:
+                assert plan.predicted is None
+            else:
+                assert plan.predicted == plan.predicted_class.name.lower()
+            if plan.decision is PlacementDecision.RETAIN_TIER1:
+                twin = plan.retention_override
+                assert twin.decision is PlacementDecision.PLACE_TIER2
+                assert twin.cause == "retention-override"
+                assert twin.predicted_class is plan.predicted_class
+            else:
+                assert plan.retention_override is None
+
+    def test_class_plans(self, config):
+        # GMT-Reuse and the oracle choose through one function: Eq. 1,
+        # then section 2.2's override of a LONG victim.
+        from repro.core.placement import Tier3BiasHeuristic
+        from repro.core.policies import plan_for_class
+
+        heuristic = Tier3BiasHeuristic(threshold=0.5, window=2)
+        first = plan_for_class(ReuseClass.LONG, heuristic, override=True)
+        assert first.decision is PlacementDecision.BYPASS_TIER3
+        assert first.cause == "predicted-long"
+        forced = plan_for_class(ReuseClass.LONG, heuristic, override=True)
+        assert forced.forced_tier2 and forced.cause == "heuristic-forced-tier2"
+        assert plan_for_class(ReuseClass.LONG, heuristic, override=False) is first
+        medium = plan_for_class(ReuseClass.MEDIUM, heuristic, override=True)
+        assert medium.cause == "predicted-medium"
+        short = plan_for_class(ReuseClass.SHORT, heuristic, override=True)
+        assert short.decision is PlacementDecision.RETAIN_TIER1

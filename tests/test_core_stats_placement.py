@@ -91,13 +91,13 @@ class TestTier3BiasHeuristic:
         h = Tier3BiasHeuristic(threshold=0.8, window=5)
         for _ in range(4):
             h.record(ReuseClass.LONG)
-        assert not h.should_force_tier2()
+        assert not h.fires()
 
     def test_fires_when_long_dominates(self):
         h = Tier3BiasHeuristic(threshold=0.8, window=5)
         for _ in range(5):
             h.record(ReuseClass.LONG)
-        assert h.should_force_tier2()
+        assert h.fires()
         assert h.long_fraction == 1.0
 
     def test_exact_threshold_does_not_fire(self):
@@ -106,16 +106,16 @@ class TestTier3BiasHeuristic:
         for cls in [ReuseClass.LONG] * 4 + [ReuseClass.MEDIUM]:
             h.record(cls)
         assert h.long_fraction == 0.8
-        assert not h.should_force_tier2()
+        assert not h.fires()
 
     def test_window_slides(self):
         h = Tier3BiasHeuristic(threshold=0.8, window=4)
         for _ in range(4):
             h.record(ReuseClass.LONG)
-        assert h.should_force_tier2()
+        assert h.fires()
         for _ in range(2):
             h.record(ReuseClass.MEDIUM)
-        assert not h.should_force_tier2()
+        assert not h.fires()
 
     def test_long_fraction_empty(self):
         assert Tier3BiasHeuristic().long_fraction == 0.0

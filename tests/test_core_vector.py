@@ -56,6 +56,11 @@ def make_trace(warps):
     return [WarpAccess(pages=tuple(pages), write=write) for pages, write in warps]
 
 
+#: 3,000 two-lane warps over 6 pages: after the cold misses every access
+#: hits Tier-1, so a replay that batches retires most of it in bulk.
+HIT_TRACE = make_trace([((i % 6, (i + 1) % 6), i % 5 == 0) for i in range(3000)])
+
+
 def run_pair(config, trace):
     """The per-warp reference and the batched replay of ``trace``."""
     reference = GMTRuntime(config)
@@ -283,24 +288,31 @@ class TestEngineSelection:
             build_runtime("reuse", small_config(), engine="vector")
 
     def test_every_kind_and_tier1_policy_batches(self):
-        # No fallback trigger is left: every runtime kind batches under
-        # every Tier-1 structure, audited and instrumented included, and
-        # so does the serving runtime's inherited run().
+        # No fallback trigger is left: every runtime kind batches its hit
+        # runs under every Tier-1 structure, audited and instrumented
+        # included, and so does the serving runtime's inherited run().
         from repro.serve import build_tenants
         from repro.serve.runtime import TenantAwareRuntime
 
         for kind in RUNTIME_KINDS:
             for tier1 in EVICTION_POLICY_NAMES:
-                runtime = build_runtime(kind, small_config(tier1_eviction=tier1))
-                assert runtime.engine_resolution()[0] == "vector", (kind, tier1)
-        runtime = build_runtime("reuse", small_config())
+                # GMT-Reuse batches once its sampling window closes.
+                config = small_config(
+                    tier1_eviction=tier1, sample_target=200, sample_batch=50
+                )
+                runtime = build_runtime(kind, config)
+                batches = record_batches(runtime)
+                runtime.run(HIT_TRACE)
+                assert sum(batches) > len(HIT_TRACE), (kind, tier1)
+        runtime = build_runtime("tier-order", small_config())
         runtime.enable_periodic_checks(every=50)
         runtime.attach_telemetry(Telemetry(window=7, lifecycle=True))
-        assert runtime.engine_resolution()[0] == "vector"
+        batches = record_batches(runtime)
+        runtime.run(HIT_TRACE)
+        assert sum(batches) > len(HIT_TRACE)
         config = small_config(policy="tier-order")
         streams = build_tenants(["bfs", "keyvalue"], config, oversubscription=0.5)
         served = TenantAwareRuntime(config, streams)
-        assert served.engine_resolution()[0] == "vector"
         served.attach_telemetry(Telemetry(window=7))
         batches = record_batches(served)
         served.run(iter(streams[1]))
@@ -319,7 +331,9 @@ class TestEngineSelection:
         for kind in RUNTIME_KINDS:
             runtime = build_runtime(kind, config)
             assert type(runtime) is classes.get(kind, GMTRuntime)
-            assert runtime.engine_resolution()[0] == "vector"
+            batches = record_batches(runtime)
+            runtime.run(HIT_TRACE)
+            assert sum(batches) > len(HIT_TRACE), kind
 
     def test_vector_runtime_keeps_the_scalar_structures(self):
         # One page table, one row type and one clock: every runtime

@@ -19,8 +19,8 @@ from repro.experiments.harness import (
     get_workload,
     replay,
     replay_cell,
-    replay_footprint_cell,
 )
+from tests.conftest import record_batches
 
 
 @pytest.fixture
@@ -91,11 +91,49 @@ class TestRunMatrix:
 
 class TestRunAppWithFootprint:
     def test_explicit_footprint(self, tiny_config):
-        small = replay_footprint_cell("hotspot", "bam", tiny_config, 200)
-        large = replay_footprint_cell("hotspot", "bam", tiny_config, 400)
+        small = replay_cell("hotspot", "bam", tiny_config, footprint_pages=200)
+        large = replay_cell("hotspot", "bam", tiny_config, footprint_pages=400)
         assert (
             large.stats.coalesced_accesses > small.stats.coalesced_accesses
         )
+
+    def test_pinned_cells_share_the_workload_cache(self, tiny_config):
+        # A footprint and the config that sizes it name one workload.
+        pinned = get_workload("hotspot", tiny_config.working_set_frames())
+        assert pinned is get_workload("hotspot", tiny_config)
+
+    def test_pinned_cells_run_under_the_options(self, tmp_path):
+        # Figure 12 pins every replay's footprint and SSD scaling its
+        # trace config; both still export telemetry and scan for
+        # anomalies, and a threshold this low fires.
+        import json
+
+        from repro.experiments import extensions, fig12
+
+        cells = [c for c in fig12.SPEC.cells(16384) if c.kwargs()["app"] == "hotspot"]
+        cells += extensions.SSD_SPEC.cells(16384)[:2]
+        options = RunOptions(
+            telemetry_dir=str(tmp_path / "telemetry"),
+            anomaly_spool=str(tmp_path / "spool"),
+            anomaly_thrash=0.05,
+        )
+        Engine(memo={}, cache=None, options=options).run_cells(cells)
+        findings = [
+            json.loads(line)
+            for path in (tmp_path / "spool").glob("*.anomalies.jsonl")
+            for line in path.read_text().splitlines()
+        ]
+        assert {(f["app"], f["kind"]) for f in findings} >= {
+            ("hotspot", "bam"),
+            ("hotspot", "reuse"),
+            (cells[-1].kwargs()["app"], "bam"),
+        }
+        assert (tmp_path / "telemetry" / "hotspot-reuse.trace.json").exists()
+
+    def test_one_way_to_pin_the_dataset(self, tiny_config):
+        with pytest.raises(ConfigError):
+            replay("hotspot", "bam", tiny_config, footprint_pages=200,
+                   trace_config=tiny_config)
 
 
 class TestRunOptions:
@@ -119,11 +157,12 @@ class TestRunOptions:
         # What the options attach to a replay (audits, telemetry export
         # with the lifecycle recorder, the anomaly scan) never changes
         # how it runs: its hit runs still batch.
-        built = []
+        built, batches = [], []
         build = harness.build_runtime
 
         def capture(*args, **kwargs):
             built.append(build(*args, **kwargs))
+            batches.append(record_batches(built[-1]))
             return built[-1]
 
         monkeypatch.setattr(harness, "build_runtime", capture)
@@ -133,13 +172,14 @@ class TestRunOptions:
         )
         previous = harness.install_options(options)
         try:
-            harness.replay_cell("hotspot", "reuse", tiny_config)
+            # PageRank's Tier-1 hit runs batch (Hotspot's barely do).
+            harness.replay_cell("pagerank", "tier-order", tiny_config)
         finally:
             harness.install_options(previous)
         [runtime] = built
         assert runtime._check_every == 100
         assert runtime._obs is not None and runtime._flight is not None
-        assert runtime.engine_resolution()[0] == "vector"
+        assert batches[0]
 
     def test_engine_installs_options_only_for_its_cells(self):
         options = RunOptions(check_every=500)

@@ -207,6 +207,25 @@ class TestRuntimeEmissionSites:
         runtime.access(1)
         assert rec.emitted == emitted
 
+    def test_both_attachment_paths_record_one_stream(self):
+        # attach_flight_recorder() and Telemetry(lifecycle=True) are one
+        # wiring path: the runtime records what the policy resolved, so
+        # the recorder-only path gets the RESOLVE events too.
+        from repro.experiments.harness import build_runtime, default_config, get_workload
+
+        config = default_config(8192)
+        workload = get_workload("srad", config, seed=0)
+        standalone = build_runtime("reuse", config)
+        recorder = standalone.attach_flight_recorder(capacity=None)
+        standalone.run(workload)
+        wired = build_runtime("reuse", config)
+        telemetry = wired.attach_telemetry(Telemetry(lifecycle=True))
+        wired.run(workload)
+        assert recorder.events(kind=LifecycleKind.RESOLVE)
+        assert [e.to_dict() for e in recorder] == [
+            e.to_dict() for e in telemetry.lifecycle
+        ]
+
     def test_detach_telemetry_clears_flight_hook(self):
         runtime, telemetry = recorded_run(pages=[1, 2, 3])
         assert runtime._flight is telemetry.lifecycle

@@ -174,3 +174,60 @@ class TestRuntimeIntegration:
 
         with pytest.raises(ConfigError):
             GMTConfig(tier1_frames=4, tier2_frames=4, time_model="exact")
+
+
+class TestEvictionSideEffects:
+    """The queueing model learns each eviction's side effects (a dirty
+    writeback, a Tier-2 placement, a Tier-2 eviction) once, on the
+    critical path or in the background, so its tallies equal the
+    runtime counters that record them.  The modelled makespan can hide
+    a lost Tier-2 eviction, so these count the model's inputs."""
+
+    @staticmethod
+    def tally(async_evictions):
+        from collections import Counter
+        from dataclasses import replace
+
+        from repro.experiments.harness import build_runtime, default_config, get_workload
+
+        config = replace(
+            default_config(8192), time_model="queueing", async_evictions=async_evictions
+        )
+        runtime = build_runtime("tier-order", config)
+        model = runtime._queueing_model()
+        seen = Counter()
+        on_miss, on_io, on_pcie = (
+            model.on_miss, model.on_background_io, model.on_background_pcie
+        )
+
+        def miss(tier2_lookup, tier2_hit, **effects):
+            seen.update(name for name, value in effects.items() if value)
+            return on_miss(tier2_lookup, tier2_hit, **effects)
+
+        def background_io(num_bytes, write=False):
+            seen["background-write" if write else "background-read"] += 1
+            on_io(num_bytes, write)
+
+        def background_pcie(num_bytes):
+            seen["background-pcie"] += 1
+            on_pcie(num_bytes)
+
+        model.on_miss = miss
+        model.on_background_io = background_io
+        model.on_background_pcie = background_pcie
+        stats = runtime.run(get_workload("srad", config, seed=0)).stats
+        assert stats.ssd_page_writes and stats.t2_placements and stats.t2_evictions
+        return seen, stats
+
+    def test_synchronous_evictions_reach_the_critical_path(self):
+        seen, stats = self.tally(async_evictions=False)
+        assert seen["writeback"] == stats.ssd_page_writes
+        assert seen["tier2_place"] == stats.t2_placements
+        assert seen["tier2_evict"] == stats.t2_evictions
+        assert not seen["background-write"] and not seen["background-pcie"]
+
+    def test_background_evictions_reach_the_links(self):
+        seen, stats = self.tally(async_evictions=True)
+        assert seen["background-write"] == stats.ssd_page_writes
+        assert seen["background-pcie"] == stats.t2_placements
+        assert not (seen["writeback"] or seen["tier2_place"] or seen["tier2_evict"])
